@@ -72,7 +72,7 @@ from .oracle import (
     harmonic,
     verify_fig2_deltas,
 )
-from .rng import splitmix64, trial_rng, trial_seed
+from .rng import STREAM_VERSION, splitmix64, trial_rng, trial_seed
 from .experiments import (
     DriftReport,
     ExperimentConfig,

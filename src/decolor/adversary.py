@@ -8,9 +8,7 @@ selection history but never future random bits.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from .coloring import Coloring, conflicted_vertices, free_colors
 from .graphs import Graph, gen_complete_bipartite
@@ -51,15 +49,17 @@ def mimic_persistent_pick(
     c: Coloring,
     conflicted: Sequence[int],
     history: Sequence[int],
-    rng: np.random.Generator,
+    draw: Callable[[], int],
     mode: str = "uniform",
 ) -> int:
     """Re-select the previous vertex while it stays conflicted.
 
     Under the one-draw-per-selection algorithm this reproduces the persistent
     variant's redraw loop. When the previous vertex clears (or at the first
-    pick), the next vertex comes from `mode`: "uniform" draws uniformly from
-    the conflicted list, "lowest" takes the smallest id.
+    pick), the next vertex comes from `mode`: "uniform" takes
+    conflicted[(j * len(conflicted)) >> 53] for the run's next stream value
+    j = draw() in [0, 2^53), "lowest" takes the smallest id. Only that
+    uniform choice calls `draw`.
     """
     if not conflicted:
         raise ValueError("conflicted set is empty")
@@ -70,7 +70,7 @@ def mimic_persistent_pick(
     if mode == "lowest":
         return conflicted[0]
     if mode == "uniform":
-        return conflicted[int(rng.integers(len(conflicted)))]
+        return conflicted[draw() * len(conflicted) >> 53]
     raise ValueError(f"unknown mimic mode {mode!r}")
 
 
@@ -219,10 +219,10 @@ def dispatch_pick(
     c: Coloring,
     conflicted: Sequence[int],
     history: Sequence[int],
-    rng: np.random.Generator,
+    draw: Callable[[], int],
 ) -> int:
     if strategy is AdversaryStrategy.MimicPersistent:
-        return mimic_persistent_pick(g, c, conflicted, history, rng, mode=mode)
+        return mimic_persistent_pick(g, c, conflicted, history, draw, mode=mode)
     if strategy is AdversaryStrategy.MinPhiDrift:
         return min_phi_drift_pick(g, c, conflicted)
     if strategy is AdversaryStrategy.MaxConflicted:

@@ -6,21 +6,35 @@ palette {1..D}, current color included. The one-draw variant
 (`run_decentralized`) performs exactly one draw per selection; the
 persistent variant (`run_persistent`) keeps drawing until the selected
 vertex is unconflicted, after which that vertex is never selected again.
+
+Randomness (stream version 2, see ``decolor.rng``): every value a run uses
+is one ``rng.random()`` double u, that is one 64-bit word, taken as the
+integer j = u * 2^53 (the word's top 53 bits). Values are fetched in blocks
+whose first size comes from n and which then double, and are used strictly
+in order, so block sizes never change a result. The order is: the n initial
+colors (random start only); for the persistent uniform path, the
+Fisher-Yates values of its permutation; then, per selection, the pick value
+(uniform order, or the mimic adversary's uniform choice) followed by the
+selection's color values. Colors and Fisher-Yates positions are exactly
+uniform: a value in [0, k) is j mod k, rejecting j >= 2^53 - 2^53 mod k and
+taking the next value. A pick among the conflicted list C is
+C[floor(u * |C|)], computed exactly as (j * |C|) >> 53.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from . import adversary as _adv
 from .adversary import AdversaryStrategy
-from .coloring import Coloring, is_proper, random_coloring
+from .coloring import Coloring
 from .graphs import Graph
 
-_DRAW_BUF = 1024
+_TWO53 = 1 << 53
 
 
 class RandomStart:
@@ -129,25 +143,72 @@ def default_step_cap(n: int, D: int) -> int:
     return 10 * n * D * D
 
 
+def _first_block(n: int) -> int:
+    """Values in a run's first block; most tiny-graph runs need one block."""
+    return 4 * n + 16
+
+
+def _stream(rng: np.random.Generator, n: int) -> Callable[[], int]:
+    """The run's next-value function: its stream's values j in order."""
+
+    def blocks():
+        k = _first_block(n)
+        while True:
+            u = rng.random(k)
+            u *= float(_TWO53)  # exact: a power-of-two scaling
+            yield u.astype(np.int64).tolist()
+            k *= 2
+
+    return itertools.chain.from_iterable(blocks()).__next__
+
+
+def _below(draw: Callable[[], int], k: int) -> int:
+    """Exactly uniform integer in [0, k) from the stream (see the module doc)."""
+    lim = _TWO53 - _TWO53 % k
+    j = draw()
+    while j >= lim:
+        j = draw()
+    return j % k
+
+
+def _redraw_until_clear(draw: Callable[[], int], D: int, used: set[int], room: int) -> list[int]:
+    """One persistent selection's colors: draw until one avoids `used`, at
+    most `room` (>= 1) times; the run is capped iff the last one is in `used`."""
+    lim = _TWO53 - _TWO53 % D
+    draws = []
+    for _ in range(room):
+        j = draw()
+        while j >= lim:
+            j = draw()
+        x = j % D + 1
+        draws.append(x)
+        if x not in used:
+            break
+    return draws
+
+
 def scheduler_pick(
     policy: SchedulerPolicy,
     g: Graph,
     c: Coloring,
     conflicted: Sequence[int],
     history: Sequence[int],
-    rng: np.random.Generator,
+    draw: Callable[[], int],
 ) -> int:
-    """Choose the next vertex to recolor from the non-empty conflicted list."""
+    """Choose the next vertex to recolor from the non-empty conflicted list.
+
+    `draw` returns the run's next stream value; only random choices call it.
+    """
     if not conflicted:
         raise ValueError("conflicted set is empty")
     if isinstance(policy, UniformRandomOrder):
-        return conflicted[int(rng.integers(len(conflicted)))]
+        return conflicted[draw() * len(conflicted) >> 53]
     if isinstance(policy, FixedPermutationOrder):
         pos = policy.position
         return min(conflicted, key=pos.__getitem__)
     if isinstance(policy, AdversaryOrder):
         v = _adv.dispatch_pick(
-            policy.strategy, policy.mode, policy.script, g, c, conflicted, history, rng
+            policy.strategy, policy.mode, policy.script, g, c, conflicted, history, draw
         )
         if v not in conflicted:
             raise RuntimeError(f"adversary returned non-conflicted vertex {v}")
@@ -155,9 +216,9 @@ def scheduler_pick(
     raise TypeError(f"unknown scheduler policy {policy!r}")
 
 
-def _initial_colors(g: Graph, D: int, start: StartPolicy, rng: np.random.Generator) -> list[int]:
+def _initial_colors(g: Graph, D: int, start: StartPolicy, draw: Callable[[], int]) -> list[int]:
     if isinstance(start, RandomStart):
-        return rng.integers(1, D + 1, size=g.n).tolist()
+        return [_below(draw, D) + 1 for _ in range(g.n)]
     if isinstance(start, FixedStart):
         c = start.coloring
         if len(c.colors) != g.n:
@@ -271,7 +332,8 @@ def run_decentralized(
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
     cap = default_step_cap(g.n, D) if step_cap is None else step_cap
-    colors = _initial_colors(g, D, start, rng)
+    draw = _stream(rng, g.n)
+    colors = _initial_colors(g, D, start, draw)
     trace_list: list[tuple[int, list[int]]] | None = [] if trace else None
     per_vertex = [0] * g.n
     tracker = ConflictTracker(g, colors)
@@ -279,21 +341,14 @@ def run_decentralized(
     step3 = 0
 
     if isinstance(sched, UniformRandomOrder):
-        # hot path: buffered picks and draws, no per-step allocation
-        pick_buf: list[float] = []
-        draw_buf: list[int] = []
-        pi = di = 0
+        # hot path: _below inlined, no per-step allocation
+        lim = _TWO53 - _TWO53 % D
         while members and step3 < cap:
-            if pi == len(pick_buf):
-                pick_buf = rng.random(size=_DRAW_BUF).tolist()
-                pi = 0
-            v = members[int(pick_buf[pi] * len(members))]
-            pi += 1
-            if di == len(draw_buf):
-                draw_buf = rng.integers(1, D + 1, size=_DRAW_BUF).tolist()
-                di = 0
-            x = draw_buf[di]
-            di += 1
+            v = members[draw() * len(members) >> 53]
+            j = draw()
+            while j >= lim:
+                j = draw()
+            x = j % D + 1
             step3 += 1
             per_vertex[v] += 1
             if trace_list is not None:
@@ -304,9 +359,9 @@ def run_decentralized(
     history: list[int] = []
     while members and step3 < cap:
         conflicted = tracker.conflicted_sorted()
-        v = scheduler_pick(sched, g, tracker_coloring(tracker, D), conflicted, history, rng)
+        v = scheduler_pick(sched, g, tracker_coloring(tracker, D), conflicted, history, draw)
         history.append(v)
-        x = int(rng.integers(1, D + 1))
+        x = _below(draw, D) + 1
         step3 += 1
         per_vertex[v] += 1
         if trace_list is not None:
@@ -338,12 +393,16 @@ def run_persistent(
     processes the vertices that are still conflicted when reached, which
     yields the same selection distribution because cleared vertices stay
     clear: every later redraw ends on a color avoiding all its neighbors.
-    Other orders re-evaluate the policy after each vertex clears.
+    The permutation is a Fisher-Yates shuffle of 0..n-1: for k = n down to
+    2, swap positions k-1 and j = (uniform in [0, k)); the walk then goes
+    from position 0 up. Other orders re-evaluate the policy after each
+    vertex clears.
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
     cap = default_step_cap(g.n, D) if step_cap is None else step_cap
-    colors = _initial_colors(g, D, start, rng)
+    draw = _stream(rng, g.n)
+    colors = _initial_colors(g, D, start, draw)
     trace_list: list[tuple[int, list[int]]] | None = [] if trace else None
     per_vertex = [0] * g.n
     adjacency = g.adjacency
@@ -352,9 +411,10 @@ def run_persistent(
     capped = False
 
     if isinstance(sched, UniformRandomOrder):
-        perm = rng.permutation(g.n).tolist()
-        draw_buf: list[int] = []
-        di = 0
+        perm = list(range(g.n))
+        for k in range(g.n, 1, -1):
+            j = _below(draw, k)
+            perm[k - 1], perm[j] = perm[j], perm[k - 1]
         for v in perm:
             cv = colors[v]
             av = adjacency[v]
@@ -368,25 +428,13 @@ def run_persistent(
                 break
             selections += 1
             used = {colors[u] for u in av}
-            draws: list[int] = []
-            while True:
-                if step3 == cap:
-                    capped = True
-                    break
-                if di == len(draw_buf):
-                    draw_buf = rng.integers(1, D + 1, size=_DRAW_BUF).tolist()
-                    di = 0
-                x = draw_buf[di]
-                di += 1
-                step3 += 1
-                per_vertex[v] += 1
-                draws.append(x)
-                if x not in used:
-                    break
-            if draws:
-                colors[v] = draws[-1]
+            draws = _redraw_until_clear(draw, D, used, cap - step3)
+            step3 += len(draws)
+            per_vertex[v] += len(draws)
+            colors[v] = draws[-1]
             if trace_list is not None:
                 trace_list.append((v, draws))
+            capped = draws[-1] in used
             if capped:
                 break
         return _finish(g, D, colors, step3, per_vertex, selections, not capped, trace_list)
@@ -400,28 +448,20 @@ def run_persistent(
             capped = True
             break
         conflicted = tracker.conflicted_sorted()
-        v = scheduler_pick(sched, g, tracker_coloring(tracker, D), conflicted, history, rng)
+        v = scheduler_pick(sched, g, tracker_coloring(tracker, D), conflicted, history, draw)
         if v in seen:
             raise RuntimeError(f"vertex {v} selected twice in a persistent run")
         seen.add(v)
         history.append(v)
         selections += 1
         used = {colors[u] for u in adjacency[v]}
-        draws = []
-        while True:
-            if step3 == cap:
-                capped = True
-                break
-            x = int(rng.integers(1, D + 1))
-            step3 += 1
-            per_vertex[v] += 1
-            draws.append(x)
-            if x not in used:
-                break
-        if draws:
-            # intermediate draws never leave the loop, so one tracker update
-            # with the last drawn color is equivalent to applying each draw
-            tracker.recolor(v, draws[-1])
+        draws = _redraw_until_clear(draw, D, used, cap - step3)
+        step3 += len(draws)
+        per_vertex[v] += len(draws)
+        capped = draws[-1] in used
+        # intermediate draws never leave the loop, so one tracker update
+        # with the last drawn color is equivalent to applying each draw
+        tracker.recolor(v, draws[-1])
         if trace_list is not None:
             trace_list.append((v, draws))
     return _finish(g, D, colors, step3, per_vertex, selections, not capped and not members, trace_list)

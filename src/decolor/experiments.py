@@ -49,7 +49,7 @@ from .graphs import (
     gen_fig2_like,
     read_graph_file,
 )
-from .rng import trial_rng
+from .rng import STREAM_VERSION, trial_rng
 
 OUTPUT_DIR_ENV = "DECOLOR_OUTPUT_DIR"
 Z_99 = 2.576
@@ -88,6 +88,10 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be 'dc' or 'persistent', got {self.algorithm!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.step_cap is not None and self.step_cap < 0:
+            raise ValueError(f"step_cap must be >= 0, got {self.step_cap}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.counters = tuple(self.counters)
         for counter in self.counters:
             if counter not in VALID_COUNTERS:
@@ -126,10 +130,12 @@ class ExperimentConfig:
         }
 
     def identity_dict(self) -> dict:
-        """The fields that determine results (not where they are written)."""
+        """The fields that determine results (not where they are written),
+        plus the random-stream layout version they were produced under."""
         d = self.to_dict()
         for key in ("output", "per_trial", "workers", "counters"):
             d.pop(key)
+        d["stream_version"] = STREAM_VERSION
         return d
 
 
@@ -350,8 +356,9 @@ def _run_range(cfg: ExperimentConfig, lo: int, hi: int):
     terminated = []
     vertex_sum = np.zeros(g.n, dtype=np.int64) if want_vertex else None
     vertex_sumsq = np.zeros(g.n, dtype=np.int64) if want_vertex else None
+    gen = np.random.Generator(np.random.PCG64(0))  # reseeded in place for every trial
     for i in range(lo, hi):
-        r = runner(g, D, start, order, trial_rng(cfg.master_seed, i), step_cap=cfg.step_cap)
+        r = runner(g, D, start, order, trial_rng(cfg.master_seed, i, gen), step_cap=cfg.step_cap)
         total.append(r.total_draws)
         step3.append(r.step3_draws)
         selections.append(r.selections)

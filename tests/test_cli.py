@@ -105,6 +105,35 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_bad_step_cap_and_workers_exit_2(capsys):
+    assert main(["run", "--graph", "clique:3", "--trials", "5", "--step-cap", "-1"]) == 2
+    assert "step_cap" in capsys.readouterr().err
+    assert main(["run", "--graph", "clique:3", "--trials", "5", "--workers", "-3"]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert main(["run", "--graph", "clique:3", "--trials", "5", "--workers", "0"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("algorithm", ["dc", "persistent"])
+@pytest.mark.parametrize("graph,start", [("clique:6", "random"), ("badbip:4", "construction")])
+def test_trace_replays_trial_zero_of_the_run(tmp_path, capsys, algorithm, graph, start):
+    """--trace builds trial 0's stream itself; it must match the run's row 0."""
+    code = main([
+        "run", "--graph", graph, "--start", start, "--algorithm", algorithm,
+        "--trials", "4", "--seed", "29", "--workers", "1", "--per-trial",
+        "--out", str(tmp_path / "r"), "--trace", str(tmp_path / "t.txt"),
+    ])
+    assert code == 0
+    n = json.loads((tmp_path / "r.json").read_text())["graph"]["n"]
+    row0 = (tmp_path / "r.trials.csv").read_text().splitlines()[1].split(",")
+    _, trial, total, step3, selections, _ = row0
+    assert trial == "0"
+    lines = (tmp_path / "t.txt").read_text().splitlines()
+    assert len(lines) == int(selections)
+    assert sum(len(line.split()) - 2 for line in lines) == int(step3)
+    assert int(total) == n + int(step3)
+
+
 def test_oracle_prints_exact_rationals(capsys):
     assert main(["oracle", "--graph", "clique:3", "--colors", "3"]) == 0
     assert capsys.readouterr().out.strip() == "5/2 (≈ 2.5)"

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decolor.adversary import AdversaryStrategy
-from decolor.coloring import Coloring, is_proper
+from decolor.coloring import Coloring, conflicted_vertices, is_proper
 from decolor.engine import (
     AdversaryOrder,
+    ConflictTracker,
     FixedPermutationOrder,
     FixedStart,
     RANDOM_START,
@@ -161,3 +162,39 @@ def test_adversary_orders_run_to_completion():
     ):
         r = run_decentralized(g, 4, start, sched, trial_rng(8, 0))
         assert r.terminated and is_proper(g, r.final_coloring)
+
+
+@st.composite
+def recolor_walks(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = from_edge_list(n, edges)
+    D = draw(st.integers(1, g.max_degree + 2))  # includes D <= max_degree
+    colors = draw(st.lists(st.integers(1, D), min_size=n, max_size=n))
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, D)), max_size=40))
+    return g, D, colors, steps
+
+
+@given(recolor_walks())
+@settings(max_examples=200, deadline=None)
+def test_conflict_tracker_matches_full_recomputation(walk):
+    g, D, colors, steps = walk
+    tracker = ConflictTracker(g, list(colors))
+
+    def check():
+        assert tracker.colors == colors
+        for v in range(g.n):
+            same = sum(1 for u in g.adjacency[v] if colors[u] == colors[v])
+            assert tracker.counts[v] == same
+        assert tracker.conflicted_sorted() == conflicted_vertices(g, Coloring(colors, D))
+        assert len(set(tracker.members)) == len(tracker.members)
+        for v in range(g.n):
+            i = tracker.pos[v]
+            assert (tracker.members[i] == v) if i >= 0 else (v not in tracker.members)
+
+    check()
+    for v, x in steps:
+        tracker.recolor(v, x)
+        colors[v] = x
+        check()

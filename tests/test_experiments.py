@@ -42,6 +42,14 @@ def test_config_validation():
         cfg(algorithm="greedy")
     with pytest.raises(ValueError, match="trials"):
         cfg(trials=0)
+    with pytest.raises(ValueError, match="step_cap"):
+        cfg(step_cap=-1)
+    assert cfg(step_cap=0).step_cap == 0
+    with pytest.raises(ValueError, match="workers"):
+        cfg(workers=0)
+    with pytest.raises(ValueError, match="workers"):
+        cfg(workers=-3)
+    assert cfg(workers=1).workers == 1
     with pytest.raises(ValueError, match="counter"):
         cfg(counters=("total_draws", "steps"))
     with pytest.raises(ValueError):
