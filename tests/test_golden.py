@@ -29,6 +29,10 @@ CASES = {
     "badbip3-dc-mimic": [
         "--graph", "badbip:3", "--start", "construction", "--order", "mimic", "--seed", "3",
     ],
+    "erdos12-dc-min-drift": ["--graph", "erdos:12,0.4,5", "--order", "min-drift", "--seed", "12"],
+    "badbip4-dc-max-conflicted": [
+        "--graph", "badbip:4", "--start", "construction", "--order", "max-conflicted", "--seed", "5",
+    ],
 }
 
 
