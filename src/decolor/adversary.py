@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Sequence
 
-from .coloring import Coloring, conflicted_vertices, free_colors
+from .coloring import Coloring, conflicted_vertices, free_colors, same_color_counts
 from .graphs import Graph, gen_complete_bipartite
 
 
@@ -51,94 +51,99 @@ def mimic_persistent_pick(
     history: Sequence[int],
     draw: Callable[[], int],
     mode: str = "uniform",
+    counts: Sequence[int] | None = None,
 ) -> int:
     """Re-select the previous vertex while it stays conflicted.
 
     Under the one-draw-per-selection algorithm this reproduces the persistent
     variant's redraw loop. When the previous vertex clears (or at the first
     pick), the next vertex comes from `mode`: "uniform" takes
-    conflicted[(j * len(conflicted)) >> 53] for the run's next stream value
-    j = draw() in [0, 2^53), "lowest" takes the smallest id. Only that
-    uniform choice calls `draw`.
+    sorted(conflicted)[(j * len(conflicted)) >> 53] for the run's next stream
+    value j = draw() in [0, 2^53), "lowest" takes the smallest id. Only that
+    uniform choice calls `draw`. `counts` are the state's same-color
+    neighbor counts (see `same_color_counts`) when the caller keeps them.
     """
     if not conflicted:
         raise ValueError("conflicted set is empty")
     if history:
+        if counts is None:
+            counts = same_color_counts(g, c.colors)
         last = history[-1]
-        if last in conflicted:
+        if counts[last] > 0:
             return last
     if mode == "lowest":
-        return conflicted[0]
+        return min(conflicted)
     if mode == "uniform":
-        return conflicted[draw() * len(conflicted) >> 53]
+        return sorted(conflicted)[draw() * len(conflicted) >> 53]
     raise ValueError(f"unknown mimic mode {mode!r}")
 
 
-def _mono_components(g: Graph, colors: list[int]) -> tuple[list[int], list[list[int]]]:
-    """Component id per vertex and member lists of the same-color subgraph."""
-    comp_id = [-1] * g.n
-    comps: list[list[int]] = []
-    adjacency = g.adjacency
-    for s in range(g.n):
-        if comp_id[s] >= 0:
-            continue
-        cid = len(comps)
-        comp_id[s] = cid
-        members = [s]
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            cx = colors[x]
-            for u in adjacency[x]:
-                if colors[u] == cx and comp_id[u] < 0:
-                    comp_id[u] = cid
-                    members.append(u)
-                    stack.append(u)
-        comps.append(members)
-    return comp_id, comps
+def _drift_numerators(g: Graph, colors: list[int], D: int, counts: Sequence[int],
+                      conflicted: Sequence[int]) -> list[int]:
+    """Per vertex v of `conflicted`, which must be the whole conflicted set
+    in any order, out[v] = (D-1)*k - j as in `phi_drift_numerators`.
 
-
-def _removal_split_counts(g: Graph, colors: list[int], comp: list[int], out: dict[int, int]) -> None:
-    """For each vertex of one monochromatic component (size >= 2), store how
-    many pieces the component splits into when that vertex is removed.
-
-    One articulation-point DFS per component instead of one BFS per vertex.
+    The monochromatic components of size >= 2 are exactly those of the
+    conflicted vertices, so one articulation-point DFS started from them
+    labels every such component by its root and counts, per vertex, the
+    pieces its component splits into without it. Every other vertex is a
+    singleton component of its own, which `counts` tells in O(1).
     """
     adjacency = g.adjacency
-    root = comp[0]
-    disc: dict[int, int] = {root: 0}
-    low: dict[int, int] = {root: 0}
-    split = dict.fromkeys(comp, 0)
-    counter = 1
-    stack = [(root, -1, iter(adjacency[root]))]
-    while stack:
-        v, parent, it = stack[-1]
-        cv = colors[v]
-        descend = -1
-        for u in it:
-            if colors[u] != cv:
-                continue
-            if u not in disc:
-                descend = u
-                break
-            if u != parent and disc[u] < low[v]:
-                low[v] = disc[u]
-        if descend < 0:
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-                if low[v] >= disc[pv]:
-                    split[pv] += 1
+    n = g.n
+    root_of = [-1] * n
+    disc = [0] * n
+    low = [0] * n
+    # first the pieces k left by removing v (one per separated DFS child,
+    # plus the rest of the component unless v is the root), then v's numerator
+    out = [0] * n
+    clock = 0
+    for root in conflicted:
+        if root_of[root] >= 0:
             continue
-        disc[descend] = low[descend] = counter
-        counter += 1
-        stack.append((descend, v, iter(adjacency[descend])))
-    for v in comp:
-        # removing the root leaves one piece per DFS child; removing any
-        # other vertex leaves its separated children plus the rest
-        out[v] = split[v] if v == root else 1 + split[v]
+        cr = colors[root]
+        root_of[root] = root
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(adjacency[root]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for u in it:
+                if colors[u] != cr:
+                    continue
+                if root_of[u] < 0:
+                    root_of[u] = root
+                    disc[u] = low[u] = clock
+                    clock += 1
+                    out[u] = 1
+                    stack.append((u, v, iter(adjacency[u])))
+                    break
+                if u != parent and disc[u] < low[v]:
+                    low[v] = disc[u]
+            else:
+                stack.pop()
+                if stack:
+                    pv = stack[-1][0]
+                    if low[v] < low[pv]:
+                        low[pv] = low[v]
+                    if low[v] >= disc[pv]:
+                        out[pv] += 1
+    # j: distinct other-colored components next to v, deduplicated by root
+    seen_by = [-1] * n
+    for v in conflicted:
+        cv = colors[v]
+        j = 0
+        for u in adjacency[v]:
+            if colors[u] != cv:
+                if counts[u] == 0:
+                    j += 1
+                else:
+                    r = root_of[u]
+                    if seen_by[r] != v:
+                        seen_by[r] = v
+                        j += 1
+        out[v] = (D - 1) * out[v] - j
+    return out
 
 
 def phi_drift_numerators(g: Graph, c: Coloring, conflicted: Sequence[int]) -> list[int]:
@@ -147,57 +152,44 @@ def phi_drift_numerators(g: Graph, c: Coloring, conflicted: Sequence[int]) -> li
     For conflicted v the exact expected change of the monochromatic-component
     count under a uniform recolor is ((D-1)*k - j) / D, where k is the number
     of pieces v's component splits into without v and j is the number of
-    distinct components of other colors adjacent to v. Returning integer
+    distinct components of other colors adjacent to v. `conflicted` may be
+    any subset of the conflicted vertices, in any order. Returning integer
     numerators keeps adversary comparisons exact; the brute-force oracle
     recomputation must match these values on every state.
     """
-    colors = c.colors
-    D = c.palette_size
-    comp_id, comps = _mono_components(g, colors)
-    split: dict[int, int] = {}
-    for comp in comps:
-        if len(comp) >= 2:
-            _removal_split_counts(g, colors, comp, split)
-    out = []
+    counts = same_color_counts(g, c.colors)
     for v in conflicted:
-        k = split.get(v)
-        if k is None:
+        if counts[v] == 0:
             raise ValueError(f"vertex {v} is not conflicted")
-        cv = colors[v]
-        seen: set[int] = set()
-        for u in g.adjacency[v]:
-            if colors[u] != cv:
-                seen.add(comp_id[u])
-        out.append((D - 1) * k - len(seen))
-    return out
+    whole = [v for v in range(g.n) if counts[v]]
+    num = _drift_numerators(g, c.colors, c.palette_size, counts, whole)
+    return [num[v] for v in conflicted]
 
 
-def min_phi_drift_pick(g: Graph, c: Coloring, conflicted: Sequence[int]) -> int:
+def min_phi_drift_pick(g: Graph, c: Coloring, conflicted: Sequence[int],
+                       counts: Sequence[int] | None = None) -> int:
     """Conflicted vertex whose recolor has the smallest expected
-    component-potential gain; ties go to the lowest id."""
+    component-potential gain; ties go to the lowest id, whatever the order
+    of `conflicted`. A caller that passes the state's same-color neighbor
+    `counts` must pass the whole conflicted set."""
     if not conflicted:
         raise ValueError("conflicted set is empty")
-    nums = phi_drift_numerators(g, c, conflicted)
-    best = 0
-    for i in range(1, len(nums)):
-        if nums[i] < nums[best]:
-            best = i
-    return conflicted[best]
+    if counts is None:
+        nums = phi_drift_numerators(g, c, conflicted)
+        return min(zip(nums, conflicted))[1]
+    num = _drift_numerators(g, c.colors, c.palette_size, counts, conflicted)
+    return min(conflicted, key=lambda v: (num[v], v))
 
 
-def max_conflicted_pick(g: Graph, c: Coloring, conflicted: Sequence[int]) -> int:
-    """Conflicted vertex with the most same-colored neighbors; ties lowest id."""
+def max_conflicted_pick(g: Graph, c: Coloring, conflicted: Sequence[int],
+                        counts: Sequence[int] | None = None) -> int:
+    """Conflicted vertex with the most same-colored neighbors; ties go to the
+    lowest id, whatever the order of `conflicted`."""
     if not conflicted:
         raise ValueError("conflicted set is empty")
-    colors = c.colors
-    best_v = conflicted[0]
-    best_count = -1
-    for v in conflicted:
-        cv = colors[v]
-        count = sum(1 for u in g.adjacency[v] if colors[u] == cv)
-        if count > best_count:
-            best_v, best_count = v, count
-    return best_v
+    if counts is None:
+        counts = same_color_counts(g, c.colors)
+    return min(conflicted, key=lambda v: (-counts[v], v))
 
 
 def scripted_pick(script: Sequence[int], conflicted: Sequence[int], history: Sequence[int]) -> int:
@@ -218,15 +210,18 @@ def dispatch_pick(
     g: Graph,
     c: Coloring,
     conflicted: Sequence[int],
+    counts: Sequence[int],
     history: Sequence[int],
     draw: Callable[[], int],
 ) -> int:
+    """One adversary pick from the whole conflicted set, in any order, and
+    the state's same-color neighbor counts."""
     if strategy is AdversaryStrategy.MimicPersistent:
-        return mimic_persistent_pick(g, c, conflicted, history, draw, mode=mode)
+        return mimic_persistent_pick(g, c, conflicted, history, draw, mode=mode, counts=counts)
     if strategy is AdversaryStrategy.MinPhiDrift:
-        return min_phi_drift_pick(g, c, conflicted)
+        return min_phi_drift_pick(g, c, conflicted, counts)
     if strategy is AdversaryStrategy.MaxConflicted:
-        return max_conflicted_pick(g, c, conflicted)
+        return max_conflicted_pick(g, c, conflicted, counts)
     if strategy is AdversaryStrategy.Scripted:
         if script is None:
             raise ValueError("scripted strategy needs a script")

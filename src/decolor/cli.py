@@ -138,6 +138,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
     if args.graph is not None:
         data["graph"] = parse_graph_spec(args.graph)
     if args.algorithm is not None:

@@ -72,6 +72,13 @@ def is_conflicted(g: Graph, c: Coloring, v: int) -> bool:
     return any(colors[u] == cv for u in g.adjacency[v])
 
 
+def same_color_counts(g: Graph, colors: list[int]) -> list[int]:
+    """Per vertex, the number of neighbors holding its color; a vertex is
+    conflicted exactly when its count is positive."""
+    adjacency = g.adjacency
+    return [sum(1 for u in adjacency[v] if colors[u] == cv) for v, cv in enumerate(colors)]
+
+
 def conflicted_vertices(g: Graph, c: Coloring) -> list[int]:
     """All conflicted vertices, ascending."""
     return [v for v in range(g.n) if is_conflicted(g, c, v)]

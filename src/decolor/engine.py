@@ -31,7 +31,7 @@ import numpy as np
 
 from . import adversary as _adv
 from .adversary import AdversaryStrategy
-from .coloring import Coloring
+from .coloring import Coloring, same_color_counts
 from .graphs import Graph
 
 _TWO53 = 1 << 53
@@ -192,10 +192,13 @@ def scheduler_pick(
     g: Graph,
     c: Coloring,
     conflicted: Sequence[int],
+    counts: Sequence[int],
     history: Sequence[int],
     draw: Callable[[], int],
 ) -> int:
-    """Choose the next vertex to recolor from the non-empty conflicted list.
+    """Choose the next vertex to recolor from the whole, non-empty conflicted
+    set, given in any order (the engine passes its tracker's live members and
+    same-color neighbor counts). Uniform order indexes `conflicted` as given.
 
     `draw` returns the run's next stream value; only random choices call it.
     """
@@ -208,9 +211,9 @@ def scheduler_pick(
         return min(conflicted, key=pos.__getitem__)
     if isinstance(policy, AdversaryOrder):
         v = _adv.dispatch_pick(
-            policy.strategy, policy.mode, policy.script, g, c, conflicted, history, draw
+            policy.strategy, policy.mode, policy.script, g, c, conflicted, counts, history, draw
         )
-        if v not in conflicted:
+        if counts[v] <= 0:
             raise RuntimeError(f"adversary returned non-conflicted vertex {v}")
         return v
     raise TypeError(f"unknown scheduler policy {policy!r}")
@@ -242,11 +245,7 @@ class ConflictTracker:
     def __init__(self, g: Graph, colors: list[int]):
         self.g = g
         self.colors = colors
-        counts = [0] * g.n
-        for v in range(g.n):
-            cv = colors[v]
-            counts[v] = sum(1 for u in g.adjacency[v] if colors[u] == cv)
-        self.counts = counts
+        self.counts = counts = same_color_counts(g, colors)
         self.members = [v for v in range(g.n) if counts[v] > 0]
         self.pos = [-1] * g.n
         for i, v in enumerate(self.members):
@@ -292,9 +291,6 @@ class ConflictTracker:
             self._add(v)
         elif own == 0 and had:
             self._drop(v)
-
-    def conflicted_sorted(self) -> list[int]:
-        return sorted(self.members)
 
 
 def _finish(
@@ -356,10 +352,11 @@ def run_decentralized(
             tracker.recolor(v, x)
         return _finish(g, D, colors, step3, per_vertex, step3, not members, trace_list)
 
+    counts = tracker.counts
+    coloring = tracker_coloring(tracker, D)
     history: list[int] = []
     while members and step3 < cap:
-        conflicted = tracker.conflicted_sorted()
-        v = scheduler_pick(sched, g, tracker_coloring(tracker, D), conflicted, history, draw)
+        v = scheduler_pick(sched, g, coloring, members, counts, history, draw)
         history.append(v)
         x = _below(draw, D) + 1
         step3 += 1
@@ -440,15 +437,15 @@ def run_persistent(
         return _finish(g, D, colors, step3, per_vertex, selections, not capped, trace_list)
 
     tracker = ConflictTracker(g, colors)
-    members = tracker.members
+    members, counts = tracker.members, tracker.counts
+    coloring = tracker_coloring(tracker, D)
     history: list[int] = []
     seen: set[int] = set()
     while members and not capped:
         if step3 >= cap:
             capped = True
             break
-        conflicted = tracker.conflicted_sorted()
-        v = scheduler_pick(sched, g, tracker_coloring(tracker, D), conflicted, history, draw)
+        v = scheduler_pick(sched, g, coloring, members, counts, history, draw)
         if v in seen:
             raise RuntimeError(f"vertex {v} selected twice in a persistent run")
         seen.add(v)

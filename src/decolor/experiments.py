@@ -12,10 +12,11 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -84,6 +85,12 @@ class ExperimentConfig:
     workers: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("trials", "master_seed", "D", "step_cap", "workers"):
+            value = getattr(self, name)
+            if value is None and name in ("D", "step_cap", "workers"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.algorithm not in ("dc", "persistent"):
             raise ValueError(f"algorithm must be 'dc' or 'persistent', got {self.algorithm!r}")
         if self.trials < 1:
@@ -144,6 +151,24 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()[:12]
 
 
+def _field(spec: dict, name: str, conv: Callable[[Any], Any], what: str) -> Any:
+    """spec[name] passed through conv; a missing or ill-typed entry is a ValueError."""
+    if name not in spec:
+        raise ValueError(f"{what} needs the entry {name!r}")
+    try:
+        return conv(spec[name])
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} has a bad entry {name!r}: {spec[name]!r}") from None
+
+
+def _int_list(values: Any) -> list[int]:
+    return [int(v) for v in values]
+
+
+def _edge_list(values: Any) -> list[tuple[int, ...]]:
+    return [tuple(_int_list(e)) for e in values]
+
+
 def build_graph(spec: dict) -> tuple[Graph, Coloring | None]:
     """Instantiate a graph spec; some kinds bundle a start coloring."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -156,21 +181,24 @@ def build_graph(spec: dict) -> tuple[Graph, Coloring | None]:
         if extra:
             raise ValueError(f"unknown parameters for graph kind {kind!r}: {sorted(extra)}")
 
+    def get(name: str, conv: Callable[[Any], Any] = int) -> Any:
+        return _field(params, name, conv, f"graph kind {kind!r}")
+
     if kind == "clique":
         take({"n"})
-        return gen_clique(int(params["n"])), None
+        return gen_clique(get("n")), None
     if kind == "bipartite":
         take({"a", "b"})
-        return gen_complete_bipartite(int(params["a"]), int(params["b"])), None
+        return gen_complete_bipartite(get("a"), get("b")), None
     if kind == "cycle":
         take({"n"})
-        return gen_cycle(int(params["n"])), None
+        return gen_cycle(get("n")), None
     if kind == "erdos":
         take({"n", "p", "seed"})
-        return gen_erdos_renyi(int(params["n"]), float(params["p"]), int(params["seed"])), None
+        return gen_erdos_renyi(get("n"), get("p", float), get("seed")), None
     if kind == "badbip":
         take({"delta"})
-        g, c = bad_bipartite_start(int(params["delta"]))
+        g, c = bad_bipartite_start(get("delta"))
         return g, c
     if kind == "fig2":
         take(set())
@@ -178,10 +206,10 @@ def build_graph(spec: dict) -> tuple[Graph, Coloring | None]:
         return g, c
     if kind == "file":
         take({"path"})
-        return read_graph_file(str(params["path"])), None
+        return read_graph_file(get("path", str)), None
     if kind == "edges":
         take({"n", "edges"})
-        return from_edge_list(int(params["n"]), [tuple(e) for e in params["edges"]]), None
+        return from_edge_list(get("n"), get("edges", _edge_list)), None
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
@@ -204,13 +232,14 @@ def build_start(spec: Any, g: Graph, D: int, bundled: Coloring | None) -> StartP
         return FixedStart(bundled)
     if isinstance(spec, dict) and "kind" in spec:
         kind = spec["kind"]
+        what = f"start kind {kind!r}"
         if kind == "fixed":
-            return FixedStart(Coloring([int(c) for c in spec["colors"]], D))
+            return FixedStart(Coloring(_field(spec, "colors", _int_list, what), D))
         if kind == "file":
-            c = read_coloring_file(str(spec["path"]))
+            c = read_coloring_file(_field(spec, "path", str, what))
             return FixedStart(Coloring(c.colors, D))
         if kind == "mono":
-            color = int(spec.get("color", 1))
+            color = _field({"color": 1, **spec}, "color", int, what)
             if not (1 <= color <= D):
                 raise ValueError(f"mono start color {color} outside 1..{D}")
             return FixedStart(Coloring([color] * g.n, D))
@@ -228,15 +257,16 @@ def build_order(spec: Any, g: Graph) -> SchedulerPolicy:
         return AdversaryOrder(AdversaryStrategy.MimicPersistent, mode="uniform")
     if isinstance(spec, dict) and "kind" in spec:
         kind = spec["kind"]
+        what = f"order kind {kind!r}"
         if kind == "perm":
-            return FixedPermutationOrder([int(v) for v in spec["order"]])
+            return FixedPermutationOrder(_field(spec, "order", _int_list, what))
         if kind == "mimic":
             return AdversaryOrder(
                 AdversaryStrategy.MimicPersistent, mode=spec.get("mode", "uniform")
             )
         if kind == "script":
             return AdversaryOrder(
-                AdversaryStrategy.Scripted, script=[int(v) for v in spec["picks"]]
+                AdversaryStrategy.Scripted, script=_field(spec, "picks", _int_list, what)
             )
     raise ValueError(f"unknown order spec {spec!r}")
 

@@ -190,13 +190,3 @@ def write_graph_file(path: str, g: Graph) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(graph_to_text(g))
 
-
-def neighbor_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-style (indptr, indices) view of the adjacency, for vectorized code."""
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    for v in range(g.n):
-        indptr[v + 1] = indptr[v] + len(g.adjacency[v])
-    indices = np.fromiter(
-        (u for a in g.adjacency for u in a), dtype=np.int64, count=int(indptr[-1])
-    )
-    return indptr, indices

@@ -16,7 +16,7 @@ from decolor.adversary import (
     phi_drift_numerators,
     scripted_pick,
 )
-from decolor.coloring import Coloring, conflicted_vertices, is_conflicted
+from decolor.coloring import Coloring, conflicted_vertices, is_conflicted, same_color_counts
 from decolor.graphs import from_edge_list, gen_clique, gen_fig2_like
 from decolor.oracle import exact_expected_phi_delta
 
@@ -61,6 +61,52 @@ def test_drift_numerators_match_brute_force(state):
     D = c.palette_size
     for v, num in zip(conflicted, nums):
         assert Fraction(num, D) == exact_expected_phi_delta(g, c, v).value
+
+
+@given(invalid_states(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_min_phi_drift_is_the_brute_force_argmin_in_any_order(state, rnd):
+    g, c = state
+    conflicted = conflicted_vertices(g, c)
+    drift = {v: exact_expected_phi_delta(g, c, v).value for v in conflicted}
+    want = min(conflicted, key=lambda v: (drift[v], v))
+    shuffled = rnd.sample(conflicted, len(conflicted))
+    counts = same_color_counts(g, c.colors)
+    assert min_phi_drift_pick(g, c, shuffled) == want
+    assert min_phi_drift_pick(g, c, shuffled, counts) == want  # the engine's call
+
+
+@given(invalid_states(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_picks_do_not_depend_on_list_order(state, rnd):
+    g, c = state
+    conflicted = conflicted_vertices(g, c)
+    shuffled = rnd.sample(conflicted, len(conflicted))
+    counts = same_color_counts(g, c.colors)
+    most = max_conflicted_pick(g, c, conflicted)
+    assert max_conflicted_pick(g, c, shuffled) == most
+    assert max_conflicted_pick(g, c, shuffled, counts) == most
+    lowest = mimic_persistent_pick(g, c, conflicted, [], None, "lowest")
+    assert lowest == conflicted[0]
+    assert mimic_persistent_pick(g, c, shuffled, [], None, "lowest", counts) == lowest
+    for history in ([rnd.randrange(g.n)], [conflicted[-1]]):
+        last = history[-1]
+        want = last if is_conflicted(g, c, last) else lowest
+        assert mimic_persistent_pick(g, c, shuffled, history, None, "lowest", counts) == want
+
+
+@given(invalid_states(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_drift_numerators_of_a_subset_equal_the_full_set_values(state, rnd):
+    g, c = state
+    conflicted = conflicted_vertices(g, c)
+    full = dict(zip(conflicted, phi_drift_numerators(g, c, conflicted)))
+    subset = rnd.sample(conflicted, rnd.randint(1, len(conflicted)))
+    assert phi_drift_numerators(g, c, subset) == [full[v] for v in subset]
+    clear = [v for v in range(g.n) if v not in full]
+    if clear:
+        with pytest.raises(ValueError, match="not conflicted"):
+            phi_drift_numerators(g, c, subset + [rnd.choice(clear)])
 
 
 def test_min_phi_drift_breaks_ties_toward_low_ids():

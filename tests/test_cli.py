@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +116,41 @@ def test_bad_step_cap_and_workers_exit_2(capsys):
     assert "workers" in capsys.readouterr().err
     assert main(["run", "--graph", "clique:3", "--trials", "5", "--workers", "0"]) == 2
     capsys.readouterr()
+
+
+CLIQUE3 = {"kind": "clique", "n": 3}
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({"graph": {"kind": "clique"}}, id="graph-no-n"),
+    pytest.param({"graph": {"kind": "erdos", "n": 5, "p": [0.5], "seed": 1}}, id="graph-list-p"),
+    pytest.param({"graph": {"kind": "edges", "n": 3, "edges": [0, 1]}}, id="graph-flat-edges"),
+    pytest.param({"graph": CLIQUE3, "start": {"kind": "fixed"}}, id="start-no-colors"),
+    pytest.param({"graph": CLIQUE3, "start": {"kind": "fixed", "colors": 7}}, id="start-int-colors"),
+    pytest.param({"graph": CLIQUE3, "start": {"kind": "mono", "color": None}}, id="start-null-color"),
+    pytest.param({"graph": CLIQUE3, "order": {"kind": "perm"}}, id="order-no-order"),
+    pytest.param({"graph": CLIQUE3, "order": {"kind": "script", "picks": [[0]]}}, id="order-nested-picks"),
+    pytest.param({"graph": CLIQUE3, "D": "x"}, id="D-string"),
+    pytest.param({"graph": CLIQUE3, "trials": None}, id="trials-null"),
+    pytest.param({"graph": CLIQUE3, "trials": True}, id="trials-bool"),
+    pytest.param([CLIQUE3], id="top-level-list"),
+])
+def test_malformed_config_files_exit_2_without_traceback(tmp_path, capsys, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "decolor", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "usage: decolor" in out.stdout
 
 
 @pytest.mark.parametrize("algorithm", ["dc", "persistent"])

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decolor.adversary import AdversaryStrategy
+from decolor import engine
+from decolor.adversary import (
+    AdversaryStrategy,
+    max_conflicted_pick,
+    mimic_persistent_pick,
+    min_phi_drift_pick,
+    scripted_pick,
+)
 from decolor.coloring import Coloring, conflicted_vertices, is_proper
 from decolor.engine import (
     AdversaryOrder,
@@ -187,7 +194,7 @@ def test_conflict_tracker_matches_full_recomputation(walk):
         for v in range(g.n):
             same = sum(1 for u in g.adjacency[v] if colors[u] == colors[v])
             assert tracker.counts[v] == same
-        assert tracker.conflicted_sorted() == conflicted_vertices(g, Coloring(colors, D))
+        assert sorted(tracker.members) == conflicted_vertices(g, Coloring(colors, D))
         assert len(set(tracker.members)) == len(tracker.members)
         for v in range(g.n):
             i = tracker.pos[v]
@@ -198,3 +205,69 @@ def test_conflict_tracker_matches_full_recomputation(walk):
         tracker.recolor(v, x)
         colors[v] = x
         check()
+
+
+def _reference_run(g, D, start, pick, rng, persistent):
+    """The policy path spelled out: recompute the conflicted set at every
+    step, hand the sorted list to a public picker, read the same stream."""
+    draw = engine._stream(rng, g.n)
+    colors = [engine._below(draw, D) + 1 for _ in range(g.n)] if start is None else list(start)
+    history, trace = [], []
+    for _ in range(10_000):
+        c = Coloring(colors, D)
+        conflicted = conflicted_vertices(g, c)
+        if not conflicted:
+            return trace, colors
+        v = pick(g, c, conflicted, history, draw)
+        history.append(v)
+        used = {colors[u] for u in g.adjacency[v]}
+        draws = [engine._below(draw, D) + 1]
+        while persistent and draws[-1] in used:
+            draws.append(engine._below(draw, D) + 1)
+        colors[v] = draws[-1]
+        trace.append((v, draws))
+    raise AssertionError("reference run did not finish")
+
+
+@st.composite
+def policy_runs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = from_edge_list(n, edges)
+    D = g.max_degree + draw(st.integers(1, 2))
+    start = draw(st.sampled_from([None, [1] * n]))  # random or monochromatic
+    order = draw(st.permutations(range(n)))
+    return g, D, start, order, draw(st.integers(0, 2**32)), draw(st.booleans())
+
+
+@given(policy_runs())
+@settings(max_examples=60, deadline=None)
+def test_policy_path_matches_a_recomputing_reference(run):
+    g, D, start, order, seed, persistent = run
+    mimic = AdversaryStrategy.MimicPersistent
+    cases = {
+        "min-drift": (AdversaryOrder(AdversaryStrategy.MinPhiDrift),
+                      lambda g, c, C, h, d: min_phi_drift_pick(g, c, C)),
+        "max-conflicted": (AdversaryOrder(AdversaryStrategy.MaxConflicted),
+                           lambda g, c, C, h, d: max_conflicted_pick(g, c, C)),
+        "mimic-uniform": (AdversaryOrder(mimic, mode="uniform"),
+                          lambda g, c, C, h, d: mimic_persistent_pick(g, c, C, h, d, "uniform")),
+        "mimic-lowest": (AdversaryOrder(mimic, mode="lowest"),
+                         lambda g, c, C, h, d: mimic_persistent_pick(g, c, C, h, d, "lowest")),
+        "perm": (FixedPermutationOrder(order),
+                 lambda g, c, C, h, d: next(v for v in order if v in C)),
+    }
+    # a valid script: the vertices another policy picks from the same stream
+    script = [v for v, _ in _reference_run(g, D, start, cases["max-conflicted"][1],
+                                           trial_rng(seed, 0), persistent)[0]]
+    cases["script"] = (AdversaryOrder(AdversaryStrategy.Scripted, script=script),
+                       lambda g, c, C, h, d: scripted_pick(script, C, h))
+    runner = run_persistent if persistent else run_decentralized
+    fixed = None if start is None else FixedStart(Coloring(start, D))
+    for name, (sched, pick) in cases.items():
+        want_trace, want_colors = _reference_run(g, D, start, pick, trial_rng(seed, 0), persistent)
+        r = runner(g, D, fixed or RANDOM_START, sched, trial_rng(seed, 0), trace=True)
+        assert r.trace == want_trace, name
+        assert r.final_coloring.colors == want_colors, name
+        assert r.terminated, name
