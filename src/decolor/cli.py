@@ -254,6 +254,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 raise ValueError("the persistent oracle supports --order all or perm:<file>")
             value = oracle.exact_expected_recolorings_persistent(g, D, start, order)
         print(value)
+        if args.verbose:
+            _print_oracle_diagnostics(value)
         return 0
 
     # one-step recoloring drifts at a conflicted vertex
@@ -267,6 +269,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     print(f"conflicted-vertex drift: {vert}")
     print(f"conflicted-edge drift: {edge}")
     return 0
+
+
+def _print_oracle_diagnostics(value: oracle.ExactValue) -> None:
+    """The oracle's diagnostics on stderr, one per line; unmeasured ones are left out."""
+    print(f"method: {value.method}", file=sys.stderr)
+    for label, x in (("transient states", value.transient),
+                     ("nonzeros of I - Q", value.nonzeros),
+                     ("fill-in", value.fill),
+                     ("rationals", value.backend)):
+        if x is not None:
+            print(f"{label}: {x}", file=sys.stderr)
 
 
 def _cmd_drift_check(args: argparse.Namespace) -> int:
@@ -364,6 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "exact", "iterative"), default="auto")
     p.add_argument("--quantity", choices=("recolorings", "drift"), default="recolorings")
     p.add_argument("--vertex", type=int, help="conflicted vertex for --quantity drift")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="print the oracle's diagnostics (chain size, fill-in, rationals) on stderr")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("drift-check", help="audit exact one-step drifts on random states")

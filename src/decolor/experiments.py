@@ -372,9 +372,15 @@ class TrialsResult:
 # trial execution
 
 
-def _run_range(cfg: ExperimentConfig, lo: int, hi: int):
-    """Run trials [lo, hi); returns plain lists so it can cross processes."""
-    g, bundled = build_graph(cfg.graph)
+def _run_range(
+    cfg: ExperimentConfig, lo: int, hi: int, built: tuple[Graph, Coloring | None] | None = None
+):
+    """Run trials [lo, hi); returns plain lists so it can cross processes.
+
+    built is the (graph, bundled coloring) pair of cfg.graph when the caller
+    has it already; pool workers pass None and rebuild it from the spec.
+    """
+    g, bundled = build_graph(cfg.graph) if built is None else built
     D = resolve_palette(cfg.D, g, bundled)
     start = build_start(cfg.start, g, D, bundled)
     order = build_order(cfg.order, g)  # policies are stateless; per-run state lives in the engine
@@ -424,7 +430,7 @@ def run_trials(cfg: ExperimentConfig) -> TrialsResult:
 
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     if workers <= 1 or cfg.trials < 256:
-        parts = [_run_range(cfg, 0, cfg.trials)]
+        parts = [_run_range(cfg, 0, cfg.trials, (g, bundled))]
     else:
         chunk = max(64, -(-cfg.trials // (workers * 4)))
         bounds = [(i, min(i + chunk, cfg.trials)) for i in range(0, cfg.trials, chunk)]
@@ -774,8 +780,8 @@ def drift_check(samples: int, n_max: int = 12, d_max: int = 6, seed: int = 0) ->
         fast_nums = phi_drift_numerators(g, c, conflicted)
         for v, num in zip(conflicted, fast_nums):
             vertices_checked += 1
-            phi = _oracle.exact_expected_phi_delta(g, c, v).value
-            _, _, edge = _oracle.exact_expected_conflict_deltas(g, c, v)
+            phi_delta, _, edge = _oracle.exact_expected_conflict_deltas(g, c, v)
+            phi = phi_delta.value
             if phi != Fraction(num, D):
                 violations.append(DriftViolation(si, v, "incremental-mismatch", phi))
             if phi < Fraction(1, D):

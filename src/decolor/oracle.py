@@ -11,7 +11,7 @@ against a plain solve over raw colorings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -19,12 +19,17 @@ import numpy as np
 
 try:
     from gmpy2 import mpq as _Q
+
+    RATIONAL_BACKEND = "gmpy2.mpq"
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as _Q
+
+    RATIONAL_BACKEND = "fractions.Fraction"
 
 from .adversary import AdversaryStrategy
 from .coloring import (
     Coloring,
+    conflicted_edge_count,
     conflicted_vertices,
     is_conflicted,
     monochromatic_component_count,
@@ -48,11 +53,21 @@ CERTIFIED_TOL = Fraction(1, 10**12)
 @dataclass(frozen=True)
 class ExactValue:
     """Exact rational result, with a certified error bound when the value
-    came from iterative refinement instead of exact elimination."""
+    came from iterative refinement instead of exact elimination.
+
+    The oracles also record diagnostics, which take no part in equality:
+    the transient states of the chain, the nonzeros of I - Q and the fill-in
+    of its exact elimination, and the rational backend that did the
+    arithmetic. A field an oracle does not measure stays None.
+    """
 
     value: Fraction
     error_bound: Fraction = Fraction(0)
     method: str = "exact"
+    transient: int | None = field(default=None, compare=False)
+    nonzeros: int | None = field(default=None, compare=False)
+    fill: int | None = field(default=None, compare=False)
+    backend: str | None = field(default=None, compare=False)
 
     def as_float(self) -> float:
         return float(self.value)
@@ -290,46 +305,85 @@ def _check_absorbing_reachable(chain: _Chain) -> None:
             )
 
 
-def _solve_exact_dense(chain: _Chain) -> dict[int, object]:
-    """Exact rational solve of (I - Q) x = 1 by Gaussian elimination.
+def _solve_exact(chain: _Chain) -> tuple[dict[int, object], int, int]:
+    """Exact rational solve of (I - Q) x = 1 by sparse Gaussian elimination.
 
-    (I - Q) is a nonsingular M-matrix here, so no pivoting is needed.
-    Returns expected remaining draws per transient state index.
+    Rows of I - Q are dicts {column: rational} with a column -> rows index
+    beside them. Each step pivots on the diagonal entry of the remaining row
+    with the lowest Markowitz count (row nonzeros - 1) * (column nonzeros - 1),
+    ties to the lowest row, eliminates only the rows that hold the pivot
+    column, and drops entries that cancel to an exact zero. Back-substitution
+    runs in reverse pivot order.
+
+    Diagonal pivots in any symmetric order are safe: after
+    _check_absorbing_reachable, I - Q is a nonsingular M-matrix (Q is
+    nonnegative and substochastic and every transient state reaches
+    absorption, so Q's spectral radius is below 1). Every Schur complement
+    of a nonsingular M-matrix is again one, and its diagonal is positive, so
+    every pivot is positive. Exact arithmetic makes the solution independent
+    of the order, which decides only the fill.
+
+    Returns expected remaining draws per transient state index, the nonzero
+    count of I - Q and the fill-in (entries that elimination created).
     """
     t = len(chain.transient)
     col_of = {i: r for r, i in enumerate(chain.transient)}
-    zero = _Q(0)
-    rows = [[zero] * t for _ in range(t)]
-    b = [_Q(1) for _ in range(t)]
+    one = _Q(1)
+    rows: list[dict[int, object]] = []
+    cols: list[set[int]] = [set() for _ in range(t)]
     for r in range(t):
         den = chain.row_den[r]
-        rows[r][r] += _Q(1)
+        row = {r: one}
         for j, num in chain.row_entries[r]:
-            cj = col_of.get(j)
-            if cj is not None:
-                rows[r][cj] -= _Q(num, den)
-    for k in range(t):
+            c = col_of.get(j)
+            if c is not None:
+                row[c] = row.get(c, 0) - _Q(num, den)
+        for c in row:
+            cols[c].add(r)
+        rows.append(row)
+    nonzeros = sum(len(row) for row in rows)
+
+    b = [one] * t
+    active = set(range(t))
+    order: list[int] = []
+    fill = 0
+    while active:
+        k = min(active, key=lambda r: ((len(rows[r]) - 1) * (len(cols[r]) - 1), r))
+        active.remove(k)
+        order.append(k)
         rk = rows[k]
-        piv = rk[k]
-        inv = _Q(1) / piv
-        for j in range(k, t):
+        inv = one / rk.pop(k)
+        for j in rk:
             rk[j] *= inv
-        b[k] *= inv
-        for i in range(k + 1, t):
+            cols[j].discard(k)
+        bk = b[k] = b[k] * inv
+        below = cols[k]
+        below.discard(k)
+        for i in below:
             ri = rows[i]
-            f = ri[k]
-            if f:
-                for j in range(k, t):
-                    ri[j] -= f * rk[j]
-                b[i] -= f * b[k]
-    x = [zero] * t
-    for k in range(t - 1, -1, -1):
+            f = ri.pop(k)
+            for j, v in rk.items():
+                old = ri.get(j)
+                if old is None:
+                    ri[j] = -f * v
+                    cols[j].add(i)
+                    fill += 1
+                else:
+                    new = old - f * v
+                    if new:
+                        ri[j] = new
+                    else:
+                        del ri[j]
+                        cols[j].discard(i)
+            b[i] -= f * bk
+
+    x: list = [None] * t
+    for k in reversed(order):
         acc = b[k]
-        rk = rows[k]
-        for j in range(k + 1, t):
-            acc -= rk[j] * x[j]
+        for j, v in rows[k].items():
+            acc -= v * x[j]
         x[k] = acc
-    return {chain.transient[r]: x[r] for r in range(t)}
+    return {chain.transient[r]: x[r] for r in range(t)}, nonzeros, fill
 
 
 def _solve_certified(chain: _Chain, m_bound: int, tol: Fraction) -> tuple[dict[int, object], Fraction]:
@@ -466,13 +520,15 @@ def exact_expected_recolorings_dc(
 
     chain = _build_dc_chain(g, D, start_keys, mimic_mode, lumped)
     if not chain.transient:
-        return ExactValue(Fraction(0), method="markov-exact")
+        return ExactValue(Fraction(0), method="markov-exact", transient=0, nonzeros=0,
+                          fill=0, backend=RATIONAL_BACKEND)
     _check_absorbing_reachable(chain)
 
     limit = DEFAULT_EXACT_STATE_LIMIT if exact_state_limit is None else exact_state_limit
     use_exact = method == "exact" or (method == "auto" and len(chain.transient) <= limit)
+    nonzeros = fill = None
     if use_exact:
-        solution = _solve_exact_dense(chain)
+        solution, nonzeros, fill = _solve_exact(chain)
         bound = Fraction(0)
         how = "markov-exact"
     else:
@@ -489,7 +545,9 @@ def exact_expected_recolorings_dc(
         i = chain.index[key]
         total += w * solution.get(i, _Q(0))
     value = total / total_weight
-    return ExactValue(_fraction(value), error_bound=bound, method=how)
+    return ExactValue(_fraction(value), error_bound=bound, method=how,
+                      transient=len(chain.transient), nonzeros=nonzeros, fill=fill,
+                      backend=RATIONAL_BACKEND)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +674,7 @@ def exact_expected_recolorings_persistent(
         value = evaluate(canonical_pattern(c.colors))
     else:
         raise TypeError(f"unknown start policy {start!r}")
-    return ExactValue(_fraction(value), method="persistent-recursion")
+    return ExactValue(_fraction(value), method="persistent-recursion", backend=RATIONAL_BACKEND)
 
 
 # ---------------------------------------------------------------------------
@@ -646,27 +704,16 @@ def exact_expected_conflict_deltas(
     if not is_conflicted(g, c, v):
         raise ValueError(f"vertex {v} is not conflicted; drift conditions on invalid states")
     D = c.palette_size
-    colors = c.colors
-
-    def edge_conflicts(cols: list[int]) -> int:
-        total = 0
-        for u in range(g.n):
-            cu = cols[u]
-            for w in g.adjacency[u]:
-                if u < w and cols[w] == cu:
-                    total += 1
-        return total
-
     base_phi = monochromatic_component_count(g, c)
     base_vertices = len(conflicted_vertices(g, c))
-    base_edges = edge_conflicts(colors)
+    base_edges = conflicted_edge_count(g, c)
     probe = c.copy()
     d_phi = d_vertices = d_edges = 0
     for x in range(1, D + 1):
         probe.colors[v] = x
         d_phi += monochromatic_component_count(g, probe) - base_phi
         d_vertices += len(conflicted_vertices(g, probe)) - base_vertices
-        d_edges += edge_conflicts(probe.colors) - base_edges
+        d_edges += conflicted_edge_count(g, probe) - base_edges
     return (
         ExactValue(Fraction(d_phi, D)),
         ExactValue(Fraction(d_vertices, D)),

@@ -192,6 +192,24 @@ def test_oracle_prints_exact_rationals(capsys):
     assert "conflicted-edge drift: -1/4" in out
 
 
+def test_oracle_verbose_prints_diagnostics_on_stderr_only(capsys):
+    args = ["oracle", "--graph", "cycle:5", "--colors", "3"]
+    assert main(args) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    assert main(args + ["-v"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    lines = loud.err.splitlines()
+    assert lines[:2] == ["method: markov-exact", "transient states: 36"]
+    assert [line.split(":")[0] for line in lines[2:]] == ["nonzeros of I - Q", "fill-in", "rationals"]
+    assert lines[-1] in ("rationals: gmpy2.mpq", "rationals: fractions.Fraction")
+
+    assert main(args + ["--method", "iterative", "--verbose"]) == 0
+    assert capsys.readouterr().err.splitlines()[:2] == [
+        "method: markov-certified", "transient states: 36"]
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "sw"
     code = main([

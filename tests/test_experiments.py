@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decolor import experiments
 from decolor.experiments import (
     ExperimentConfig,
     SummaryStats,
@@ -156,6 +157,20 @@ def test_worker_pool_reduces_in_trial_order():
     par = run_trials(cfg(trials=400, master_seed=23, workers=2))
     assert (seq.total_draws == par.total_draws).all()
     assert seq.stats == par.stats
+
+
+def test_one_worker_builds_the_graph_once(monkeypatch):
+    calls = []
+
+    def counting_build_graph(spec):
+        calls.append(spec)
+        return build_graph(spec)
+
+    monkeypatch.setattr(experiments, "build_graph", counting_build_graph)
+    res = run_trials(cfg(graph={"kind": "badbip", "delta": 3}, D=None, start="construction",
+                         trials=300, workers=1))
+    assert len(calls) == 1
+    assert res.D == 4 and res.cap_hits == 0
 
 
 def test_cap_hits_warn_and_optionally_drop():

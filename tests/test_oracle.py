@@ -5,13 +5,23 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decolor import oracle
 from decolor.adversary import AdversaryStrategy, bad_bipartite_start
-from decolor.coloring import Coloring
+from decolor.coloring import Coloring, conflicted_vertices
 from decolor.engine import AdversaryOrder, FixedStart, RANDOM_START, UNIFORM_ORDER
-from decolor.graphs import from_edge_list, gen_clique, gen_cycle, gen_fig2_like
+from decolor.experiments import random_invalid_state
+from decolor.graphs import (
+    from_edge_list,
+    gen_clique,
+    gen_complete_bipartite,
+    gen_cycle,
+    gen_erdos_renyi,
+    gen_fig2_like,
+)
 from decolor.oracle import (
     ExactValue,
     canonical_pattern,
@@ -131,6 +141,125 @@ def test_iterative_needs_enough_colors():
                                       method="iterative")
 
 
+def _dense_reference(chain) -> dict:
+    """Textbook dense Gaussian elimination of (I - Q) x = 1 over Fraction,
+    row by row in chain order; the reference the sparse solve must match."""
+    t = len(chain.transient)
+    col_of = {i: r for r, i in enumerate(chain.transient)}
+    a = [[Fraction(int(r == c)) for c in range(t)] for r in range(t)]
+    b = [Fraction(1)] * t
+    for r in range(t):
+        for j, num in chain.row_entries[r]:
+            c = col_of.get(j)
+            if c is not None:
+                a[r][c] -= Fraction(num, chain.row_den[r])
+    for k in range(t):
+        for i in range(k + 1, t):
+            f = a[i][k] / a[k][k]
+            if f:
+                for j in range(k, t):
+                    a[i][j] -= f * a[k][j]
+                b[i] -= f * b[k]
+    x = [Fraction(0)] * t
+    for k in reversed(range(t)):
+        x[k] = (b[k] - sum(a[k][j] * x[j] for j in range(k + 1, t))) / a[k][k]
+    return {chain.transient[r]: x[r] for r in range(t)}
+
+
+# (scheduler mode, lumped, largest n): the bounds keep every chain small
+# enough for the dense reference
+CHAIN_KINDS = [
+    (None, True, 5),
+    (None, False, 3),
+    ("uniform", True, 4),
+    ("uniform", False, 3),
+    ("lowest", True, 5),
+    ("lowest", False, 4),
+]
+
+
+@st.composite
+def small_chains(draw):
+    mode, lumped, n_max = draw(st.sampled_from(CHAIN_KINDS))
+    n = draw(st.integers(3, n_max))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=n - 1, unique=True))
+    g = from_edge_list(n, edges)
+    D = g.max_degree + 1
+    if mode is None and lumped:
+        keys = list(oracle._patterns(n, D))  # the random start
+    else:
+        colors = draw(st.lists(st.integers(1, D), min_size=n, max_size=n))
+        u, v = edges[0]
+        colors[v] = colors[u]  # a conflicted start, so the chain is not empty
+        keys = [canonical_pattern(colors) if lumped else tuple(colors)]
+    if mode is not None:
+        keys = [(key, -1) for key in keys]
+    chain = oracle._build_dc_chain(g, D, keys, mode, lumped)
+    oracle._check_absorbing_reachable(chain)
+    return chain
+
+
+@given(chain=small_chains())
+@settings(max_examples=40, deadline=None)
+def test_sparse_solve_matches_dense_reference(chain):
+    solution, nonzeros, fill = oracle._solve_exact(chain)
+    assert solution == _dense_reference(chain)
+    assert nonzeros >= len(chain.transient) and fill >= 0
+
+
+@pytest.fixture(scope="module")
+def permutable_chains():
+    out = []
+    for g, D, keys, mode in (
+        (gen_cycle(5), 3, list(oracle._patterns(5, 3)), None),
+        (gen_clique(4), 4, [((1, 1, 1, 1), -1)], "lowest"),
+    ):
+        chain = oracle._build_dc_chain(g, D, keys, mode, True)
+        out.append((chain, oracle._solve_exact(chain)[0]))
+    return out
+
+
+@given(which=st.integers(0, 1), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_sparse_solve_does_not_depend_on_the_state_order(permutable_chains, which, data):
+    chain, expected = permutable_chains[which]
+    perm = data.draw(st.permutations(range(len(chain.transient))))
+    shuffled = oracle._Chain(
+        chain.states,
+        chain.index,
+        [chain.transient[p] for p in perm],
+        [chain.row_den[p] for p in perm],
+        [chain.row_entries[p] for p in perm],
+    )
+    assert oracle._solve_exact(shuffled)[0] == expected
+
+
+def test_exact_method_reproduces_the_pinned_ac10_values():
+    # the exact p/q of ac10/G(6,0.4) and ac10/K33 in perfbench/pinned.json
+    g = gen_erdos_renyi(6, 0.4, 901)
+    got = exact_expected_recolorings_dc(g, g.max_degree + 1, RANDOM_START, method="exact")
+    assert got.value == Fraction(
+        2528840209003859334898215489293518256378450964519985151338889025085881667294692082430055252988156339135300105584925119028415234305735315898128050419551,
+        680841509924335632925697713776556611148128428540735277499367247972362589405839176329919423097785704888310024106864490243019609422185890575651452436480,
+    )
+    assert (got.method, got.error_bound) == ("markov-exact", 0)
+    got = exact_expected_recolorings_dc(gen_complete_bipartite(3, 3), 4, RANDOM_START, method="exact")
+    assert got.value == Fraction(285089405, 53142144)
+    assert (got.method, got.error_bound) == ("markov-exact", 0)
+
+
+def test_chain_diagnostics_do_not_change_the_value():
+    g = gen_cycle(5)
+    exact = exact_expected_recolorings_dc(g, 3, RANDOM_START, method="exact")
+    assert exact.transient == 36 and exact.nonzeros > 36 and exact.fill >= 0
+    assert exact.backend == oracle.RATIONAL_BACKEND
+    certified = exact_expected_recolorings_dc(g, 3, RANDOM_START, method="iterative")
+    assert certified.transient == 36 and certified.fill is None
+    assert ExactValue(exact.value, method="markov-exact") == exact
+    assert str(ExactValue(exact.value, method="markov-exact")) == str(exact)
+
+
 def test_canonical_pattern_first_occurrence_relabeling():
     assert canonical_pattern([3, 3, 1, 2]) == (1, 1, 2, 3)
     assert canonical_pattern([2, 4, 2]) == (1, 2, 1)
@@ -216,6 +345,14 @@ def test_monochromatic_triangle_edge_delta():
     c = Coloring([1, 1, 1], 3)
     _, _, edges = exact_expected_conflict_deltas(g, c, 0)
     assert edges.value == frac(-4, 3)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_conflict_deltas_carry_the_phi_delta(seed):
+    g, c = random_invalid_state(np.random.default_rng(seed), 8, 5)
+    for v in conflicted_vertices(g, c):
+        assert exact_expected_conflict_deltas(g, c, v)[0] == exact_expected_phi_delta(g, c, v)
 
 
 def test_verify_rejects_non_gadget():
