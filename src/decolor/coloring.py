@@ -24,11 +24,12 @@ class Coloring:
     def __init__(self, colors: list[int], palette_size: int):
         if palette_size < 1:
             raise ValueError(f"palette size must be >= 1, got {palette_size}")
-        for v, c in enumerate(colors):
-            if not (1 <= c <= palette_size):
-                raise ValueError(
-                    f"color {c} at vertex {v} outside palette 1..{palette_size}"
-                )
+        if colors and not (1 <= min(colors) and max(colors) <= palette_size):
+            for v, c in enumerate(colors):  # name the first offending vertex
+                if not (1 <= c <= palette_size):
+                    raise ValueError(
+                        f"color {c} at vertex {v} outside palette 1..{palette_size}"
+                    )
         self.colors = list(colors)
         self.palette_size = palette_size
 

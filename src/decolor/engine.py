@@ -19,6 +19,14 @@ selection's color values. Colors and Fisher-Yates positions are exactly
 uniform: a value in [0, k) is j mod k, rejecting j >= 2^53 - 2^53 mod k and
 taking the next value. A pick among the conflicted list C is
 C[floor(u * |C|)], computed exactly as (j * |C|) >> 53.
+
+The uniform order indexes the ConflictTracker's member list, so its order
+(ascending at the start, then swap-removes and appends in the order
+`ConflictTracker.recolor` makes them) is part of the same contract.
+`run_trials` runs one-draw uniform-order trials on small graphs in the
+lockstep kernel (``decolor.lockstep``), which reproduces that loop on arrays
+and hands a long run back to `resume_uniform_dc`; that function and
+`run_decentralized` share one loop body, `_uniform_steps`.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 
 from . import adversary as _adv
 from .adversary import AdversaryStrategy
-from .coloring import Coloring, same_color_counts
+from .coloring import Coloring
 from .graphs import Graph
 
 _TWO53 = 1 << 53
@@ -221,7 +229,14 @@ def scheduler_pick(
 
 def _initial_colors(g: Graph, D: int, start: StartPolicy, draw: Callable[[], int]) -> list[int]:
     if isinstance(start, RandomStart):
-        return [_below(draw, D) + 1 for _ in range(g.n)]
+        lim = _TWO53 - _TWO53 % D  # _below, inlined: one value per color
+        colors = []
+        for _ in range(g.n):
+            j = draw()
+            while j >= lim:
+                j = draw()
+            colors.append(j % D + 1)
+        return colors
     if isinstance(start, FixedStart):
         c = start.coloring
         if len(c.colors) != g.n:
@@ -238,31 +253,37 @@ class ConflictTracker:
     Tracks, per vertex, the number of same-colored neighbors, plus the set
     of conflicted vertices as a swap-remove list. Must agree with a full
     recomputation after any recolor; the tests check that on random walks.
+
+    A new tracker lists the conflicted vertices in ascending order. A run
+    resumed from a saved state passes that state's `members` order, since
+    the uniform pick indexes the list and the order is part of the stream
+    contract.
     """
 
-    __slots__ = ("g", "colors", "counts", "members", "pos")
+    __slots__ = ("adjacency", "colors", "counts", "members", "pos")
 
-    def __init__(self, g: Graph, colors: list[int]):
-        self.g = g
+    def __init__(self, g: Graph, colors: list[int], members: Sequence[int] | None = None):
+        self.adjacency = adjacency = g.adjacency
         self.colors = colors
-        self.counts = counts = same_color_counts(g, colors)
-        self.members = [v for v in range(g.n) if counts[v] > 0]
-        self.pos = [-1] * g.n
-        for i, v in enumerate(self.members):
-            self.pos[v] = i
-
-    def _drop(self, v: int) -> None:
-        members, pos = self.members, self.pos
-        i = pos[v]
-        last = members[-1]
-        members[i] = last
-        pos[last] = i
-        members.pop()
-        pos[v] = -1
-
-    def _add(self, v: int) -> None:
-        self.pos[v] = len(self.members)
-        self.members.append(v)
+        self.counts = counts = [0] * g.n
+        self.members = conflicted = []
+        self.pos = pos = [-1] * g.n
+        for v, av in enumerate(adjacency):
+            cv = colors[v]
+            k = 0
+            for u in av:
+                if colors[u] == cv:
+                    k += 1
+            if k:
+                counts[v] = k
+                pos[v] = len(conflicted)
+                conflicted.append(v)
+        if members is not None:
+            if sorted(members) != conflicted:
+                raise ValueError("members must list exactly the conflicted vertices")
+            conflicted[:] = members
+            for i, v in enumerate(conflicted):
+                pos[v] = i
 
     def recolor(self, v: int, new_color: int) -> None:
         """Apply colors[v] = new_color and update all affected counts."""
@@ -270,27 +291,40 @@ class ConflictTracker:
         old = colors[v]
         if new_color == old:
             return
+        members, pos = self.members, self.pos
         colors[v] = new_color
         own = 0
-        for u in self.g.adjacency[v]:
+        for u in self.adjacency[v]:
             cu = colors[u]
             if cu == old:
                 left = counts[u] - 1
                 counts[u] = left
-                if left == 0:
-                    self._drop(u)
+                if left == 0:  # swap-remove u
+                    i = pos[u]
+                    last = members[-1]
+                    members[i] = last
+                    pos[last] = i
+                    members.pop()
+                    pos[u] = -1
             elif cu == new_color:
                 own += 1
                 before = counts[u]
                 counts[u] = before + 1
                 if before == 0:
-                    self._add(u)
+                    pos[u] = len(members)
+                    members.append(u)
         had = counts[v] > 0
         counts[v] = own
         if own > 0 and not had:
-            self._add(v)
+            pos[v] = len(members)
+            members.append(v)
         elif own == 0 and had:
-            self._drop(v)
+            i = pos[v]
+            last = members[-1]
+            members[i] = last
+            pos[last] = i
+            members.pop()
+            pos[v] = -1
 
 
 def _finish(
@@ -315,6 +349,56 @@ def _finish(
     )
 
 
+def _uniform_steps(
+    g: Graph,
+    D: int,
+    tracker: ConflictTracker,
+    draw: Callable[[], int],
+    per_vertex: list[int],
+    step3: int,
+    cap: int,
+    trace_list: list[tuple[int, list[int]]] | None,
+) -> RunResult:
+    """The one-draw uniform-order loop, from any state of a run: a fresh
+    start (`run_decentralized`) or a state the lockstep kernel hands back
+    (`resume_uniform_dc`). `draw` must continue the run's stream."""
+    members = tracker.members
+    lim = _TWO53 - _TWO53 % D  # _below, inlined: no per-step allocation
+    while members and step3 < cap:
+        v = members[draw() * len(members) >> 53]
+        j = draw()
+        while j >= lim:
+            j = draw()
+        x = j % D + 1
+        step3 += 1
+        per_vertex[v] += 1
+        if trace_list is not None:
+            trace_list.append((v, [x]))
+        tracker.recolor(v, x)
+    return _finish(g, D, tracker.colors, step3, per_vertex, step3, not members, trace_list)
+
+
+def resume_uniform_dc(
+    g: Graph,
+    D: int,
+    colors: list[int],
+    members: Sequence[int],
+    per_vertex: list[int],
+    step3: int,
+    rng: np.random.Generator,
+    cap: int,
+) -> RunResult:
+    """Finish a one-draw uniform-order run from a mid-run state.
+
+    The state is the one `run_decentralized` would hold after `step3`
+    selections: colors, the tracker's member order and per-vertex draws.
+    `rng` must sit right after the values the run consumed so far; the
+    result then equals the uninterrupted run's.
+    """
+    tracker = ConflictTracker(g, colors, members)
+    return _uniform_steps(g, D, tracker, _stream(rng, g.n), per_vertex, step3, cap, None)
+
+
 def run_decentralized(
     g: Graph,
     D: int,
@@ -333,28 +417,14 @@ def run_decentralized(
     trace_list: list[tuple[int, list[int]]] | None = [] if trace else None
     per_vertex = [0] * g.n
     tracker = ConflictTracker(g, colors)
-    members = tracker.members
-    step3 = 0
 
     if isinstance(sched, UniformRandomOrder):
-        # hot path: _below inlined, no per-step allocation
-        lim = _TWO53 - _TWO53 % D
-        while members and step3 < cap:
-            v = members[draw() * len(members) >> 53]
-            j = draw()
-            while j >= lim:
-                j = draw()
-            x = j % D + 1
-            step3 += 1
-            per_vertex[v] += 1
-            if trace_list is not None:
-                trace_list.append((v, [x]))
-            tracker.recolor(v, x)
-        return _finish(g, D, colors, step3, per_vertex, step3, not members, trace_list)
+        return _uniform_steps(g, D, tracker, draw, per_vertex, 0, cap, trace_list)
 
-    counts = tracker.counts
+    members, counts = tracker.members, tracker.counts
     coloring = tracker_coloring(tracker, D)
     history: list[int] = []
+    step3 = 0
     while members and step3 < cap:
         v = scheduler_pick(sched, g, coloring, members, counts, history, draw)
         history.append(v)
@@ -410,7 +480,11 @@ def run_persistent(
     if isinstance(sched, UniformRandomOrder):
         perm = list(range(g.n))
         for k in range(g.n, 1, -1):
-            j = _below(draw, k)
+            lim = _TWO53 - _TWO53 % k  # _below, inlined
+            j = draw()
+            while j >= lim:
+                j = draw()
+            j %= k
             perm[k - 1], perm[j] = perm[j], perm[k - 1]
         for v in perm:
             cv = colors[v]

@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import oracle as _oracle
+from . import lockstep, oracle as _oracle
 from .adversary import AdversaryStrategy, bad_bipartite_start, phi_drift_numerators
 from .coloring import (
     Coloring,
@@ -37,6 +37,8 @@ from .engine import (
     SchedulerPolicy,
     StartPolicy,
     UNIFORM_ORDER,
+    UniformRandomOrder,
+    default_step_cap,
     run_decentralized,
     run_persistent,
 )
@@ -372,20 +374,43 @@ class TrialsResult:
 # trial execution
 
 
+def _build(cfg: ExperimentConfig) -> tuple[Graph, int, StartPolicy, SchedulerPolicy]:
+    """cfg's graph, palette, start and order, validated."""
+    g, bundled = build_graph(cfg.graph)
+    D = resolve_palette(cfg.D, g, bundled)
+    # policies are stateless; per-run state lives in the engine
+    return g, D, build_start(cfg.start, g, D, bundled), build_order(cfg.order, g)
+
+
 def _run_range(
-    cfg: ExperimentConfig, lo: int, hi: int, built: tuple[Graph, Coloring | None] | None = None
+    cfg: ExperimentConfig,
+    lo: int,
+    hi: int,
+    built: tuple[Graph, int, StartPolicy, SchedulerPolicy] | None = None,
 ):
     """Run trials [lo, hi); returns plain lists so it can cross processes.
 
-    built is the (graph, bundled coloring) pair of cfg.graph when the caller
-    has it already; pool workers pass None and rebuild it from the spec.
+    built is `_build(cfg)` when the caller has it already; pool workers pass
+    None and rebuild it from the spec. One-draw uniform-order trials on a
+    small graph (`lockstep.fits`) run in the lockstep kernel, all others in
+    the scalar engine, one trial at a time; both give identical trials.
     """
-    g, bundled = build_graph(cfg.graph) if built is None else built
-    D = resolve_palette(cfg.D, g, bundled)
-    start = build_start(cfg.start, g, D, bundled)
-    order = build_order(cfg.order, g)  # policies are stateless; per-run state lives in the engine
-    runner = run_decentralized if cfg.algorithm == "dc" else run_persistent
+    g, D, start, order = _build(cfg) if built is None else built
     want_vertex = "per_vertex" in cfg.counters
+    if cfg.algorithm == "dc" and isinstance(order, UniformRandomOrder) and lockstep.fits(g):
+        cap = default_step_cap(g.n, D) if cfg.step_cap is None else cfg.step_cap
+        step3, terminated, per_vertex = lockstep.run_range(
+            g, D, start, cfg.master_seed, lo, hi, cap
+        )
+        return (
+            (step3 + g.n).tolist(),
+            step3.tolist(),
+            step3.tolist(),
+            terminated.tolist(),
+            per_vertex.sum(axis=0).tolist() if want_vertex else None,
+            (per_vertex * per_vertex).sum(axis=0).tolist() if want_vertex else None,
+        )
+    runner = run_decentralized if cfg.algorithm == "dc" else run_persistent
     total = []
     step3 = []
     selections = []
@@ -423,14 +448,12 @@ def run_trials(cfg: ExperimentConfig) -> TrialsResult:
 
     Writes CSV/JSON next to cfg.output when it is set (see write_outputs).
     """
-    g, bundled = build_graph(cfg.graph)
-    D = resolve_palette(cfg.D, g, bundled)
-    build_start(cfg.start, g, D, bundled)  # validate early
-    build_order(cfg.order, g)
+    built = _build(cfg)  # validates before any worker starts
+    g, D = built[0], built[1]
 
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     if workers <= 1 or cfg.trials < 256:
-        parts = [_run_range(cfg, 0, cfg.trials, (g, bundled))]
+        parts = [_run_range(cfg, 0, cfg.trials, built)]
     else:
         chunk = max(64, -(-cfg.trials // (workers * 4)))
         bounds = [(i, min(i + chunk, cfg.trials)) for i in range(0, cfg.trials, chunk)]

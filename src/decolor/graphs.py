@@ -127,11 +127,12 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    if n == 1:
-        return Graph(1, [[]])
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
+    # the pairs u < v take one value each in row-major order; drawing a row
+    # at a time keeps memory O(n) where all pairs at once took O(n^2)
+    edges = []
+    for u in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - u) < p) + (u + 1)
+        edges.extend((u, v) for v in hits.tolist())
     return from_edge_list(n, edges)
 
 

@@ -705,14 +705,29 @@ def exact_expected_conflict_deltas(
         raise ValueError(f"vertex {v} is not conflicted; drift conditions on invalid states")
     D = c.palette_size
     base_phi = monochromatic_component_count(g, c)
-    base_vertices = len(conflicted_vertices(g, c))
     base_edges = conflicted_edge_count(g, c)
+    # Only v and its neighbors can change status when v changes color. A
+    # neighbor u stays conflicted through its other neighbors (`held`), or
+    # is conflicted when v takes u's color.
+    colors, adjacency = c.colors, g.adjacency
+    neighbors = []
+    for u in adjacency[v]:
+        cu = colors[u]
+        held = any(colors[w] == cu for w in adjacency[u] if w != v)
+        neighbors.append((cu, held))
+    neighbor_colors = {cu for cu, _ in neighbors}
+
+    def local_conflicted(x: int) -> int:
+        """Conflicted vertices among v and its neighbors when v has color x."""
+        return (x in neighbor_colors) + sum(held or cu == x for cu, held in neighbors)
+
+    base_vertices = local_conflicted(colors[v])
     probe = c.copy()
     d_phi = d_vertices = d_edges = 0
     for x in range(1, D + 1):
         probe.colors[v] = x
         d_phi += monochromatic_component_count(g, probe) - base_phi
-        d_vertices += len(conflicted_vertices(g, probe)) - base_vertices
+        d_vertices += local_conflicted(x) - base_vertices
         d_edges += conflicted_edge_count(g, probe) - base_edges
     return (
         ExactValue(Fraction(d_phi, D)),

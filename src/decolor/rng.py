@@ -20,15 +20,28 @@ permutations is part of the same contract (see ``decolor.engine``). The
 generator algorithm, this derivation and the consumption order are the
 output contract, versioned by ``STREAM_VERSION``; changing any of them
 changes results and must bump it.
+
+``stream_rows`` computes the values of a whole range of trials at once,
+position by position, as the integers j = u * 2^53 the engine reads,
+without building a generator per trial. It runs splitmix64 and PCG64
+(XSL-RR 128/64) in numpy ``uint64`` arithmetic: the 128-bit state is two
+64-bit limbs, a step is state <- state * PCG_MULT + inc (mod 2^128), and a
+word is rotr64(hi ^ lo, hi >> 58), of which a double keeps the top 53
+bits. Its values equal ``trial_rng(m, i).random(k) * 2^53`` exactly; a
+consumer that leaves the range continues one trial's stream with
+``trial_rng`` and ``bit_generator.advance``.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
 STREAM_VERSION = 2
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 multiplier
 
 
 def splitmix64(x: int) -> int:
@@ -64,3 +77,50 @@ def trial_rng(
         "uinteger": 0,
     }
     return gen
+
+
+_U = np.uint64
+_LOW32 = _U(0xFFFFFFFF)
+_GAMMA = _U(GOLDEN_GAMMA)
+_MULT_LO, _MULT_HI = _U(PCG_MULT & MASK64), _U(PCG_MULT >> 64)
+_MULT_LO_0, _MULT_LO_1 = _U(PCG_MULT & 0xFFFFFFFF), _U((PCG_MULT >> 32) & 0xFFFFFFFF)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output function on a uint64 array (wrapping arithmetic)."""
+    z = (z ^ (z >> _U(30))) * _U(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
+    return z ^ (z >> _U(31))
+
+
+def stream_rows(master_seed: int, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The streams of trials lo..hi-1, one position at a time.
+
+    The k-th array yielded is a uint64 row holding value k of every trial,
+    as the integer j = u * 2^53: its first k rows, column r, equal
+    ``trial_rng(master_seed, lo + r).random(k) * 2^53``. A row costs one
+    vectorized PCG64 step over the range, so the trials share the per-call
+    overhead that one generator per trial pays alone.
+    """
+    if lo < 0:
+        raise ValueError(f"trial index must be >= 0, got {lo}")
+    rows = max(hi - lo, 0)
+    # s = splitmix64(master + (i + 1) * gamma) = mix(master + (i + 2) * gamma)
+    first = (master_seed + (lo + 2) * GOLDEN_GAMMA) & MASK64
+    s = _mix64(np.arange(rows, dtype=_U) * _GAMMA + _U(first))
+    state_hi, state_lo = s, _mix64(s + _GAMMA)
+    z1 = _mix64(s + _GAMMA + _GAMMA)
+    inc_hi, inc_lo = z1 >> _U(63), (z1 << _U(1)) | _U(1)
+    while True:
+        # high limb of state_lo * MULT_LO from 32-bit partial products
+        a0, a1 = state_lo & _LOW32, state_lo >> _U(32)
+        p01, p10 = a0 * _MULT_LO_1, a1 * _MULT_LO_0
+        mid = ((a0 * _MULT_LO_0) >> _U(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+        carry = a1 * _MULT_LO_1 + (p01 >> _U(32)) + (p10 >> _U(32)) + (mid >> _U(32))
+        new_hi = carry + state_lo * _MULT_HI + state_hi * _MULT_LO + inc_hi
+        state_lo = state_lo * _MULT_LO + inc_lo
+        new_hi += state_lo < inc_lo  # carry out of the low limb's addition
+        state_hi = new_hi
+        x = state_hi ^ state_lo
+        rot = state_hi >> _U(58)
+        yield ((x >> rot) | (x << ((_U(64) - rot) & _U(63)))) >> _U(11)

@@ -173,6 +173,20 @@ def test_one_worker_builds_the_graph_once(monkeypatch):
     assert res.D == 4 and res.cap_hits == 0
 
 
+def test_one_worker_builds_start_and_order_once(monkeypatch, tmp_path):
+    path = tmp_path / "start.txt"
+    path.write_text("D=3\n1 1 2\n")
+    calls = []
+    for name in ("build_start", "build_order"):
+        def counting(*args, _real=getattr(experiments, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(experiments, name, counting)
+    run_trials(cfg(start={"kind": "file", "path": str(path)}, trials=300, workers=1))
+    assert sorted(calls) == ["build_order", "build_start"]
+
+
 def test_cap_hits_warn_and_optionally_drop():
     raw = dict(
         graph={"kind": "clique", "n": 4},

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +78,16 @@ def test_erdos_renyi_extremes_and_determinism():
     assert gen_erdos_renyi(5, 1.0, 1) == gen_clique(5)
     assert gen_erdos_renyi(50, 0.1, 7) == gen_erdos_renyi(50, 0.1, 7)
     assert gen_erdos_renyi(50, 0.1, 7) != gen_erdos_renyi(50, 0.1, 8)
+
+
+@given(n=st.integers(1, 60), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_erdos_renyi_draws_one_value_per_pair_in_row_major_order(n, p, seed):
+    # reference: every pair u < v at once, in np.triu_indices order
+    iu, ju = np.triu_indices(n, k=1)
+    mask = np.random.default_rng(seed).random(iu.size) < p
+    want = from_edge_list(n, zip(iu[mask].tolist(), ju[mask].tolist()))
+    assert gen_erdos_renyi(n, p, seed) == want
 
 
 def test_fig2_gadget_structure():

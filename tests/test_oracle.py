@@ -355,6 +355,21 @@ def test_conflict_deltas_carry_the_phi_delta(seed):
         assert exact_expected_conflict_deltas(g, c, v)[0] == exact_expected_phi_delta(g, c, v)
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_conflicted_vertex_delta_matches_full_recomputation(seed):
+    g, c = random_invalid_state(np.random.default_rng(seed), 9, 5)
+    D = c.palette_size
+    base = len(conflicted_vertices(g, c))
+    for v in conflicted_vertices(g, c):
+        probe = c.copy()
+        total = 0
+        for x in range(1, D + 1):
+            probe.colors[v] = x
+            total += len(conflicted_vertices(g, probe)) - base
+        assert exact_expected_conflict_deltas(g, c, v)[1].value == frac(total, D)
+
+
 def test_verify_rejects_non_gadget():
     g = gen_clique(3)
     assert not verify_fig2_deltas(g, Coloring([1, 1, 1], 4), 0)

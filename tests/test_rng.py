@@ -1,6 +1,9 @@
 """Seed derivation: distinct, deterministic per-trial streams."""
 
-from decolor.rng import GOLDEN_GAMMA, MASK64, splitmix64, trial_rng, trial_seed
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from decolor.rng import GOLDEN_GAMMA, MASK64, splitmix64, stream_rows, trial_rng, trial_seed
 
 
 def test_splitmix64_is_a_pure_64_bit_map():
@@ -26,3 +29,19 @@ def test_trial_rng_streams_are_reproducible_and_independent():
     c = trial_rng(7, 4).integers(0, 1 << 30, size=8)
     assert (a == b).all()
     assert (a != c).any()
+
+
+@given(
+    master=st.one_of(st.sampled_from([0, 2**63 - 1, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    lo=st.one_of(st.integers(0, 10**6), st.integers(2**64 - 20, 2**64 + 20)),
+    rows=st.integers(0, 12),
+    k=st.integers(0, 70),
+)
+@settings(max_examples=80, deadline=None)
+def test_stream_rows_are_the_trials_stream_values(master, lo, rows, k):
+    stream = stream_rows(master, lo, lo + rows)
+    words = np.array([next(stream) for _ in range(k)], dtype=np.uint64).reshape(k, rows)
+    assert all(row.dtype == np.uint64 for row in words)
+    for r in range(rows):
+        want = (trial_rng(master, lo + r).random(k) * 2.0**53).astype(np.uint64)
+        assert (words[:, r] == want).all()
