@@ -33,6 +33,14 @@ CASES = {
     "badbip4-dc-max-conflicted": [
         "--graph", "badbip:4", "--start", "construction", "--order", "max-conflicted", "--seed", "5",
     ],
+    # step caps at which some trials, but not all, stop short
+    "erdos12-persistent-max-conflicted-cap8": [
+        "--graph", "erdos:12,0.4,5", "--algorithm", "persistent", "--order", "max-conflicted",
+        "--step-cap", "8", "--counters", "total_draws,step3_draws,per_vertex", "--seed", "6",
+    ],
+    "erdos12-dc-mimic-cap10": [
+        "--graph", "erdos:12,0.4,5", "--order", "mimic", "--step-cap", "10", "--seed", "7",
+    ],
 }
 
 
