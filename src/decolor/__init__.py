@@ -45,7 +45,6 @@ from .engine import (
     default_step_cap,
     run_decentralized,
     run_persistent,
-    scheduler_pick,
     trace_to_text,
 )
 from .graphs import (

@@ -12,16 +12,8 @@ import json
 import sys
 
 from . import acceptance, oracle
-from .adversary import AdversaryStrategy
 from .coloring import Coloring, coloring_to_text, write_coloring_file
-from .engine import (
-    AdversaryOrder,
-    FixedStart,
-    UNIFORM_ORDER,
-    run_decentralized,
-    run_persistent,
-    trace_to_text,
-)
+from .engine import FixedStart, run_decentralized, run_persistent, trace_to_text
 from .experiments import (
     ExperimentConfig,
     build_graph,
@@ -33,6 +25,7 @@ from .experiments import (
     run_trials,
     sweep,
     sweep_to_csv,
+    _build,
     _json_dumps,
     _write_text,
 )
@@ -188,17 +181,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if cfg.output:
         print(f"  wrote {resolve_output_path(cfg.output)}.{{csv,json}}")
     if args.trace:
-        g, bundled = build_graph(cfg.graph)
-        D = resolve_palette(cfg.D, g, bundled)
         runner = run_decentralized if cfg.algorithm == "dc" else run_persistent
-        r = runner(
-            g, D,
-            build_start(cfg.start, g, D, bundled),
-            build_order(cfg.order, g),
-            trial_rng(cfg.master_seed, 0),
-            step_cap=cfg.step_cap,
-            trace=True,
-        )
+        r = runner(*_build(cfg), trial_rng(cfg.master_seed, 0), step_cap=cfg.step_cap, trace=True)
         path = resolve_output_path(args.trace)
         _write_text(path, trace_to_text(r.trace))
         print(f"  wrote trial-0 trace ({r.selections} selections) to {path}")
@@ -234,15 +218,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
     if args.quantity == "recolorings":
         if args.algorithm == "dc":
-            order = parse_order_spec(args.order or "uniform")
-            if order == "uniform":
-                sched = UNIFORM_ORDER
-            elif order == "mimic":
-                sched = AdversaryOrder(AdversaryStrategy.MimicPersistent, mode="uniform")
-            elif isinstance(order, dict) and order.get("kind") == "mimic":
-                sched = AdversaryOrder(AdversaryStrategy.MimicPersistent, mode=order["mode"])
-            else:
-                raise ValueError("the one-draw oracle supports --order uniform or mimic[:mode]")
+            sched = build_order(parse_order_spec(args.order or "uniform"), g)
             value = oracle.exact_expected_recolorings_dc(g, D, start, sched, method=args.method)
         else:
             order_spec = args.order or "all"

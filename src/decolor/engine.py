@@ -7,6 +7,12 @@ palette {1..D}, current color included. The one-draw variant
 persistent variant (`run_persistent`) keeps drawing until the selected
 vertex is unconflicted, after which that vertex is never selected again.
 
+Both run through one function, `_run`. Uniform order has a fast path per
+algorithm: `_uniform_steps` for one-draw and a single permutation walk,
+`_uniform_walk`, for persistent. Every other order runs one policy loop
+for both algorithms: the order object's `pick` chooses a conflicted
+vertex, which then draws one color or redraws until clear.
+
 Randomness (stream version 2, see ``decolor.rng``): every value a run uses
 is one ``rng.random()`` double u, that is one 64-bit word, taken as the
 integer j = u * 2^53 (the word's top 53 bits). Values are fetched in blocks
@@ -100,6 +106,11 @@ class FixedPermutationOrder:
     def __repr__(self) -> str:
         return f"FixedPermutationOrder({self.order})"
 
+    def pick(self, g: Graph, c: Coloring, conflicted: Sequence[int], counts: Sequence[int],
+             history: Sequence[int], draw: Callable[[], int]) -> int:
+        """The conflicted vertex earliest in the permutation."""
+        return min(conflicted, key=self.position.__getitem__)
+
 
 class AdversaryOrder:
     """Step-2 policy: delegate selection to an adversary strategy."""
@@ -120,6 +131,21 @@ class AdversaryOrder:
 
     def __repr__(self) -> str:
         return f"AdversaryOrder({self.strategy}, mode={self.mode!r})"
+
+    def pick(self, g: Graph, c: Coloring, conflicted: Sequence[int], counts: Sequence[int],
+             history: Sequence[int], draw: Callable[[], int]) -> int:
+        """The strategy's choice from the whole, non-empty conflicted set, in
+        any order, given the state's same-color neighbor counts, the vertices
+        picked so far and the run's next-value function (see `dispatch_pick`).
+        """
+        # read at call time, so a wrapper set on the module attribute (as
+        # perfbench/tracing.py sets one) sees every pick
+        v = _adv.dispatch_pick(
+            self.strategy, self.mode, self.script, g, c, conflicted, counts, history, draw
+        )
+        if counts[v] <= 0:
+            raise RuntimeError(f"adversary returned non-conflicted vertex {v}")
+        return v
 
 
 StartPolicy = Union[RandomStart, FixedStart]
@@ -193,38 +219,6 @@ def _redraw_until_clear(draw: Callable[[], int], D: int, used: set[int], room: i
         if x not in used:
             break
     return draws
-
-
-def scheduler_pick(
-    policy: SchedulerPolicy,
-    g: Graph,
-    c: Coloring,
-    conflicted: Sequence[int],
-    counts: Sequence[int],
-    history: Sequence[int],
-    draw: Callable[[], int],
-) -> int:
-    """Choose the next vertex to recolor from the whole, non-empty conflicted
-    set, given in any order (the engine passes its tracker's live members and
-    same-color neighbor counts). Uniform order indexes `conflicted` as given.
-
-    `draw` returns the run's next stream value; only random choices call it.
-    """
-    if not conflicted:
-        raise ValueError("conflicted set is empty")
-    if isinstance(policy, UniformRandomOrder):
-        return conflicted[draw() * len(conflicted) >> 53]
-    if isinstance(policy, FixedPermutationOrder):
-        pos = policy.position
-        return min(conflicted, key=pos.__getitem__)
-    if isinstance(policy, AdversaryOrder):
-        v = _adv.dispatch_pick(
-            policy.strategy, policy.mode, policy.script, g, c, conflicted, counts, history, draw
-        )
-        if counts[v] <= 0:
-            raise RuntimeError(f"adversary returned non-conflicted vertex {v}")
-        return v
-    raise TypeError(f"unknown scheduler policy {policy!r}")
 
 
 def _initial_colors(g: Graph, D: int, start: StartPolicy, draw: Callable[[], int]) -> list[int]:
@@ -399,6 +393,118 @@ def resume_uniform_dc(
     return _uniform_steps(g, D, tracker, _stream(rng, g.n), per_vertex, step3, cap, None)
 
 
+def tracker_coloring(tracker: ConflictTracker, D: int) -> Coloring:
+    """Zero-copy Coloring view of a tracker's live color list."""
+    out = object.__new__(Coloring)
+    out.colors = tracker.colors
+    out.palette_size = D
+    return out
+
+
+def _uniform_walk(
+    g: Graph,
+    D: int,
+    colors: list[int],
+    draw: Callable[[], int],
+    per_vertex: list[int],
+    cap: int,
+    trace_list: list[tuple[int, list[int]]] | None,
+) -> RunResult:
+    """The persistent uniform-order run: one permutation walk (see
+    `run_persistent`), with no tracker."""
+    adjacency = g.adjacency
+    step3 = 0
+    selections = 0
+    capped = False
+    perm = list(range(g.n))
+    for k in range(g.n, 1, -1):
+        lim = _TWO53 - _TWO53 % k  # _below, inlined
+        j = draw()
+        while j >= lim:
+            j = draw()
+        j %= k
+        perm[k - 1], perm[j] = perm[j], perm[k - 1]
+    for v in perm:
+        cv = colors[v]
+        av = adjacency[v]
+        for u in av:
+            if colors[u] == cv:
+                break
+        else:
+            continue
+        if step3 >= cap:
+            capped = True
+            break
+        selections += 1
+        used = {colors[u] for u in av}
+        draws = _redraw_until_clear(draw, D, used, cap - step3)
+        step3 += len(draws)
+        per_vertex[v] += len(draws)
+        colors[v] = draws[-1]
+        if trace_list is not None:
+            trace_list.append((v, draws))
+        capped = draws[-1] in used
+        if capped:
+            break
+    return _finish(g, D, colors, step3, per_vertex, selections, not capped, trace_list)
+
+
+def _run(
+    g: Graph,
+    D: int,
+    start: StartPolicy,
+    sched: SchedulerPolicy,
+    rng: np.random.Generator,
+    step_cap: int | None,
+    trace: bool,
+    until_clear: bool,
+) -> RunResult:
+    """Either algorithm: the persistent one when `until_clear` is set.
+
+    Uniform order takes its algorithm's fast path. Every other order runs
+    the one policy loop: pick with `sched.pick`, then draw one color, or
+    redraw until the picked vertex is clear. A persistent run capped
+    mid-redraw leaves that vertex conflicted, so `not members` is exactly
+    "terminated" for both algorithms.
+    """
+    if D < 1:
+        raise ValueError(f"palette size must be >= 1, got {D}")
+    cap = default_step_cap(g.n, D) if step_cap is None else step_cap
+    draw = _stream(rng, g.n)
+    colors = _initial_colors(g, D, start, draw)
+    trace_list: list[tuple[int, list[int]]] | None = [] if trace else None
+    per_vertex = [0] * g.n
+    if isinstance(sched, UniformRandomOrder):
+        if until_clear:
+            return _uniform_walk(g, D, colors, draw, per_vertex, cap, trace_list)
+        tracker = ConflictTracker(g, colors)
+        return _uniform_steps(g, D, tracker, draw, per_vertex, 0, cap, trace_list)
+
+    tracker = ConflictTracker(g, colors)
+    members, counts = tracker.members, tracker.counts
+    coloring = tracker_coloring(tracker, D)
+    adjacency = g.adjacency
+    history: list[int] = []
+    step3 = 0
+    while members and step3 < cap:
+        v = sched.pick(g, coloring, members, counts, history, draw)
+        history.append(v)
+        if not until_clear:
+            draws = [_below(draw, D) + 1]
+        elif per_vertex[v]:  # every selection draws at least once
+            raise RuntimeError(f"vertex {v} selected twice in a persistent run")
+        else:
+            draws = _redraw_until_clear(draw, D, {colors[u] for u in adjacency[v]}, cap - step3)
+        step3 += len(draws)
+        per_vertex[v] += len(draws)
+        # intermediate draws never leave the loop, so one tracker update
+        # with the last drawn color is equivalent to applying each draw
+        tracker.recolor(v, draws[-1])
+        if trace_list is not None:
+            trace_list.append((v, draws))
+    return _finish(g, D, colors, step3, per_vertex, len(history), not members, trace_list)
+
+
 def run_decentralized(
     g: Graph,
     D: int,
@@ -408,41 +514,12 @@ def run_decentralized(
     step_cap: int | None = None,
     trace: bool = False,
 ) -> RunResult:
-    """One-draw-per-selection recoloring until proper or the cap is hit."""
-    if D < 1:
-        raise ValueError(f"palette size must be >= 1, got {D}")
-    cap = default_step_cap(g.n, D) if step_cap is None else step_cap
-    draw = _stream(rng, g.n)
-    colors = _initial_colors(g, D, start, draw)
-    trace_list: list[tuple[int, list[int]]] | None = [] if trace else None
-    per_vertex = [0] * g.n
-    tracker = ConflictTracker(g, colors)
+    """One-draw-per-selection recoloring until proper or the cap is hit.
 
-    if isinstance(sched, UniformRandomOrder):
-        return _uniform_steps(g, D, tracker, draw, per_vertex, 0, cap, trace_list)
-
-    members, counts = tracker.members, tracker.counts
-    coloring = tracker_coloring(tracker, D)
-    history: list[int] = []
-    step3 = 0
-    while members and step3 < cap:
-        v = scheduler_pick(sched, g, coloring, members, counts, history, draw)
-        history.append(v)
-        x = _below(draw, D) + 1
-        step3 += 1
-        per_vertex[v] += 1
-        if trace_list is not None:
-            trace_list.append((v, [x]))
-        tracker.recolor(v, x)
-    return _finish(g, D, colors, step3, per_vertex, step3, not members, trace_list)
-
-
-def tracker_coloring(tracker: ConflictTracker, D: int) -> Coloring:
-    """Zero-copy Coloring view of a tracker's live color list."""
-    out = object.__new__(Coloring)
-    out.colors = tracker.colors
-    out.palette_size = D
-    return out
+    With uniform order the run takes `_uniform_steps`, the loop the
+    lockstep kernel reproduces; other orders run the shared policy loop.
+    """
+    return _run(g, D, start, sched, rng, step_cap, trace, until_clear=False)
 
 
 def run_persistent(
@@ -462,80 +539,11 @@ def run_persistent(
     clear: every later redraw ends on a color avoiding all its neighbors.
     The permutation is a Fisher-Yates shuffle of 0..n-1: for k = n down to
     2, swap positions k-1 and j = (uniform in [0, k)); the walk then goes
-    from position 0 up. Other orders re-evaluate the policy after each
-    vertex clears.
+    from position 0 up. Other orders run the policy loop `run_decentralized`
+    runs, redrawing the picked vertex until it is clear, and re-evaluate
+    the policy after each vertex clears.
     """
-    if D < 1:
-        raise ValueError(f"palette size must be >= 1, got {D}")
-    cap = default_step_cap(g.n, D) if step_cap is None else step_cap
-    draw = _stream(rng, g.n)
-    colors = _initial_colors(g, D, start, draw)
-    trace_list: list[tuple[int, list[int]]] | None = [] if trace else None
-    per_vertex = [0] * g.n
-    adjacency = g.adjacency
-    step3 = 0
-    selections = 0
-    capped = False
-
-    if isinstance(sched, UniformRandomOrder):
-        perm = list(range(g.n))
-        for k in range(g.n, 1, -1):
-            lim = _TWO53 - _TWO53 % k  # _below, inlined
-            j = draw()
-            while j >= lim:
-                j = draw()
-            j %= k
-            perm[k - 1], perm[j] = perm[j], perm[k - 1]
-        for v in perm:
-            cv = colors[v]
-            av = adjacency[v]
-            for u in av:
-                if colors[u] == cv:
-                    break
-            else:
-                continue
-            if step3 >= cap:
-                capped = True
-                break
-            selections += 1
-            used = {colors[u] for u in av}
-            draws = _redraw_until_clear(draw, D, used, cap - step3)
-            step3 += len(draws)
-            per_vertex[v] += len(draws)
-            colors[v] = draws[-1]
-            if trace_list is not None:
-                trace_list.append((v, draws))
-            capped = draws[-1] in used
-            if capped:
-                break
-        return _finish(g, D, colors, step3, per_vertex, selections, not capped, trace_list)
-
-    tracker = ConflictTracker(g, colors)
-    members, counts = tracker.members, tracker.counts
-    coloring = tracker_coloring(tracker, D)
-    history: list[int] = []
-    seen: set[int] = set()
-    while members and not capped:
-        if step3 >= cap:
-            capped = True
-            break
-        v = scheduler_pick(sched, g, coloring, members, counts, history, draw)
-        if v in seen:
-            raise RuntimeError(f"vertex {v} selected twice in a persistent run")
-        seen.add(v)
-        history.append(v)
-        selections += 1
-        used = {colors[u] for u in adjacency[v]}
-        draws = _redraw_until_clear(draw, D, used, cap - step3)
-        step3 += len(draws)
-        per_vertex[v] += len(draws)
-        capped = draws[-1] in used
-        # intermediate draws never leave the loop, so one tracker update
-        # with the last drawn color is equivalent to applying each draw
-        tracker.recolor(v, draws[-1])
-        if trace_list is not None:
-            trace_list.append((v, draws))
-    return _finish(g, D, colors, step3, per_vertex, selections, not capped and not members, trace_list)
+    return _run(g, D, start, sched, rng, step_cap, trace, until_clear=True)
 
 
 def trace_to_text(trace: list[tuple[int, list[int]]]) -> str:

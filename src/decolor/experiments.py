@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -122,21 +122,9 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "graph": self.graph,
-            "algorithm": self.algorithm,
-            "D": self.D,
-            "start": self.start,
-            "order": self.order,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "step_cap": self.step_cap,
-            "output": self.output,
-            "counters": list(self.counters),
-            "exclude_cap_hits": self.exclude_cap_hits,
-            "per_trial": self.per_trial,
-            "workers": self.workers,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["counters"] = list(self.counters)
+        return d
 
     def identity_dict(self) -> dict:
         """The fields that determine results (not where they are written),

@@ -11,6 +11,7 @@ against a plain solve over raw colorings.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -29,7 +30,6 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 from .adversary import AdversaryStrategy
 from .coloring import (
     Coloring,
-    conflicted_edge_count,
     conflicted_vertices,
     is_conflicted,
     monochromatic_component_count,
@@ -705,21 +705,21 @@ def exact_expected_conflict_deltas(
         raise ValueError(f"vertex {v} is not conflicted; drift conditions on invalid states")
     D = c.palette_size
     base_phi = monochromatic_component_count(g, c)
-    base_edges = conflicted_edge_count(g, c)
     # Only v and its neighbors can change status when v changes color. A
     # neighbor u stays conflicted through its other neighbors (`held`), or
-    # is conflicted when v takes u's color.
+    # is conflicted when v takes u's color. Only v's edges can change too:
+    # with color x, v's conflicted edges go to the neighbors holding x.
     colors, adjacency = c.colors, g.adjacency
     neighbors = []
     for u in adjacency[v]:
         cu = colors[u]
         held = any(colors[w] == cu for w in adjacency[u] if w != v)
         neighbors.append((cu, held))
-    neighbor_colors = {cu for cu, _ in neighbors}
+    holding = Counter(cu for cu, _ in neighbors)
 
     def local_conflicted(x: int) -> int:
         """Conflicted vertices among v and its neighbors when v has color x."""
-        return (x in neighbor_colors) + sum(held or cu == x for cu, held in neighbors)
+        return (x in holding) + sum(held or cu == x for cu, held in neighbors)
 
     base_vertices = local_conflicted(colors[v])
     probe = c.copy()
@@ -728,7 +728,7 @@ def exact_expected_conflict_deltas(
         probe.colors[v] = x
         d_phi += monochromatic_component_count(g, probe) - base_phi
         d_vertices += local_conflicted(x) - base_vertices
-        d_edges += conflicted_edge_count(g, probe) - base_edges
+        d_edges += holding[x] - holding[colors[v]]
     return (
         ExactValue(Fraction(d_phi, D)),
         ExactValue(Fraction(d_vertices, D)),

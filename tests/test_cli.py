@@ -192,6 +192,16 @@ def test_oracle_prints_exact_rationals(capsys):
     assert "conflicted-edge drift: -1/4" in out
 
 
+def test_oracle_rejects_orders_its_chain_does_not_model(capsys):
+    assert main(["oracle", "--graph", "clique:3", "--order", "mimic:lowest"]) == 0
+    assert capsys.readouterr().out.strip() == "5/2 (≈ 2.5)"
+    for order in ("min-drift", "max-conflicted"):
+        assert main(["oracle", "--graph", "clique:3", "--order", order]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 def test_oracle_verbose_prints_diagnostics_on_stderr_only(capsys):
     args = ["oracle", "--graph", "cycle:5", "--colors", "3"]
     assert main(args) == 0

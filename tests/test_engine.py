@@ -207,23 +207,28 @@ def test_conflict_tracker_matches_full_recomputation(walk):
         check()
 
 
-def _reference_run(g, D, start, pick, rng, persistent):
+def _reference_run(g, D, start, pick, rng, persistent, cap=None):
     """The policy path spelled out: recompute the conflicted set at every
-    step, hand the sorted list to a public picker, read the same stream."""
+    step, hand the sorted list to a public picker, read the same stream,
+    and stop once `cap` post-start draws are made (None: no cap)."""
     draw = engine._stream(rng, g.n)
     colors = [engine._below(draw, D) + 1 for _ in range(g.n)] if start is None else list(start)
     history, trace = [], []
+    per_vertex = [0] * g.n
+    step3 = 0
     for _ in range(10_000):
         c = Coloring(colors, D)
         conflicted = conflicted_vertices(g, c)
-        if not conflicted:
-            return trace, colors
+        if not conflicted or step3 == cap:
+            return trace, colors, not conflicted, per_vertex
         v = pick(g, c, conflicted, history, draw)
         history.append(v)
         used = {colors[u] for u in g.adjacency[v]}
         draws = [engine._below(draw, D) + 1]
-        while persistent and draws[-1] in used:
+        while persistent and draws[-1] in used and step3 + len(draws) != cap:
             draws.append(engine._below(draw, D) + 1)
+        step3 += len(draws)
+        per_vertex[v] += len(draws)
         colors[v] = draws[-1]
         trace.append((v, draws))
     raise AssertionError("reference run did not finish")
@@ -238,13 +243,14 @@ def policy_runs(draw):
     D = g.max_degree + draw(st.integers(1, 2))
     start = draw(st.sampled_from([None, [1] * n]))  # random or monochromatic
     order = draw(st.permutations(range(n)))
-    return g, D, start, order, draw(st.integers(0, 2**32)), draw(st.booleans())
+    cap = draw(st.one_of(st.none(), st.integers(0, 6)))  # None: the default cap
+    return g, D, start, order, draw(st.integers(0, 2**32)), draw(st.booleans()), cap
 
 
 @given(policy_runs())
 @settings(max_examples=60, deadline=None)
 def test_policy_path_matches_a_recomputing_reference(run):
-    g, D, start, order, seed, persistent = run
+    g, D, start, order, seed, persistent, cap = run
     mimic = AdversaryStrategy.MimicPersistent
     cases = {
         "min-drift": (AdversaryOrder(AdversaryStrategy.MinPhiDrift),
@@ -266,8 +272,13 @@ def test_policy_path_matches_a_recomputing_reference(run):
     runner = run_persistent if persistent else run_decentralized
     fixed = None if start is None else FixedStart(Coloring(start, D))
     for name, (sched, pick) in cases.items():
-        want_trace, want_colors = _reference_run(g, D, start, pick, trial_rng(seed, 0), persistent)
-        r = runner(g, D, fixed or RANDOM_START, sched, trial_rng(seed, 0), trace=True)
+        want_trace, want_colors, want_terminated, want_per_vertex = _reference_run(
+            g, D, start, pick, trial_rng(seed, 0), persistent, cap)
+        r = runner(g, D, fixed or RANDOM_START, sched, trial_rng(seed, 0), step_cap=cap, trace=True)
         assert r.trace == want_trace, name
         assert r.final_coloring.colors == want_colors, name
-        assert r.terminated, name
+        assert r.terminated == want_terminated, name
+        assert r.terminated or cap is not None, name
+        assert r.selections == len(want_trace), name
+        assert r.per_vertex_draws == want_per_vertex, name
+        assert r.step3_draws == sum(want_per_vertex), name

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from decolor import oracle
 from decolor.adversary import AdversaryStrategy, bad_bipartite_start
-from decolor.coloring import Coloring, conflicted_vertices
+from decolor.coloring import Coloring, conflicted_edge_count, conflicted_vertices
 from decolor.engine import AdversaryOrder, FixedStart, RANDOM_START, UNIFORM_ORDER
 from decolor.experiments import random_invalid_state
 from decolor.graphs import (
@@ -361,13 +361,17 @@ def test_conflicted_vertex_delta_matches_full_recomputation(seed):
     g, c = random_invalid_state(np.random.default_rng(seed), 9, 5)
     D = c.palette_size
     base = len(conflicted_vertices(g, c))
+    base_edges = conflicted_edge_count(g, c)
     for v in conflicted_vertices(g, c):
         probe = c.copy()
-        total = 0
+        total = edges = 0
         for x in range(1, D + 1):
             probe.colors[v] = x
             total += len(conflicted_vertices(g, probe)) - base
-        assert exact_expected_conflict_deltas(g, c, v)[1].value == frac(total, D)
+            edges += conflicted_edge_count(g, probe) - base_edges
+        deltas = exact_expected_conflict_deltas(g, c, v)
+        assert deltas[1].value == frac(total, D)
+        assert deltas[2].value == frac(edges, D)
 
 
 def test_verify_rejects_non_gadget():
