@@ -379,3 +379,36 @@ def test_verify_rejects_non_gadget():
     assert not verify_fig2_deltas(g, Coloring([1, 1, 1], 4), 0)
     with pytest.raises(ValueError):
         verify_fig2_deltas(g, Coloring([1, 2, 3], 4), 0)
+
+
+# exact values of both oracles, pinned before the oracle's start distribution
+# and persistent recursion were merged: (persistent "all", persistent with
+# order [n-1, 0, 1, ..., n-2], dc uniform, dc mimic:uniform, dc mimic:lowest)
+# per start, random first
+PINNED_ORACLE_VALUES = [
+    ("C5", gen_cycle(5), 3, [1, 1, 1, 1, 1],
+     ("25/6", "9/2", "469/120", "25/6", "9/2"),
+     ("15/2", "21/2", "36/5", "15/2", "21/2")),
+    ("K4", gen_clique(4), 4, [1, 1, 1, 1],
+     ("13/3", "13/3", "13/3", "13/3", "13/3"),
+     ("22/3", "22/3", "22/3", "22/3", "22/3")),
+    ("path4", from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), 3, [1, 1, 2, 2],
+     ("13/6", "2", "633/322", "13/6", "5/2"),
+     ("9/2", "3", "636/161", "9/2", "9/2")),
+    ("badbip:3", bad_bipartite_start(3)[0], 4, list(bad_bipartite_start(3)[1].colors),
+     ("21539/3840", "35/6", "285089405/53142144", "21539/3840", "41/8"),
+     ("22/3", "12", "4804/759", "22/3", "12")),
+]
+
+
+@pytest.mark.parametrize("label,g,D,colors,random_values,fixed_values", PINNED_ORACLE_VALUES,
+                         ids=[row[0] for row in PINNED_ORACLE_VALUES])
+def test_oracle_values_are_pinned(label, g, D, colors, random_values, fixed_values):
+    perm = [g.n - 1] + list(range(g.n - 1))
+    scheds = [UNIFORM_ORDER] + [
+        AdversaryOrder(AdversaryStrategy.MimicPersistent, mode=mode) for mode in ("uniform", "lowest")
+    ]
+    for start, values in ((RANDOM_START, random_values), (FixedStart(Coloring(colors, D)), fixed_values)):
+        got = [exact_expected_recolorings_persistent(g, D, start, order).value for order in ("all", perm)]
+        got += [exact_expected_recolorings_dc(g, D, start, s, method="exact").value for s in scheds]
+        assert got == [Fraction(v) for v in values]
