@@ -19,10 +19,10 @@ from .engine import AdversaryOrder, FixedStart, RANDOM_START, UNIFORM_ORDER
 from .experiments import (
     DriftReport,
     ExperimentConfig,
+    _build,
     build_graph,
     build_start,
     drift_check,
-    resolve_palette,
     run_trials,
 )
 from .graphs import gen_fig2_like
@@ -271,15 +271,18 @@ def ac6_adversarial_stopping() -> CriterionResult:
 # AC-8: the mimicking adversary makes the one-draw chain match persistent
 
 
+def _path_spec(n: int) -> dict:
+    return {"kind": "edges", "n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
+
+
 def _ac8_family():
     """(label, graph spec, D, start colors) combos, all with D >= max degree + 1."""
-    path = lambda n: {"kind": "edges", "n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
     combos = []
     for label, spec, ds in [
-        ("edge", path(2), (2, 3, 4)),
-        ("path3", path(3), (3, 4)),
+        ("edge", _path_spec(2), (2, 3, 4)),
+        ("path3", _path_spec(3), (3, 4)),
         ("K3", {"kind": "clique", "n": 3}, (3, 4)),
-        ("path4", path(4), (3, 4)),
+        ("path4", _path_spec(4), (3, 4)),
         ("star4", {"kind": "edges", "n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}, (4,)),
         ("C4", {"kind": "cycle", "n": 4}, (3, 4)),
         ("C5", {"kind": "cycle", "n": 5}, (3, 4)),
@@ -342,10 +345,6 @@ def ac9_gadget_deltas() -> CriterionResult:
 # AC-10: Monte Carlo agrees with the exact chain on 20 small instances
 
 
-def _path_spec(n: int) -> dict:
-    return {"kind": "edges", "n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
-
-
 _AC10_INSTANCES = [
     ("edge-mono", {"kind": "edges", "n": 2, "edges": [[0, 1]]}, 2, {"kind": "fixed", "colors": [1, 1]}),
     ("path3", _path_spec(3), 3, "random"),
@@ -383,10 +382,8 @@ def ac10_oracle_simulation_agreement() -> CriterionResult:
             trials=100_000,
             master_seed=20241000 + i,
         )
-        g, bundled = build_graph(spec)
-        d_resolved = resolve_palette(D, g, bundled)
-        start_policy = build_start(start, g, d_resolved, bundled)
-        exact = oracle.exact_expected_recolorings_dc(g, d_resolved, start_policy, UNIFORM_ORDER)
+        g, d_resolved, start_policy, order = _build(cfg)
+        exact = oracle.exact_expected_recolorings_dc(g, d_resolved, start_policy, order)
         s = run_trials(cfg).stats["step3_draws"]
         tol = 4 * s.se + float(exact.error_bound)
         ok = abs(s.mean - float(exact.value)) <= tol

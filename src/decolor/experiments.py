@@ -91,7 +91,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is None and name in ("D", "step_cap", "workers"):
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.algorithm not in ("dc", "persistent"):
             raise ValueError(f"algorithm must be 'dc' or 'persistent', got {self.algorithm!r}")
@@ -151,8 +151,19 @@ def _field(spec: dict, name: str, conv: Callable[[Any], Any], what: str) -> Any:
         raise ValueError(f"{what} has a bad entry {name!r}: {spec[name]!r}") from None
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _int(value: Any) -> int:
+    """An integral number that is not a bool; anything else is a TypeError."""
+    if not _is_int(value):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _int_list(values: Any) -> list[int]:
-    return [int(v) for v in values]
+    return [_int(v) for v in values]
 
 
 def _edge_list(values: Any) -> list[tuple[int, ...]]:
@@ -171,7 +182,7 @@ def build_graph(spec: dict) -> tuple[Graph, Coloring | None]:
         if extra:
             raise ValueError(f"unknown parameters for graph kind {kind!r}: {sorted(extra)}")
 
-    def get(name: str, conv: Callable[[Any], Any] = int) -> Any:
+    def get(name: str, conv: Callable[[Any], Any] = _int) -> Any:
         return _field(params, name, conv, f"graph kind {kind!r}")
 
     if kind == "clique":
@@ -229,7 +240,7 @@ def build_start(spec: Any, g: Graph, D: int, bundled: Coloring | None) -> StartP
             c = read_coloring_file(_field(spec, "path", str, what))
             return FixedStart(Coloring(c.colors, D))
         if kind == "mono":
-            color = _field({"color": 1, **spec}, "color", int, what)
+            color = _field({"color": 1, **spec}, "color", _int, what)
             if not (1 <= color <= D):
                 raise ValueError(f"mono start color {color} outside 1..{D}")
             return FixedStart(Coloring([color] * g.n, D))
@@ -391,7 +402,6 @@ def _run_range(
             g, D, start, cfg.master_seed, lo, hi, cap
         )
         return (
-            (step3 + g.n).tolist(),
             step3.tolist(),
             step3.tolist(),
             terminated.tolist(),
@@ -399,7 +409,6 @@ def _run_range(
             (per_vertex * per_vertex).sum(axis=0).tolist() if want_vertex else None,
         )
     runner = run_decentralized if cfg.algorithm == "dc" else run_persistent
-    total = []
     step3 = []
     selections = []
     terminated = []
@@ -408,7 +417,6 @@ def _run_range(
     gen = np.random.Generator(np.random.PCG64(0))  # reseeded in place for every trial
     for i in range(lo, hi):
         r = runner(g, D, start, order, trial_rng(cfg.master_seed, i, gen), step_cap=cfg.step_cap)
-        total.append(r.total_draws)
         step3.append(r.step3_draws)
         selections.append(r.selections)
         terminated.append(r.terminated)
@@ -417,7 +425,6 @@ def _run_range(
             vertex_sum += vec
             vertex_sumsq += vec * vec
     return (
-        total,
         step3,
         selections,
         terminated,
@@ -449,10 +456,10 @@ def run_trials(cfg: ExperimentConfig) -> TrialsResult:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range_packed, packed))
 
-    total = np.concatenate([np.asarray(p[0], dtype=np.int64) for p in parts])
-    step3 = np.concatenate([np.asarray(p[1], dtype=np.int64) for p in parts])
-    selections = np.concatenate([np.asarray(p[2], dtype=np.int64) for p in parts])
-    terminated = np.concatenate([np.asarray(p[3], dtype=bool) for p in parts])
+    step3 = np.concatenate([np.asarray(p[0], dtype=np.int64) for p in parts])
+    total = step3 + g.n  # total_draws = n + step3_draws, see RunResult
+    selections = np.concatenate([np.asarray(p[1], dtype=np.int64) for p in parts])
+    terminated = np.concatenate([np.asarray(p[2], dtype=bool) for p in parts])
     cap_hits = int((~terminated).sum())
 
     warnings: list[str] = []
@@ -473,8 +480,8 @@ def run_trials(cfg: ExperimentConfig) -> TrialsResult:
         vsum = np.zeros(g.n, dtype=np.int64)
         vsumsq = np.zeros(g.n, dtype=np.int64)
         for p in parts:
-            vsum += np.asarray(p[4], dtype=np.int64)
-            vsumsq += np.asarray(p[5], dtype=np.int64)
+            vsum += np.asarray(p[3], dtype=np.int64)
+            vsumsq += np.asarray(p[4], dtype=np.int64)
         t = cfg.trials
         means = vsum / t
         variances = (vsumsq - t * means * means) / (t - 1) if t > 1 else np.zeros(g.n)

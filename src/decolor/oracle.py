@@ -36,11 +36,11 @@ from .coloring import (
 )
 from .engine import (
     AdversaryOrder,
-    FixedStart,
     RandomStart,
     SchedulerPolicy,
     StartPolicy,
     UniformRandomOrder,
+    _initial_colors,
 )
 from .graphs import Graph
 
@@ -147,6 +147,25 @@ def _pattern_weight(pattern: Sequence[int], D: int) -> int:
     for i in range(k):
         w *= D - i
     return w
+
+
+def _start_weights(
+    g: Graph, D: int, start: StartPolicy, lumped: bool = True
+) -> tuple[list[tuple[tuple, int]], int]:
+    """The start distribution as ([(state key, weight)], total weight).
+
+    A random start weighs every raw coloring 1, or each canonical pattern by
+    the raw colorings it stands for when lumped; a fixed start is one state,
+    validated by the engine.
+    """
+    if not isinstance(start, RandomStart):
+        colors = _initial_colors(g, D, start, None)
+        return [(canonical_pattern(colors) if lumped else tuple(colors), 1)], 1
+    if lumped:
+        weighted = [(p, _pattern_weight(p, D)) for p in _patterns(g.n, D)]
+    else:
+        weighted = [(tuple(int(c) + 1 for c in cs), 1) for cs in np.ndindex(*([D] * g.n))]
+    return weighted, D**g.n
 
 
 def _conflicted_of(g: Graph, colors: Sequence[int]) -> list[int]:
@@ -469,17 +488,17 @@ def exact_expected_recolorings_dc(
     sched: SchedulerPolicy | None = None,
     *,
     method: str = "auto",
-    exact_state_limit: int | None = None,
-    tol: Fraction = CERTIFIED_TOL,
     lumped: bool = True,
 ) -> ExactValue:
     """Exact expected post-start draws of the one-draw algorithm.
 
     Solves the absorbing chain over colorings (states canonicalized up to
-    color renaming unless lumped=False). Small systems go through exact
-    rational elimination; larger ones (method "auto"/"iterative") use a
-    certified float solve, which needs D >= max_degree + 1 for its error
-    bound and reports the certified bound on the result.
+    color renaming unless lumped=False). Chains with at most
+    DEFAULT_EXACT_STATE_LIMIT transient states, or any chain under method
+    "exact", go through exact rational elimination; larger ones (method
+    "auto"/"iterative") use a float solve certified to CERTIFIED_TOL, which
+    needs D >= max_degree + 1 for its error bound and reports the certified
+    bound on the result.
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
@@ -491,43 +510,18 @@ def exact_expected_recolorings_dc(
         raise ValueError(f"unknown method {method!r}")
     mimic_mode = _resolve_dc_sched(sched)
 
-    if isinstance(start, RandomStart):
-        if lumped:
-            weighted = [(p, _pattern_weight(p, D)) for p in _patterns(g.n, D)]
-        else:
-            weighted = [
-                (tuple(int(c) + 1 for c in cs), 1) for cs in np.ndindex(*([D] * g.n))
-            ]
-        total_weight = D**g.n
-    elif isinstance(start, FixedStart):
-        c = start.coloring
-        if len(c.colors) != g.n:
-            raise ValueError(f"fixed start has {len(c.colors)} colors for n={g.n}")
-        if max(c.colors, default=1) > D:
-            raise ValueError("fixed start uses a color outside 1..D")
-        key = canonical_pattern(c.colors) if lumped else tuple(c.colors)
-        weighted = [(key, 1)]
-        total_weight = 1
-    else:
-        raise TypeError(f"unknown start policy {start!r}")
+    weighted, total_weight = _start_weights(g, D, start, lumped)
+    if mimic_mode is not None:
+        weighted = [((key, -1), w) for key, w in weighted]
 
-    if mimic_mode is None:
-        start_keys = [key for key, _ in weighted]
-        weight_of = {key: w for key, w in weighted}
-    else:
-        start_keys = [(key, -1) for key, _ in weighted]
-        weight_of = {(key, -1): w for key, w in weighted}
-
-    chain = _build_dc_chain(g, D, start_keys, mimic_mode, lumped)
+    chain = _build_dc_chain(g, D, [key for key, _ in weighted], mimic_mode, lumped)
     if not chain.transient:
         return ExactValue(Fraction(0), method="markov-exact", transient=0, nonzeros=0,
                           fill=0, backend=RATIONAL_BACKEND)
     _check_absorbing_reachable(chain)
 
-    limit = DEFAULT_EXACT_STATE_LIMIT if exact_state_limit is None else exact_state_limit
-    use_exact = method == "exact" or (method == "auto" and len(chain.transient) <= limit)
     nonzeros = fill = None
-    if use_exact:
+    if method == "exact" or (method == "auto" and len(chain.transient) <= DEFAULT_EXACT_STATE_LIMIT):
         solution, nonzeros, fill = _solve_exact(chain)
         bound = Fraction(0)
         how = "markov-exact"
@@ -537,13 +531,12 @@ def exact_expected_recolorings_dc(
                 "iterative certification needs D >= max_degree + 1; "
                 "force method='exact' for smaller palettes"
             )
-        solution, bound = _solve_certified(chain, (g.n - 1) * D, tol)
+        solution, bound = _solve_certified(chain, (g.n - 1) * D, CERTIFIED_TOL)
         how = "markov-certified"
 
     total = _Q(0)
-    for key, w in weight_of.items():
-        i = chain.index[key]
-        total += w * solution.get(i, _Q(0))
+    for key, w in weighted:
+        total += w * solution.get(chain.index[key], _Q(0))
     value = total / total_weight
     return ExactValue(_fraction(value), error_bound=bound, method=how,
                       transient=len(chain.transient), nonzeros=nonzeros, fill=fill,
@@ -569,7 +562,8 @@ def exact_expected_recolorings_persistent(
     with f free colors contributes D/f expected draws and lands uniformly on
     its free set; the recursion branches over those landings.
 
-    order=<permutation> processes vertices in that fixed order instead.
+    order=<permutation> processes vertices in that fixed order instead. Both
+    run one memoised recursion over (pattern, position in the order).
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
@@ -588,92 +582,49 @@ def exact_expected_recolorings_persistent(
     adjacency = g.adjacency
     memo: dict = {}
 
-    def free_moves(state: tuple[int, ...], v: int):
-        """(child, weight) pairs over v's free colors, plus the free count."""
-        used = {state[u] for u in adjacency[v]}
-        k = max(state)
-        base = list(state)
-        moves = []
-        f = 0
-        for x in range(1, k + 1):
-            if x not in used:
-                f += 1
-                base[v] = x
-                moves.append((canonical_pattern(base), 1))
-        if D > k:
-            f += D - k
-            base[v] = k + 1
-            moves.append((canonical_pattern(base), D - k))
-        return moves, f
+    def picks(state: tuple[int, ...], idx: int) -> list[tuple[int, int]]:
+        """(vertex, next idx) pairs for the selections open at (state, idx)."""
+        if fixed_order is None:
+            return [(v, 0) for v in _conflicted_of(g, state)]
+        for i in range(idx, g.n):
+            v = fixed_order[i]
+            if _vertex_conflicted(g, state, v):
+                return [(v, i + 1)]
+        return []
 
-    def e_uniform(state: tuple[int, ...]):
-        val = memo.get(state)
-        if val is not None:
-            return val
-        conflicted = _conflicted_of(g, state)
-        if not conflicted:
-            memo[state] = _Q(0)
-            return memo[state]
-        total = _Q(0)
-        for v in conflicted:
-            moves, f = free_moves(state, v)
-            if f == 0:
-                raise ValueError(
-                    f"vertex {v} has no free color; the persistent process cannot finish"
-                )
-            sub = _Q(0)
-            for child, w in moves:
-                sub += w * e_uniform(child)
-            total += _Q(D, f) + sub / f
-        val = total / len(conflicted)
-        memo[state] = val
-        return val
-
-    def e_fixed(state: tuple[int, ...], idx: int):
+    def expect(state: tuple[int, ...], idx: int):
         key = (state, idx)
         val = memo.get(key)
         if val is not None:
             return val
-        pick = None
-        for i in range(idx, g.n):
-            if _vertex_conflicted(g, state, fixed_order[i]):
-                pick = i
-                break
-        if pick is None:
-            memo[key] = _Q(0)
-            return memo[key]
-        v = fixed_order[pick]
-        moves, f = free_moves(state, v)
-        if f == 0:
-            raise ValueError(
-                f"vertex {v} has no free color; the persistent process cannot finish"
-            )
-        sub = _Q(0)
-        for child, w in moves:
-            sub += w * e_fixed(child, pick + 1)
-        val = _Q(D, f) + sub / f
+        options = picks(state, idx)
+        val = _Q(0)
+        for v, nxt in options:
+            used = {state[u] for u in adjacency[v]}
+            f = D - len(used)
+            if f == 0:
+                raise ValueError(
+                    f"vertex {v} has no free color; the persistent process cannot finish"
+                )
+            # v draws D/f times on average, then lands uniformly on its f
+            # free colors: move x recolors v to color x, and the last move,
+            # to a fresh color, is always free
+            acc = _Q(D)
+            for x, (child, w) in enumerate(_color_moves(state, v, D, True), 1):
+                if x not in used:
+                    acc += w * expect(child, nxt)
+            val += acc / (f * len(options))
         memo[key] = val
         return val
 
-    def evaluate(pattern: tuple[int, ...]):
-        if fixed_order is None:
-            return e_uniform(pattern)
-        return e_fixed(pattern, 0)
-
-    if isinstance(start, RandomStart):
-        total = _Q(0)
-        for p in _patterns(g.n, D):
-            total += _pattern_weight(p, D) * evaluate(p)
-        value = total / (D**g.n)
-    elif isinstance(start, FixedStart):
-        c = start.coloring
-        if len(c.colors) != g.n:
-            raise ValueError(f"fixed start has {len(c.colors)} colors for n={g.n}")
-        if max(c.colors, default=1) > D:
-            raise ValueError("fixed start uses a color outside 1..D")
-        value = evaluate(canonical_pattern(c.colors))
-    else:
-        raise TypeError(f"unknown start policy {start!r}")
+    weighted, total_weight = _start_weights(g, D, start)
+    total = _Q(0)
+    for key, w in weighted:
+        total += w * expect(key, 0)
+    # expect refers to itself, so only a full garbage collection would free
+    # the memo it holds; empty it now
+    memo.clear()
+    value = total / total_weight
     return ExactValue(_fraction(value), method="persistent-recursion", backend=RATIONAL_BACKEND)
 
 
@@ -681,19 +632,15 @@ def exact_expected_recolorings_persistent(
 # exact one-step drifts
 
 
+def _check_vertex(g: Graph, v: int) -> None:
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} is out of range for n={g.n}")
+
+
 def exact_expected_phi_delta(g: Graph, c: Coloring, v: int) -> ExactValue:
     """Exact expected change of the monochromatic-component count when the
     conflicted vertex v redraws uniformly from the palette."""
-    if not is_conflicted(g, c, v):
-        raise ValueError(f"vertex {v} is not conflicted; drift conditions on invalid states")
-    D = c.palette_size
-    base = monochromatic_component_count(g, c)
-    probe = c.copy()
-    total = 0
-    for x in range(1, D + 1):
-        probe.colors[v] = x
-        total += monochromatic_component_count(g, probe) - base
-    return ExactValue(Fraction(total, D))
+    return exact_expected_conflict_deltas(g, c, v)[0]
 
 
 def exact_expected_conflict_deltas(
@@ -701,6 +648,7 @@ def exact_expected_conflict_deltas(
 ) -> tuple[ExactValue, ExactValue, ExactValue]:
     """Exact expected one-step change of (component count, conflicted-vertex
     count, conflicted-edge count) when conflicted v redraws uniformly."""
+    _check_vertex(g, v)
     if not is_conflicted(g, c, v):
         raise ValueError(f"vertex {v} is not conflicted; drift conditions on invalid states")
     D = c.palette_size
@@ -743,6 +691,7 @@ def verify_fig2_deltas(g: Graph, c: Coloring, v: int) -> bool:
     the conflicted-vertex count are: 0 for v's current color and exactly
     (-1, +1, +1) across the other three. Raises if v is not conflicted.
     """
+    _check_vertex(g, v)
     if not is_conflicted(g, c, v):
         raise ValueError(f"vertex {v} is not conflicted")
     D = c.palette_size

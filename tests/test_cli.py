@@ -123,11 +123,19 @@ CLIQUE3 = {"kind": "clique", "n": 3}
 
 @pytest.mark.parametrize("config", [
     pytest.param({"graph": {"kind": "clique"}}, id="graph-no-n"),
+    pytest.param({"graph": {"kind": "clique", "n": 1.5}}, id="graph-float-n"),
+    pytest.param({"graph": {"kind": "clique", "n": True}}, id="graph-bool-n"),
+    pytest.param({"graph": {"kind": "erdos", "n": 5, "p": 0.5, "seed": 1.5}}, id="graph-float-seed"),
+    pytest.param({"graph": {"kind": "edges", "n": 3, "edges": [[0, 1.5]]}}, id="graph-float-edge"),
     pytest.param({"graph": {"kind": "erdos", "n": 5, "p": [0.5], "seed": 1}}, id="graph-list-p"),
     pytest.param({"graph": {"kind": "edges", "n": 3, "edges": [0, 1]}}, id="graph-flat-edges"),
     pytest.param({"graph": CLIQUE3, "start": {"kind": "fixed"}}, id="start-no-colors"),
     pytest.param({"graph": CLIQUE3, "start": {"kind": "fixed", "colors": 7}}, id="start-int-colors"),
     pytest.param({"graph": CLIQUE3, "start": {"kind": "mono", "color": None}}, id="start-null-color"),
+    pytest.param({"graph": CLIQUE3, "start": {"kind": "mono", "color": 1.5}}, id="start-float-color"),
+    pytest.param({"graph": CLIQUE3, "start": {"kind": "mono", "color": True}}, id="start-bool-color"),
+    pytest.param({"graph": CLIQUE3, "start": {"kind": "fixed", "colors": [1, 2, 2.5]}}, id="start-float-colors"),
+    pytest.param({"graph": CLIQUE3, "order": {"kind": "perm", "order": [0, 1, 2.0]}}, id="order-float-perm"),
     pytest.param({"graph": CLIQUE3, "order": {"kind": "perm"}}, id="order-no-order"),
     pytest.param({"graph": CLIQUE3, "order": {"kind": "script", "picks": [[0]]}}, id="order-nested-picks"),
     pytest.param({"graph": CLIQUE3, "D": "x"}, id="D-string"),
@@ -190,6 +198,17 @@ def test_oracle_prints_exact_rationals(capsys):
     out = capsys.readouterr().out
     assert "component-count drift: 1/4" in out
     assert "conflicted-edge drift: -1/4" in out
+
+
+@pytest.mark.parametrize("vertex", ["7", "-1"])
+def test_oracle_drift_rejects_out_of_range_vertices(capsys, vertex):
+    assert main([
+        "oracle", "--graph", "clique:3", "--start", "mono:1", "--quantity", "drift",
+        "--vertex", vertex,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "out of range" in err and "Traceback" not in err
 
 
 def test_oracle_rejects_orders_its_chain_does_not_model(capsys):

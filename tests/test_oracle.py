@@ -331,6 +331,14 @@ def test_phi_delta_requires_conflict():
         exact_expected_phi_delta(g, Coloring([1, 2], 2), 0)
 
 
+@pytest.mark.parametrize("v", [3, 7, -1])
+def test_drifts_reject_out_of_range_vertices(v):
+    g, c = gen_clique(3), Coloring([1, 1, 1], 4)
+    for drift in (exact_expected_phi_delta, exact_expected_conflict_deltas, verify_fig2_deltas):
+        with pytest.raises(ValueError, match="out of range"):
+            drift(g, c, v)
+
+
 def test_gadget_deltas():
     g, c, v = gen_fig2_like()
     phi, vertices, edges = exact_expected_conflict_deltas(g, c, v)
@@ -381,10 +389,10 @@ def test_verify_rejects_non_gadget():
         verify_fig2_deltas(g, Coloring([1, 2, 3], 4), 0)
 
 
-# exact values of both oracles, pinned before the oracle's start distribution
-# and persistent recursion were merged: (persistent "all", persistent with
-# order [n-1, 0, 1, ..., n-2], dc uniform, dc mimic:uniform, dc mimic:lowest)
-# per start, random first
+# exact values of both oracles, so that a change to the start distribution,
+# the persistent recursion or the chain cannot move them: (persistent "all",
+# persistent with order [n-1, 0, 1, ..., n-2], dc uniform, dc mimic:uniform,
+# dc mimic:lowest) per start, random first
 PINNED_ORACLE_VALUES = [
     ("C5", gen_cycle(5), 3, [1, 1, 1, 1, 1],
      ("25/6", "9/2", "469/120", "25/6", "9/2"),
