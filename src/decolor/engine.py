@@ -29,10 +29,13 @@ C[floor(u * |C|)], computed exactly as (j * |C|) >> 53.
 The uniform order indexes the ConflictTracker's member list, so its order
 (ascending at the start, then swap-removes and appends in the order
 `ConflictTracker.recolor` makes them) is part of the same contract.
-`run_trials` runs one-draw uniform-order trials on small graphs in the
-lockstep kernel (``decolor.lockstep``), which reproduces that loop on arrays
-and hands a long run back to `resume_uniform_dc`; that function and
-`run_decentralized` share one loop body, `_uniform_steps`.
+`run_trials` runs uniform-order trials on small graphs in the lockstep
+kernels (``decolor.lockstep``), which reproduce these loops on arrays. The
+one-draw kernel hands a long run back to `resume_uniform_dc`; that function
+and `run_decentralized` share one loop body, `_uniform_steps`. The
+persistent kernel reproduces `_uniform_walk` and reruns an exceptional
+trial (a rejected value, the step cap, a vertex with no free color) in
+`run_persistent` from the start, so the walk needs no resume path.
 """
 
 from __future__ import annotations

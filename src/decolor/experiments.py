@@ -381,6 +381,22 @@ def _build(cfg: ExperimentConfig) -> tuple[Graph, int, StartPolicy, SchedulerPol
     return g, D, build_start(cfg.start, g, D, bundled), build_order(cfg.order, g)
 
 
+def _in_kernel(cfg: ExperimentConfig, g: Graph, D: int, order: SchedulerPolicy) -> bool:
+    """Whether cfg's trials run in a lockstep kernel: uniform order on a graph
+    (and palette) the algorithm's kernel fits."""
+    if not isinstance(order, UniformRandomOrder):
+        return False
+    return lockstep.fits(g) if cfg.algorithm == "dc" else lockstep.persistent_fits(g, D)
+
+
+def _chunks(trials: int, workers: int, kernel: bool) -> list[tuple[int, int]]:
+    """The [lo, hi) ranges a worker pool runs: about four per worker, of at
+    least 64 trials, or 512 in a kernel, which is slower than the scalar
+    engine on shorter ranges. Ranges never change a result."""
+    chunk = max(512 if kernel else 64, -(-trials // (workers * 4)))
+    return [(i, min(i + chunk, trials)) for i in range(0, trials, chunk)]
+
+
 def _run_range(
     cfg: ExperimentConfig,
     lo: int,
@@ -390,23 +406,26 @@ def _run_range(
     """Run trials [lo, hi); returns plain lists so it can cross processes.
 
     built is `_build(cfg)` when the caller has it already; pool workers pass
-    None and rebuild it from the spec. One-draw uniform-order trials on a
-    small graph (`lockstep.fits`) run in the lockstep kernel, all others in
-    the scalar engine, one trial at a time; both give identical trials.
+    None and rebuild it from the spec. Uniform-order trials that a lockstep
+    kernel takes (`_in_kernel`) run there, all others in the scalar engine,
+    one trial at a time; both give identical trials.
     """
     g, D, start, order = _build(cfg) if built is None else built
     want_vertex = "per_vertex" in cfg.counters
-    if cfg.algorithm == "dc" and isinstance(order, UniformRandomOrder) and lockstep.fits(g):
+    if _in_kernel(cfg, g, D, order):
         cap = default_step_cap(g.n, D) if cfg.step_cap is None else cfg.step_cap
-        step3, terminated, per_vertex = lockstep.run_range(
-            g, D, start, cfg.master_seed, lo, hi, cap
-        )
+        args = (g, D, start, cfg.master_seed, lo, hi, cap)
+        if cfg.algorithm == "dc":
+            step3, terminated, per_vertex = lockstep.run_range(*args)
+            selections = step3
+        else:
+            step3, selections, terminated, per_vertex = lockstep.run_persistent_range(*args)
         return (
             step3.tolist(),
-            step3.tolist(),
+            selections.tolist(),
             terminated.tolist(),
             per_vertex.sum(axis=0).tolist() if want_vertex else None,
-            (per_vertex * per_vertex).sum(axis=0).tolist() if want_vertex else None,
+            np.einsum("ij,ij->j", per_vertex, per_vertex).tolist() if want_vertex else None,
         )
     runner = run_decentralized if cfg.algorithm == "dc" else run_persistent
     step3 = []
@@ -450,8 +469,7 @@ def run_trials(cfg: ExperimentConfig) -> TrialsResult:
     if workers <= 1 or cfg.trials < 256:
         parts = [_run_range(cfg, 0, cfg.trials, built)]
     else:
-        chunk = max(64, -(-cfg.trials // (workers * 4)))
-        bounds = [(i, min(i + chunk, cfg.trials)) for i in range(0, cfg.trials, chunk)]
+        bounds = _chunks(cfg.trials, workers, _in_kernel(cfg, g, D, built[3]))
         packed = [(cfg.to_dict(), lo, hi) for lo, hi in bounds]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range_packed, packed))

@@ -1,31 +1,50 @@
-"""Lockstep kernel: many one-draw uniform-order trials at once on small graphs.
+"""Lockstep kernels: many uniform-order trials at once on small graphs.
 
-A range of trials runs together on (T, n + 1) numpy arrays that mirror the
-scalar engine's state per trial: colors, same-color neighbor counts, the
-conflict tracker's swap-remove `members` list and its `pos` index, and
-per-vertex draws. Column n is a dummy vertex of color 0 that pads every
-adjacency row to the max degree; it never matches a color, so it never
-changes a count.
+Both kernels run a range of trials together on numpy arrays, in passes of
+a bounded number of trial-vertex entries, and give every trial exactly the
+result the scalar engine gives it alone: ``run_range`` for the one-draw
+process (`fits`) and ``run_persistent_range`` for the persistent one
+(`persistent_fits`). Both follow the stream version 2 rules (see
+``decolor.engine``).
 
-Every trial still in lockstep has made as many selections as the others,
-so all of them sit at the same position of their streams: the kernel reads
-the streams one position at a time for the whole range
-(``rng.stream_rows``), up to the first `kernel_block(n)` values. It follows
-the stream version 2 rules exactly (see ``decolor.engine``): initial colors,
-then per selection the pick ``members[(j * |C|) >> 53]`` and the color
-``j mod D + 1``. A recolor updates the neighbors in adjacency order and then
-the vertex itself, so the members list sees the same swap-removes and
-appends, in the same order, as ``ConflictTracker.recolor``.
+One-draw. The state per trial mirrors the scalar engine's: colors,
+same-color neighbor counts, the conflict tracker's swap-remove `members`
+list and its `pos` index, and per-vertex draws, as (T, n + 1) arrays.
+Column n is a dummy vertex of color 0 that pads every adjacency row to the
+max degree; it never matches a color, so it never changes a count. Every
+trial still in lockstep has made as many selections as the others, so all
+of them sit at the same position of their streams: the kernel reads the
+streams one position at a time for the whole range (``rng.stream_rows``),
+up to the first `kernel_block(n)` values. Per selection it takes the pick
+``members[(j * |C|) >> 53]`` and the color ``j mod D + 1``. A recolor
+updates the neighbors in adjacency order and then the vertex itself, so
+the members list sees the same swap-removes and appends, in the same
+order, as ``ConflictTracker.recolor``. A trial leaves the kernel for the
+scalar loop when its next selection needs a value beyond the block, when
+that selection's color value would be rejected (probability below
+D / 2^53), or when it reaches the step cap. The scalar loop
+(``engine.resume_uniform_dc``) picks it up from the kernel's state, on the
+trial's generator advanced past the values already used. A trial whose
+block cannot hold its random initial colors, or whose initial colors meet
+a rejected value, runs in the scalar engine from the start.
 
-A trial leaves the kernel for the scalar loop when its next selection needs
-a value beyond the block, when that selection's color value would be
-rejected (probability below D / 2^53), or when it reaches the step cap.
-The scalar loop (``engine.resume_uniform_dc``) picks it up from the
-kernel's state, on the trial's generator advanced past the values already
-used, so every trial gives the result ``run_decentralized`` gives it
-alone. A trial whose block cannot hold its random initial colors, or whose
-initial colors meet a rejected value, runs in the scalar engine from the
-start.
+Persistent. All trials read the head of their streams at the same rate:
+the random initial colors, then the n - 1 Fisher-Yates values, so the
+permutations are built on (T, n) arrays a swap at a time. The walk then
+takes one position s at a time for all trials: it gathers the neighbors'
+colors of ``perm[:, s]``, tests for a conflict, and for each conflicted
+trial takes the first walk value at or after the trial's own cursor whose
+color is free, one bit test against a ``uint64`` mask of the neighbors'
+colors (so D <= 63, `MAX_PERSISTENT_D`). Like the scalar walk it tests
+each position once: when every vertex has a free color, a vertex the walk
+has passed or cleared never becomes conflicted again. Each trial's values
+are the 64-bit words of its own generator, ``trial_rng(m, i)``, each one
+value j (its top 53 bits), filled into a row of 1-byte colors
+``j mod D + 1``; a trial that reads past its row refills it, on the
+generator advanced past the values already read. A trial that meets a
+rejected value anywhere in the values filled for it, reaches the step cap,
+or reaches a vertex with no free color reruns in ``run_persistent`` from
+the start.
 """
 
 from __future__ import annotations
@@ -39,6 +58,7 @@ from .engine import (
     _initial_colors,
     resume_uniform_dc,
     run_decentralized,
+    run_persistent,
 )
 from .graphs import Graph
 from .rng import stream_rows, trial_rng
@@ -47,6 +67,18 @@ _TWO53 = 1 << 53
 # trials * (n + 1) per lockstep pass: 1024 trials at n = 32, more on smaller
 # graphs; about 264 KiB per state array
 PASS_ENTRIES = 33 * 1024
+# the persistent kernel keeps 1-byte colors and vertices per entry, so its
+# passes hold twice as many (2048 trials at n = 32, 1039 at n = 64)
+PERSISTENT_PASS_ENTRIES = 2 * PASS_ENTRIES
+# 1-byte walk colors per persistent pass (512 KiB), at most MAX_WALK per
+# trial, and stream values converted at once while filling them (64 KiB)
+WALK_ENTRIES = 512 * 1024
+MAX_WALK = 1024
+FILL_ENTRIES = 8 * 1024
+# walk values the free-color search tests at once
+ROUND_ENTRIES = 16 * 1024
+MAX_PERSISTENT_D = 63  # colors 1..D are bits of a uint64 mask
+_POPCOUNT8 = np.array([bin(x).count("1") for x in range(256)], dtype=np.int64)
 
 
 def kernel_block(n: int) -> int:
@@ -63,14 +95,24 @@ def fits(g: Graph) -> bool:
     a few microseconds per step. Measured on a 2-vCPU VM, scalar time over
     kernel time per trial was, with ranges of 1000 trials: 2.3 on K8, 2.5
     on C8, 1.7 on K12, 1.6 on K16, 1.3 on K24, 1.2 on K32, 1.9 on C32 and
-    2.3 on G(32, 0.15); with ranges of 400 trials: 1.2 on K48, K64 and C64,
-    but 0.8 on C128, 0.5 on C256 and 0.65 on G(256, 0.02), where the lockstep
-    tail runs long and every step reads a row of the whole range. On short
-    ranges the kernel loses (0.3-0.75 with 64 trials, 0.8-1.2 with 200):
-    at most about 10 ms per range, which is what a worker pool that cuts a
-    run into such ranges takes to start.
+    2.3 on G(32, 0.15); with `run_trials` of 400 trials (best of 5): 1.6 on
+    K40, 1.34 on K48 and 1.15 on K64; but 0.8 on C128, 0.5 on C256 and 0.65
+    on G(256, 0.02), where the lockstep tail runs long and every step reads
+    a row of the whole range. The cut-off stays at 32: on K64 a pass holds
+    about 3 MB of int64 state and temporaries, which raised the benchmark's
+    peak RSS by 2 MB (4 %) for a 10-20 % gain on one case. On short ranges
+    the kernel loses (0.3-0.75 with 64 trials, 0.8-1.2 with 200), so a
+    worker pool gives kernel runs ranges of at least 512 trials.
     """
     return g.n <= 32
+
+
+def persistent_fits(g: Graph, D: int) -> bool:
+    """Whether persistent uniform-order trials on g with palette D run in the
+    kernel: n <= 64 and D <= 63. The walk visits each position once, so it
+    has no lockstep tail; on K32 and on K_{32,32} from the rigged start the
+    kernel ran 3-4x faster than the scalar engine."""
+    return g.n <= 64 and D <= MAX_PERSISTENT_D
 
 
 def run_range(
@@ -237,3 +279,187 @@ def _pass(g, nbr, D, start, fixed, master_seed, a, b, cap, gen, step3_out, term_
         r = resume_uniform_dc(g, D, colors[t, :n].tolist(), members[t, : size[t]].tolist(),
                               pv[t, :n].tolist(), int(steps[t]), rng, cap)
         step3_out[t], term_out[t], pv_out[t] = r.step3_draws, r.terminated, r.per_vertex_draws
+
+
+def walk_block(T: int, reads: np.ndarray) -> int:
+    """Walk values each of a pass's T trials holds at once: what
+    `WALK_ENTRIES` allows, or, once earlier passes show how many values
+    trials read (`reads`), a little over their 90th percentile. A trial that
+    reads past its block refills its row."""
+    most = min(max(WALK_ENTRIES // T, 16), MAX_WALK)
+    if not reads.size:
+        return most
+    return int(min(most, max(16, 1.25 * np.quantile(reads, 0.9))))
+
+
+def run_persistent_range(
+    g: Graph, D: int, start: StartPolicy, master_seed: int, lo: int, hi: int, cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Trials lo..hi-1 of a persistent uniform-order run, for D <= 63.
+
+    Returns (step3 draws, selections, terminated, per-vertex draws as a
+    (hi - lo, n) array), equal trial by trial to ``run_persistent`` on
+    ``trial_rng(master_seed, i)``.
+    """
+    if not 1 <= D <= MAX_PERSISTENT_D:
+        raise ValueError(f"the persistent kernel needs 1 <= D <= {MAX_PERSISTENT_D}, got {D}")
+    n, T = g.n, hi - lo
+    fixed = None if isinstance(start, RandomStart) else _initial_colors(g, D, start, None)
+    out = (
+        np.zeros(T, dtype=np.int64),
+        np.zeros(T, dtype=np.int64),
+        np.ones(T, dtype=bool),
+        np.zeros((T, n), dtype=np.int64),
+    )
+    nbr = np.full((n, max(g.max_degree, 1)), n, dtype=np.int32)  # int32: smaller gathers
+    for v, av in enumerate(g.adjacency):
+        nbr[v, : len(av)] = av
+    gen = np.random.Generator(np.random.PCG64(0))  # reseeded for every fill
+    per_pass = PERSISTENT_PASS_ENTRIES // (n + 1)
+    for a in range(lo, hi, per_pass):
+        b = min(a + per_pass, hi)
+        W = walk_block(b - a, out[0][: a - lo])
+        _persistent_pass(g, nbr, D, start, fixed, master_seed, a, b, cap, W, gen,
+                         [arr[a - lo : b - lo] for arr in out])
+    return out
+
+
+def _values(master_seed: int, trials: np.ndarray, skips: np.ndarray, width: int, gen):
+    """Yield (r, block): block[k] holds the values j = u * 2^53 at positions
+    skips[r + k] .. skips[r + k] + width - 1 of trial trials[r + k]'s stream,
+    for a bounded number of trials at a time."""
+    rows = max(FILL_ENTRIES // max(width, 1), 1)
+    buf = np.empty((min(rows, len(trials)), width), dtype=np.uint64)
+    for r in range(0, len(trials), rows):
+        block = buf[: min(rows, len(trials) - r)]
+        for k, (i, skip) in enumerate(zip(trials[r : r + rows].tolist(), skips[r : r + rows].tolist())):
+            bits = trial_rng(master_seed, i, gen).bit_generator
+            if skip:
+                bits.advance(skip)
+            block[k] = bits.random_raw(width)  # the 64-bit words `random` reads
+        block >>= np.uint64(11)  # u keeps a word's top 53 bits
+        yield r, block
+
+
+def _colors(block: np.ndarray, D: int) -> np.ndarray:
+    """Colors j mod D + 1 of a block of values, computed in place."""
+    j = block.view(np.int64)  # j < 2^53
+    j %= D
+    j += 1
+    return j
+
+
+def _persistent_pass(g, nbr, D, start, fixed, master_seed, a, b, cap, W, gen, out) -> None:
+    """Trials a..b-1 in one lockstep pass, with walk blocks of W values;
+    writes their results into `out`."""
+    n, T = g.n, b - a
+    S = n + 1
+    # the head of each stream: initial colors (random start), then Fisher-Yates
+    mods = [D] * (0 if fixed is not None else n) + list(range(n, 1, -1))
+    head = len(mods)
+    lims = np.array([_TWO53 - _TWO53 % k for k in mods], dtype=np.uint64)
+    mods = np.array(mods, dtype=np.uint64)
+    lim = np.uint64(_TWO53 - _TWO53 % D)
+    trials = np.arange(a, b)
+    bad = np.zeros(T, dtype=bool)  # trials that rerun in the scalar engine
+    walk = np.empty((T, W), dtype=np.uint8)  # colors of walk values base .. base + W - 1
+    walk_f = walk.ravel()
+    base = np.zeros(T, dtype=np.int64)
+
+    def fill(rows: np.ndarray, skip: int) -> None:
+        """Walk colors of rows from each one's base on; marks rejected values."""
+        for r, block in _values(master_seed, trials[rows], skip + base[rows], W, gen):
+            part = rows[r : r + len(block)]
+            bad[part] |= (block >= lim).any(axis=1)
+            walk[part] = _colors(block, D)
+
+    heads = np.empty((T, head), dtype=np.min_scalar_type(max(n, D)))
+    for r, block in _values(master_seed, trials, np.zeros(T, dtype=np.int64), head + W, gen):
+        part = slice(r, r + len(block))
+        bad[part] = (block[:, :head] >= lims).any(axis=1) | (block[:, head:] >= lim).any(axis=1)
+        heads[part] = block[:, :head] % mods
+        walk[part] = _colors(block[:, head:], D)
+
+    colors = np.zeros((T, S), dtype=np.uint8)
+    colors[:, :n] = heads[:, :n] + 1 if fixed is None else fixed
+    colors_f = colors.ravel()
+    perm = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (T, 1))
+    every = np.arange(T)
+    for k in range(n, 1, -1):
+        j = heads[:, head + 1 - k]
+        top = perm[:, k - 1].copy()
+        perm[:, k - 1] = perm[every, j]
+        perm[every, j] = top
+    del heads
+
+    step3, selections, _, per_vertex = out
+    full = np.uint64(((1 << D) - 1) << 1)
+    one = np.uint64(1)
+    act = np.flatnonzero(~bad)
+    rows = (act * S).astype(np.int32)
+    order = perm.T.copy()  # order[s] is every trial's vertex at walk position s
+    for s in range(n):
+        v = order[s, act]
+        vi = rows + v
+        nc = colors_f[rows[:, None] + nbr[v]]
+        hit = (nc == colors_f[vi][:, None]).any(axis=1)
+        if not hit.any():
+            continue
+        # the conflicted trials redraw from their cursors until a free color
+        r, vi = act[hit], vi[hit]
+        used = np.bitwise_or.reduce(one << nc[hit], axis=1)
+        held = _POPCOUNT8[(used & full).view(np.uint8)].reshape(-1, 8).sum(axis=1)
+        # a trial with f free colors first reads twice its expected D / f draws
+        want = np.minimum(2 * D // np.maximum(D - held, 1) + 1, W)
+        first_at = step3[r]
+        cur = first_at.copy()
+        x = np.zeros(r.size, dtype=np.uint8)  # the color found, 0 until then
+        p = np.flatnonzero(held < D)  # no free color: only the cap would end the redraws
+        while p.size:
+            rp = r[p]
+            off = cur[p] - base[rp]
+            lens = want[p]
+            low = off + lens > W
+            if low.any():  # rows whose window would pass the block's end
+                base[rp[low]] = cur[p[low]]
+                fill(rp[low], head)
+                keep = ~bad[rp]  # drop the rows the refill rejected
+                p, rp, lens = p[keep], rp[keep], lens[keep]
+                if not p.size:
+                    break
+                off = cur[p] - base[rp]
+            # ragged windows: trial k tests walk values off_k .. off_k + lens_k - 1
+            ends = np.cumsum(lens)
+            later = None
+            if ends[-1] > ROUND_ENTRIES:  # the rest wait for the next round
+                cut = max(int(np.searchsorted(ends, ROUND_ENTRIES, "right")), 1)
+                p, later = p[:cut], p[cut:]
+                rp, off, lens, ends = rp[:cut], off[:cut], lens[:cut], ends[:cut]
+            starts = ends - lens
+            win = walk_f[np.repeat(rp * W + off - starts, lens) + np.arange(ends[-1])]
+            free = np.flatnonzero((np.repeat(used[p], lens) >> win) & one == 0)
+            k = np.searchsorted(free, starts)
+            at = free[np.minimum(k, free.size - 1)] if free.size else starts
+            got = (k < free.size) & (at < ends)
+            cur[p] += np.where(got, at - starts + 1, lens)
+            x[p[got]] = win[at[got]]
+            want[p] = np.minimum(2 * lens, W)
+            p = p[~got & (cur[p] < cap)]  # a miss at the cap caps the trial
+            if later is not None:
+                p = np.concatenate((p, later))
+        ok = (x > 0) & (cur <= cap) & ~bad[r]
+        bad[r[~ok]] = True
+        r, vi, cur = r[ok], vi[ok], cur[ok]
+        colors_f[vi] = x[ok]
+        step3[r] = cur
+        selections[r] += 1
+        per_vertex[r, vi - r * S] = cur - first_at[ok]
+        if bad[act].any():
+            act = act[~bad[act]]
+            rows = (act * S).astype(np.int32)
+
+    for t in np.flatnonzero(bad).tolist():
+        r = run_persistent(g, D, start, UNIFORM_ORDER, trial_rng(master_seed, a + t, gen),
+                           step_cap=cap)
+        step3[t], selections[t], out[2][t], per_vertex[t] = (
+            r.step3_draws, r.selections, r.terminated, r.per_vertex_draws)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -188,17 +188,23 @@ def _vertex_conflicted(g: Graph, colors: Sequence[int], v: int) -> bool:
 # absorbing-chain construction for the one-draw algorithm
 
 
-def _color_moves(state: tuple[int, ...], v: int, D: int, lumped: bool):
-    """Recolor choices for v as (child colors tuple, weight) pairs summing to D.
+def _color_moves(
+    state: tuple[int, ...], v: int, D: int, lumped: bool, skip: Collection[int] = ()
+):
+    """Recolor choices for v as (child colors tuple, weight) pairs, one per
+    color not in `skip`; with nothing skipped the weights sum to D.
 
     In lumped mode all colors absent from the state are interchangeable, so
-    one fresh-color child carries weight D - k.
+    one fresh-color child carries weight D - k; `skip` may hold only colors
+    the state uses.
     """
     moves = []
     base = list(state)
     if lumped:
         k = max(state)
         for x in range(1, k + 1):
+            if x in skip:
+                continue
             base[v] = x
             moves.append((canonical_pattern(base), 1))
         if D > k:
@@ -206,9 +212,10 @@ def _color_moves(state: tuple[int, ...], v: int, D: int, lumped: bool):
             moves.append((canonical_pattern(base), D - k))
     else:
         for x in range(1, D + 1):
+            if x in skip:
+                continue
             base[v] = x
             moves.append((tuple(base), 1))
-    base[v] = state[v]
     return moves
 
 
@@ -607,12 +614,10 @@ def exact_expected_recolorings_persistent(
                     f"vertex {v} has no free color; the persistent process cannot finish"
                 )
             # v draws D/f times on average, then lands uniformly on its f
-            # free colors: move x recolors v to color x, and the last move,
-            # to a fresh color, is always free
+            # free colors
             acc = _Q(D)
-            for x, (child, w) in enumerate(_color_moves(state, v, D, True), 1):
-                if x not in used:
-                    acc += w * expect(child, nxt)
+            for child, w in _color_moves(state, v, D, True, used):
+                acc += w * expect(child, nxt)
             val += acc / (f * len(options))
         memo[key] = val
         return val

@@ -172,6 +172,45 @@ def test_adversary_orders_run_to_completion():
 
 
 @st.composite
+def clearing_walks(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = from_edge_list(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    D = draw(st.integers(g.max_degree + 1, g.max_degree + 3))
+    if draw(st.booleans()):
+        start = RANDOM_START
+    else:
+        colors = draw(st.lists(st.integers(1, min(2, D)), min_size=n, max_size=n))
+        start = FixedStart(Coloring(colors, D))
+    return g, D, start, draw(st.integers(0, 2**64 - 1))
+
+
+@given(clearing_walks())
+@settings(max_examples=150, deadline=None)
+def test_persistent_walk_never_reconflicts_a_passed_vertex(walk):
+    # with D >= max degree + 1 every redraw ends on a color no neighbor
+    # holds, so a vertex the walk has passed or cleared stays clear; the
+    # walk (and the lockstep kernel) can therefore test each position once
+    g, D, start, seed = walk
+    r = run_persistent(g, D, start, UNIFORM_ORDER, trial_rng(seed, 0), trace=True)
+    draw = engine._stream(trial_rng(seed, 0), g.n)
+    colors = engine._initial_colors(g, D, start, draw)
+    perm = list(range(g.n))
+    for k in range(g.n, 1, -1):
+        j = engine._below(draw, k)
+        perm[k - 1], perm[j] = perm[j], perm[k - 1]
+    selections = iter(r.trace)
+    for s, v in enumerate(perm):
+        if any(colors[u] == colors[v] for u in g.adjacency[v]):
+            u, draws = next(selections)
+            assert u == v
+            colors[v] = draws[-1]
+        assert not any(colors[u] == colors[w] for w in perm[: s + 1] for u in g.adjacency[w])
+    assert next(selections, None) is None
+    assert r.terminated and colors == r.final_coloring.colors
+
+
+@st.composite
 def recolor_walks(draw):
     n = draw(st.integers(1, 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]

@@ -159,6 +159,31 @@ def test_worker_pool_reduces_in_trial_order():
     assert seq.stats == par.stats
 
 
+@pytest.mark.parametrize("trials", [256, 300, 511, 700, 2049, 5000, 100_000])
+@pytest.mark.parametrize("workers", [2, 3, 8])
+@pytest.mark.parametrize("kernel", [False, True])
+def test_pool_chunks_cover_the_run_and_kernel_chunks_are_long(trials, workers, kernel):
+    bounds = experiments._chunks(trials, workers, kernel)
+    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+    assert bounds[-1][1] == trials
+    sizes = [hi - lo for lo, hi in bounds]
+    least = 512 if kernel else 64
+    assert all(size >= least for size in sizes[:-1]) and 0 < sizes[-1] <= sizes[0]
+    assert sizes[0] == min(trials, max(least, -(-trials // (4 * workers))))
+
+
+def test_kernel_runs_take_long_chunks_and_keep_their_results(monkeypatch):
+    seen = []
+    monkeypatch.setattr(experiments, "_chunks",
+                        lambda *a, _f=experiments._chunks: seen.append(a) or _f(*a))
+    for algorithm in ("dc", "persistent"):
+        spec = dict(graph={"kind": "clique", "n": 5}, D=5, trials=1100, master_seed=29,
+                    algorithm=algorithm)
+        one, two = run_trials(cfg(**spec, workers=1)), run_trials(cfg(**spec, workers=2))
+        assert (one.total_draws == two.total_draws).all() and (one.selections == two.selections).all()
+    assert seen == [(1100, 2, True), (1100, 2, True)]
+
+
 def test_one_worker_builds_the_graph_once(monkeypatch):
     calls = []
 

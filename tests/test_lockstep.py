@@ -1,5 +1,5 @@
-"""The lockstep kernel gives every trial exactly the scalar engine's result,
-wherever it hands a trial back, and run_trials does not depend on the engine."""
+"""The lockstep kernels give every trial exactly the scalar engine's result,
+wherever they hand a trial back, and run_trials does not depend on the engine."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from decolor.engine import (
     UNIFORM_ORDER,
     default_step_cap,
     run_decentralized,
+    run_persistent,
 )
 from decolor.experiments import ExperimentConfig, run_trials, write_outputs
 from decolor.graphs import from_edge_list, gen_clique, gen_cycle
@@ -162,3 +163,162 @@ def test_tracker_resumes_a_given_member_order():
     assert [tracker.pos[v] for v in range(4)] == [1, 3, 2, 0]
     with pytest.raises(ValueError, match="conflicted"):
         ConflictTracker(g, colors, members=[0, 1, 2])
+
+
+# ---------------------------------------------------------------------------
+# the persistent kernel
+
+
+def _scalar_persistent(g, D, start, seed, lo, hi, cap):
+    rows = []
+    for i in range(lo, hi):
+        r = run_persistent(g, D, start, UNIFORM_ORDER, trial_rng(seed, i), step_cap=cap)
+        rows.append((r.step3_draws, r.selections, r.terminated, r.per_vertex_draws))
+    return rows
+
+
+def _persistent_kernel(g, D, start, seed, lo, hi, cap):
+    return list(zip(*(a.tolist() for a in lockstep.run_persistent_range(g, D, start, seed, lo, hi, cap))))
+
+
+@st.composite
+def persistent_ranges(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = from_edge_list(n, edges)
+    # mostly palettes with a free color at every vertex, some without
+    D = draw(st.one_of(st.integers(g.max_degree + 1, 63), st.integers(1, g.max_degree + 1)))
+    kind = draw(st.sampled_from(["random", "fixed", "mono"]))
+    if kind == "random":
+        start = RANDOM_START
+    elif kind == "mono":
+        start = FixedStart(Coloring([draw(st.integers(1, D))] * n, D))
+    else:
+        start = FixedStart(Coloring(draw(st.lists(st.integers(1, D), min_size=n, max_size=n)), D))
+    cap = draw(st.sampled_from([0, 1, 2, 5, 12, default_step_cap(n, D)]))
+    block = draw(st.sampled_from([1, 2, 3, 5, 8, 40, None]))
+    lo = draw(st.integers(0, 2**40))
+    return g, D, start, cap, block, draw(st.integers(0, 2**64 - 1)), lo, lo + draw(st.integers(1, 40))
+
+
+@given(persistent_ranges())
+@settings(max_examples=150, deadline=None)
+def test_persistent_kernel_equals_the_scalar_engine_trial_by_trial(case):
+    g, D, start, cap, block, seed, lo, hi = case
+    want = _scalar_persistent(g, D, start, seed, lo, hi, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:  # a short block makes trials refill their rows
+            mp.setattr(lockstep, "walk_block", lambda T, reads: block)
+        assert _persistent_kernel(g, D, start, seed, lo, hi, cap) == want
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(lockstep, name)
+    monkeypatch.setattr(lockstep, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("block", [3, 64])
+def test_rejected_values_rerun_their_trials(monkeypatch, block):
+    # the kernel alone gets a lower rejection limit, so about one value in
+    # 256 counts as rejected; the trials that rerun in run_persistent must be
+    # exactly those with such a value among the values the kernel filled for
+    # them (with blocks of 3 walk values, most trials refill)
+    g, D, T = gen_clique(5), 6, 200
+    two53 = 2**53 - 2**45
+    want = _scalar_persistent(g, D, RANDOM_START, 9, 0, T, 10**6)
+    fills = _counting(monkeypatch, "_values")
+    reruns = []
+    real = lockstep.run_persistent
+    monkeypatch.setattr(lockstep, "run_persistent", lambda g, D, start, order, rng, **kw: reruns.append(
+        rng.bit_generator.state["state"]["state"]) or real(g, D, start, order, rng, **kw))
+    monkeypatch.setattr(lockstep, "walk_block", lambda T, reads: block)
+    monkeypatch.setattr(lockstep, "_TWO53", two53)
+    assert _persistent_kernel(g, D, RANDOM_START, 9, 0, T, 10**6) == want
+    # the moduli of a stream's values: n colors, n - 1 Fisher-Yates values, then walk colors
+    head = [D] * g.n + list(range(g.n, 1, -1))
+    rejected = set()
+    for master, trials, skips, width, _ in fills:
+        for i, skip in zip(trials.tolist(), skips.tolist()):
+            mods = (head + [D] * (skip + width))[skip : skip + width]
+            values = trial_rng(master, i).random(skip + width)[skip:] * 2.0**53
+            if any(j >= two53 - two53 % k for j, k in zip(values, mods)):
+                rejected.add(i)
+    assert 0 < len(rejected) < T and (block > 3 or len(fills) > 1)
+    # a rerun's generator is the trial's, fresh: its state names the trial
+    states = {trial_rng(9, i).bit_generator.state["state"]["state"]: i for i in range(T)}
+    assert sorted(states[state] for state in reruns) == sorted(rejected)
+
+
+def test_capped_trials_rerun_in_the_scalar_engine(monkeypatch):
+    g, D = gen_clique(6), 6
+    want = _scalar_persistent(g, D, RANDOM_START, 4, 0, 200, 6)
+    capped = sum(not t for _, _, t, _ in want)
+    reruns = _counting(monkeypatch, "run_persistent")
+    assert _persistent_kernel(g, D, RANDOM_START, 4, 0, 200, 6) == want
+    assert 0 < capped <= len(reruns) < 200
+
+
+def test_a_vertex_with_no_free_color_reruns_its_trial(monkeypatch):
+    # K4 with D = 3: a vertex whose three neighbors hold every color can
+    # never clear, so its trial runs into the cap in the scalar engine
+    g, D = gen_clique(4), 3
+    cap = default_step_cap(g.n, D)
+    want = _scalar_persistent(g, D, RANDOM_START, 8, 0, 200, cap)
+    stuck = sum(not t for _, _, t, _ in want)
+    reruns = _counting(monkeypatch, "run_persistent")
+    assert _persistent_kernel(g, D, RANDOM_START, 8, 0, 200, cap) == want
+    assert stuck > 0 and len(reruns) == stuck
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_trials_that_outgrow_their_first_fill_refill_their_rows(monkeypatch, block):
+    g, D = gen_clique(8), 8
+    start = FixedStart(Coloring([1] * 8, D))
+    want = _scalar_persistent(g, D, start, 12, 0, 100, 10**6)
+    fills = _counting(monkeypatch, "_values")
+    reruns = _counting(monkeypatch, "run_persistent")
+    monkeypatch.setattr(lockstep, "walk_block", lambda T, reads: block)
+    assert _persistent_kernel(g, D, start, 12, 0, 100, 10**6) == want
+    assert len(fills) > 1 and not reruns
+
+
+def test_persistent_ranges_longer_than_one_pass(monkeypatch):
+    g = gen_clique(4)
+    monkeypatch.setattr(lockstep, "PERSISTENT_PASS_ENTRIES", 7 * (g.n + 1))
+    assert _persistent_kernel(g, 5, RANDOM_START, 3, 5, 40, 100) == _scalar_persistent(
+        g, 5, RANDOM_START, 3, 5, 40, 100)
+
+
+def test_persistent_routing_and_the_palette_limit():
+    assert lockstep.persistent_fits(gen_clique(64), 63) and lockstep.persistent_fits(gen_cycle(4), 2)
+    assert not lockstep.persistent_fits(gen_clique(64), 64)
+    assert not lockstep.persistent_fits(gen_cycle(65), 3)
+    with pytest.raises(ValueError, match="D <= 63"):
+        lockstep.run_persistent_range(gen_clique(4), 64, RANDOM_START, 1, 0, 10, 100)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dict(graph={"kind": "clique", "n": 6}, D=6),
+        dict(graph={"kind": "badbip", "delta": 4}, start="construction"),
+        dict(graph={"kind": "cycle", "n": 8}, D=3, start={"kind": "mono", "color": 1}, step_cap=5),
+    ],
+)
+def test_persistent_run_trials_does_not_depend_on_the_engine(monkeypatch, tmp_path, spec):
+    routed = _counting(monkeypatch, "run_persistent_range")
+    base = dict(trials=700, master_seed=43, per_trial=True, algorithm="persistent",
+                counters=("total_draws", "step3_draws", "per_vertex"), **spec)
+    kernel = _outputs(tmp_path, "kernel", ExperimentConfig(**base, workers=1))
+    assert routed
+    pooled = _outputs(tmp_path, "pooled", ExperimentConfig(**base, workers=2))
+    monkeypatch.setattr(lockstep, "persistent_fits", lambda g, D: False)
+    scalar = _outputs(tmp_path, "scalar", ExperimentConfig(**base, workers=1))
+    assert len(routed) == 1 and set(kernel) == {"csv", "json", "trials.csv", "vertices.csv"}
+    assert kernel == scalar
+    assert {k: v for k, v in pooled.items() if k != "json"} == {
+        k: v for k, v in scalar.items() if k != "json"
+    }
