@@ -35,16 +35,16 @@ takes one position s at a time for all trials: it gathers the neighbors'
 colors of ``perm[:, s]``, tests for a conflict, and for each conflicted
 trial takes the first walk value at or after the trial's own cursor whose
 color is free, one bit test against a ``uint64`` mask of the neighbors'
-colors (so D <= 63, `MAX_PERSISTENT_D`). Like the scalar walk it tests
-each position once: when every vertex has a free color, a vertex the walk
-has passed or cleared never becomes conflicted again. Each trial's values
-are the 64-bit words of its own generator, ``trial_rng(m, i)``, each one
-value j (its top 53 bits), filled into a row of 1-byte colors
-``j mod D + 1``; a trial that reads past its row refills it, on the
-generator advanced past the values already read. A trial that meets a
-rejected value anywhere in the values filled for it, reaches the step cap,
-or reaches a vertex with no free color reruns in ``run_persistent`` from
-the start.
+colors (so D <= 63, `MAX_PERSISTENT_D`), `WINDOW` values at a time. Like
+the scalar walk it tests each position once: when every vertex has a free
+color, a vertex the walk has passed or cleared never becomes conflicted
+again. Each trial's values are the 64-bit words of its own generator,
+``trial_rng(m, i)``, each one value j (its top 53 bits), filled into a row
+of 1-byte colors ``j mod D + 1``; a trial that reads past its row refills
+it, on the generator advanced past the values already read. A trial that
+meets a rejected value anywhere in the values filled for it, reaches the
+step cap, or reaches a vertex with no free color reruns in
+``run_persistent`` from the start.
 """
 
 from __future__ import annotations
@@ -67,18 +67,23 @@ _TWO53 = 1 << 53
 # trials * (n + 1) per lockstep pass: 1024 trials at n = 32, more on smaller
 # graphs; about 264 KiB per state array
 PASS_ENTRIES = 33 * 1024
-# the persistent kernel keeps 1-byte colors and vertices per entry, so its
-# passes hold twice as many (2048 trials at n = 32, 1039 at n = 64)
+# the persistent kernel keeps 1-byte colors and 1- or 2-byte vertices per
+# entry, so its passes hold twice as many (2048 trials at n = 32, 1039 at
+# n = 64, 131 at n = 512)
 PERSISTENT_PASS_ENTRIES = 2 * PASS_ENTRIES
 # 1-byte walk colors per persistent pass (512 KiB), at most MAX_WALK per
 # trial, and stream values converted at once while filling them (64 KiB)
 WALK_ENTRIES = 512 * 1024
 MAX_WALK = 1024
 FILL_ENTRIES = 8 * 1024
-# walk values the free-color search tests at once
-ROUND_ENTRIES = 16 * 1024
+# walk values the free-color search tests per conflicted trial and round.
+# Kernel time on K32 (2000 trials) and on K_{32,32} from the rigged start
+# (1000 trials), as the median ratio to 32-value windows over 13-21
+# alternating runs: 16 values 1.04 and 1.23, 64 values 1.04 and 0.92;
+# ragged windows (twice the expected draws, then doubling) 1.09 and
+# 1.03-1.05; a masked scan of each trial's whole block 1.35 and 1.14-1.17.
+WINDOW = 32
 MAX_PERSISTENT_D = 63  # colors 1..D are bits of a uint64 mask
-_POPCOUNT8 = np.array([bin(x).count("1") for x in range(256)], dtype=np.int64)
 
 
 def kernel_block(n: int) -> int:
@@ -100,7 +105,8 @@ def fits(g: Graph) -> bool:
     on G(256, 0.02), where the lockstep tail runs long and every step reads
     a row of the whole range. The cut-off stays at 32: on K64 a pass holds
     about 3 MB of int64 state and temporaries, which raised the benchmark's
-    peak RSS by 2 MB (4 %) for a 10-20 % gain on one case. On short ranges
+    peak RSS from 45.96 MB to 49.4 MB (+7.5 %; 47.4 MB with only the
+    persistent kernel added) for a 10-20 % gain on one case. On short ranges
     the kernel loses (0.3-0.75 with 64 trials, 0.8-1.2 with 200), so a
     worker pool gives kernel runs ranges of at least 512 trials.
     """
@@ -109,10 +115,18 @@ def fits(g: Graph) -> bool:
 
 def persistent_fits(g: Graph, D: int) -> bool:
     """Whether persistent uniform-order trials on g with palette D run in the
-    kernel: n <= 64 and D <= 63. The walk visits each position once, so it
-    has no lockstep tail; on K32 and on K_{32,32} from the rigged start the
-    kernel ran 3-4x faster than the scalar engine."""
-    return g.n <= 64 and D <= MAX_PERSISTENT_D
+    kernel: n <= 512 and D <= 63.
+
+    The walk visits each position once, so it has no lockstep tail, but a
+    pass holds PERSISTENT_PASS_ENTRIES // (n + 1) trials, so per trial the
+    kernel's fixed cost grows with n. Scalar time over kernel time per
+    trial, 512-trial ranges from a random start with D = max degree + 1
+    (best of 3, on a Xeon VM): 2.4 on C64, 2.5 on G(64, 0.15), 2.7 on C128
+    and G(128, 0.05), 2.1 on C256 and G(256, 0.02), 3.2 on G(256, 0.15),
+    1.4 on C512, 1.5 on G(512, 0.01), but 0.9-1.1 on C1000 and
+    G(1000, 0.01), where a pass holds 67 trials.
+    """
+    return g.n <= 512 and D <= MAX_PERSISTENT_D
 
 
 def run_range(
@@ -281,15 +295,10 @@ def _pass(g, nbr, D, start, fixed, master_seed, a, b, cap, gen, step3_out, term_
         step3_out[t], term_out[t], pv_out[t] = r.step3_draws, r.terminated, r.per_vertex_draws
 
 
-def walk_block(T: int, reads: np.ndarray) -> int:
-    """Walk values each of a pass's T trials holds at once: what
-    `WALK_ENTRIES` allows, or, once earlier passes show how many values
-    trials read (`reads`), a little over their 90th percentile. A trial that
-    reads past its block refills its row."""
-    most = min(max(WALK_ENTRIES // T, 16), MAX_WALK)
-    if not reads.size:
-        return most
-    return int(min(most, max(16, 1.25 * np.quantile(reads, 0.9))))
+def walk_block(T: int) -> int:
+    """Walk values each of a pass's T trials holds at once, as `WALK_ENTRIES`
+    and `MAX_WALK` allow. A trial that reads past its block refills its row."""
+    return min(max(WALK_ENTRIES // T, 16), MAX_WALK)
 
 
 def run_persistent_range(
@@ -318,7 +327,7 @@ def run_persistent_range(
     per_pass = PERSISTENT_PASS_ENTRIES // (n + 1)
     for a in range(lo, hi, per_pass):
         b = min(a + per_pass, hi)
-        W = walk_block(b - a, out[0][: a - lo])
+        W = walk_block(b - a)
         _persistent_pass(g, nbr, D, start, fixed, master_seed, a, b, cap, W, gen,
                          [arr[a - lo : b - lo] for arr in out])
     return out
@@ -332,7 +341,8 @@ def _values(master_seed: int, trials: np.ndarray, skips: np.ndarray, width: int,
     buf = np.empty((min(rows, len(trials)), width), dtype=np.uint64)
     for r in range(0, len(trials), rows):
         block = buf[: min(rows, len(trials) - r)]
-        for k, (i, skip) in enumerate(zip(trials[r : r + rows].tolist(), skips[r : r + rows].tolist())):
+        part = zip(trials[r : r + rows].tolist(), skips[r : r + rows].tolist())
+        for k, (i, skip) in enumerate(part):
             bits = trial_rng(master_seed, i, gen).bit_generator
             if skip:
                 bits.advance(skip)
@@ -395,6 +405,8 @@ def _persistent_pass(g, nbr, D, start, fixed, master_seed, a, b, cap, W, gen, ou
     step3, selections, _, per_vertex = out
     full = np.uint64(((1 << D) - 1) << 1)
     one = np.uint64(1)
+    w = min(WINDOW, W)
+    span = np.arange(w, dtype=np.int32)
     act = np.flatnonzero(~bad)
     rows = (act * S).astype(np.int32)
     order = perm.T.copy()  # order[s] is every trial's vertex at walk position s
@@ -405,48 +417,31 @@ def _persistent_pass(g, nbr, D, start, fixed, master_seed, a, b, cap, W, gen, ou
         hit = (nc == colors_f[vi][:, None]).any(axis=1)
         if not hit.any():
             continue
-        # the conflicted trials redraw from their cursors until a free color
+        # the conflicted trials redraw from their cursors until a free color,
+        # testing windows of w values; a window may not pass the block's end
         r, vi = act[hit], vi[hit]
         used = np.bitwise_or.reduce(one << nc[hit], axis=1)
-        held = _POPCOUNT8[(used & full).view(np.uint8)].reshape(-1, 8).sum(axis=1)
-        # a trial with f free colors first reads twice its expected D / f draws
-        want = np.minimum(2 * D // np.maximum(D - held, 1) + 1, W)
         first_at = step3[r]
         cur = first_at.copy()
         x = np.zeros(r.size, dtype=np.uint8)  # the color found, 0 until then
-        p = np.flatnonzero(held < D)  # no free color: only the cap would end the redraws
+        # no free color: only the cap would end the redraws
+        p = np.flatnonzero(used & full != full)
         while p.size:
             rp = r[p]
-            off = cur[p] - base[rp]
-            lens = want[p]
-            low = off + lens > W
-            if low.any():  # rows whose window would pass the block's end
+            low = cur[p] - base[rp] + w > W
+            if low.any():  # a row the refill rejects still ends its search, then reruns
                 base[rp[low]] = cur[p[low]]
                 fill(rp[low], head)
-                keep = ~bad[rp]  # drop the rows the refill rejected
-                p, rp, lens = p[keep], rp[keep], lens[keep]
-                if not p.size:
-                    break
-                off = cur[p] - base[rp]
-            # ragged windows: trial k tests walk values off_k .. off_k + lens_k - 1
-            ends = np.cumsum(lens)
-            later = None
-            if ends[-1] > ROUND_ENTRIES:  # the rest wait for the next round
-                cut = max(int(np.searchsorted(ends, ROUND_ENTRIES, "right")), 1)
-                p, later = p[:cut], p[cut:]
-                rp, off, lens, ends = rp[:cut], off[:cut], lens[:cut], ends[:cut]
-            starts = ends - lens
-            win = walk_f[np.repeat(rp * W + off - starts, lens) + np.arange(ends[-1])]
-            free = np.flatnonzero((np.repeat(used[p], lens) >> win) & one == 0)
-            k = np.searchsorted(free, starts)
-            at = free[np.minimum(k, free.size - 1)] if free.size else starts
-            got = (k < free.size) & (at < ends)
-            cur[p] += np.where(got, at - starts + 1, lens)
-            x[p[got]] = win[at[got]]
-            want[p] = np.minimum(2 * lens, W)
+            # int32 indices and in-place ops keep the (rows, w) temporaries small
+            win = walk_f[(rp * W + cur[p] - base[rp]).astype(np.int32)[:, None] + span]
+            free = used[p, None] >> win
+            free &= one
+            free = free == 0
+            at = free.argmax(axis=1)
+            got = free[np.arange(p.size), at]
+            cur[p] += np.where(got, at + 1, w)
+            x[p[got]] = win[got, at[got]]
             p = p[~got & (cur[p] < cap)]  # a miss at the cap caps the trial
-            if later is not None:
-                p = np.concatenate((p, later))
         ok = (x > 0) & (cur <= cap) & ~bad[r]
         bad[r[~ok]] = True
         r, vi, cur = r[ok], vi[ok], cur[ok]

@@ -17,7 +17,7 @@ from decolor.engine import (
     run_decentralized,
     run_persistent,
 )
-from decolor.experiments import ExperimentConfig, run_trials, write_outputs
+from decolor.experiments import ExperimentConfig, build_graph, build_start, run_trials, write_outputs
 from decolor.graphs import from_edge_list, gen_clique, gen_cycle
 from decolor.rng import stream_rows, trial_rng
 
@@ -209,8 +209,29 @@ def test_persistent_kernel_equals_the_scalar_engine_trial_by_trial(case):
     want = _scalar_persistent(g, D, start, seed, lo, hi, cap)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:  # a short block makes trials refill their rows
-            mp.setattr(lockstep, "walk_block", lambda T, reads: block)
+            mp.setattr(lockstep, "walk_block", lambda T: block)
         assert _persistent_kernel(g, D, start, seed, lo, hi, cap) == want
+
+
+@pytest.mark.parametrize(
+    "spec, D, start, trials",
+    [
+        # AC-3's graph: 1039-trial passes, rows up to the max degree wide
+        ({"kind": "erdos", "n": 64, "p": 0.15, "seed": 6415}, None, "random", 300),
+        ({"kind": "erdos", "n": 64, "p": 0.15, "seed": 6415}, 63, "random", 300),
+        ({"kind": "badbip", "delta": 32}, None, "construction", 300),
+        # vertices past 255 take 2-byte permutation entries
+        ({"kind": "cycle", "n": 300}, 3, "random", 100),
+    ],
+)
+def test_persistent_kernel_equals_the_scalar_engine_on_larger_graphs(spec, D, start, trials):
+    g, bundled = build_graph(spec)
+    D = D or g.max_degree + 1
+    policy = build_start(start, g, D, bundled)
+    cap = default_step_cap(g.n, D)
+    assert lockstep.persistent_fits(g, D)
+    assert _persistent_kernel(g, D, policy, 21, 0, trials, cap) == _scalar_persistent(
+        g, D, policy, 21, 0, trials, cap)
 
 
 def _counting(monkeypatch, name):
@@ -234,7 +255,7 @@ def test_rejected_values_rerun_their_trials(monkeypatch, block):
     real = lockstep.run_persistent
     monkeypatch.setattr(lockstep, "run_persistent", lambda g, D, start, order, rng, **kw: reruns.append(
         rng.bit_generator.state["state"]["state"]) or real(g, D, start, order, rng, **kw))
-    monkeypatch.setattr(lockstep, "walk_block", lambda T, reads: block)
+    monkeypatch.setattr(lockstep, "walk_block", lambda T: block)
     monkeypatch.setattr(lockstep, "_TWO53", two53)
     assert _persistent_kernel(g, D, RANDOM_START, 9, 0, T, 10**6) == want
     # the moduli of a stream's values: n colors, n - 1 Fisher-Yates values, then walk colors
@@ -280,7 +301,7 @@ def test_trials_that_outgrow_their_first_fill_refill_their_rows(monkeypatch, blo
     want = _scalar_persistent(g, D, start, 12, 0, 100, 10**6)
     fills = _counting(monkeypatch, "_values")
     reruns = _counting(monkeypatch, "run_persistent")
-    monkeypatch.setattr(lockstep, "walk_block", lambda T, reads: block)
+    monkeypatch.setattr(lockstep, "walk_block", lambda T: block)
     assert _persistent_kernel(g, D, start, 12, 0, 100, 10**6) == want
     assert len(fills) > 1 and not reruns
 
@@ -295,7 +316,7 @@ def test_persistent_ranges_longer_than_one_pass(monkeypatch):
 def test_persistent_routing_and_the_palette_limit():
     assert lockstep.persistent_fits(gen_clique(64), 63) and lockstep.persistent_fits(gen_cycle(4), 2)
     assert not lockstep.persistent_fits(gen_clique(64), 64)
-    assert not lockstep.persistent_fits(gen_cycle(65), 3)
+    assert lockstep.persistent_fits(gen_cycle(512), 3) and not lockstep.persistent_fits(gen_cycle(513), 3)
     with pytest.raises(ValueError, match="D <= 63"):
         lockstep.run_persistent_range(gen_clique(4), 64, RANDOM_START, 1, 0, 10, 100)
 
