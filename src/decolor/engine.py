@@ -8,10 +8,10 @@ persistent variant (`run_persistent`) keeps drawing until the selected
 vertex is unconflicted, after which that vertex is never selected again.
 
 Both run through one function, `_run`. Uniform order has a fast path per
-algorithm: `_uniform_steps` for one-draw and a single permutation walk,
-`_uniform_walk`, for persistent. Every other order runs one policy loop
-for both algorithms: the order object's `pick` chooses a conflicted
-vertex, which then draws one color or redraws until clear.
+algorithm: a loop over the tracker's member list for one-draw and a single
+permutation walk, `_uniform_walk`, for persistent. Every other order runs
+one policy loop for both algorithms: the order object's `pick` chooses a
+conflicted vertex, which then draws one color or redraws until clear.
 
 Randomness (stream version 2, see ``decolor.rng``): every value a run uses
 is one ``rng.random()`` double u, that is one 64-bit word, taken as the
@@ -30,12 +30,9 @@ The uniform order indexes the ConflictTracker's member list, so its order
 (ascending at the start, then swap-removes and appends in the order
 `ConflictTracker.recolor` makes them) is part of the same contract.
 `run_trials` runs uniform-order trials on small graphs in the lockstep
-kernels (``decolor.lockstep``), which reproduce these loops on arrays. The
-one-draw kernel hands a long run back to `resume_uniform_dc`; that function
-and `run_decentralized` share one loop body, `_uniform_steps`. The
-persistent kernel reproduces `_uniform_walk` and reruns an exceptional
-trial (a rejected value, the step cap, a vertex with no free color) in
-`run_persistent` from the start, so the walk needs no resume path.
+kernels (``decolor.lockstep``), which reproduce these loops on arrays and
+rerun an exceptional trial in `run_decentralized` or `run_persistent`
+from the start, so no loop needs a resume path.
 """
 
 from __future__ import annotations
@@ -251,15 +248,14 @@ class ConflictTracker:
     of conflicted vertices as a swap-remove list. Must agree with a full
     recomputation after any recolor; the tests check that on random walks.
 
-    A new tracker lists the conflicted vertices in ascending order. A run
-    resumed from a saved state passes that state's `members` order, since
-    the uniform pick indexes the list and the order is part of the stream
+    A new tracker lists the conflicted vertices in ascending order; the
+    uniform pick indexes the list, so its order is part of the stream
     contract.
     """
 
     __slots__ = ("adjacency", "colors", "counts", "members", "pos")
 
-    def __init__(self, g: Graph, colors: list[int], members: Sequence[int] | None = None):
+    def __init__(self, g: Graph, colors: list[int]):
         self.adjacency = adjacency = g.adjacency
         self.colors = colors
         self.counts = counts = [0] * g.n
@@ -275,12 +271,6 @@ class ConflictTracker:
                 counts[v] = k
                 pos[v] = len(conflicted)
                 conflicted.append(v)
-        if members is not None:
-            if sorted(members) != conflicted:
-                raise ValueError("members must list exactly the conflicted vertices")
-            conflicted[:] = members
-            for i, v in enumerate(conflicted):
-                pos[v] = i
 
     def recolor(self, v: int, new_color: int) -> None:
         """Apply colors[v] = new_color and update all affected counts."""
@@ -344,56 +334,6 @@ def _finish(
         final_coloring=final,
         trace=trace,
     )
-
-
-def _uniform_steps(
-    g: Graph,
-    D: int,
-    tracker: ConflictTracker,
-    draw: Callable[[], int],
-    per_vertex: list[int],
-    step3: int,
-    cap: int,
-    trace_list: list[tuple[int, list[int]]] | None,
-) -> RunResult:
-    """The one-draw uniform-order loop, from any state of a run: a fresh
-    start (`run_decentralized`) or a state the lockstep kernel hands back
-    (`resume_uniform_dc`). `draw` must continue the run's stream."""
-    members = tracker.members
-    lim = _TWO53 - _TWO53 % D  # _below, inlined: no per-step allocation
-    while members and step3 < cap:
-        v = members[draw() * len(members) >> 53]
-        j = draw()
-        while j >= lim:
-            j = draw()
-        x = j % D + 1
-        step3 += 1
-        per_vertex[v] += 1
-        if trace_list is not None:
-            trace_list.append((v, [x]))
-        tracker.recolor(v, x)
-    return _finish(g, D, tracker.colors, step3, per_vertex, step3, not members, trace_list)
-
-
-def resume_uniform_dc(
-    g: Graph,
-    D: int,
-    colors: list[int],
-    members: Sequence[int],
-    per_vertex: list[int],
-    step3: int,
-    rng: np.random.Generator,
-    cap: int,
-) -> RunResult:
-    """Finish a one-draw uniform-order run from a mid-run state.
-
-    The state is the one `run_decentralized` would hold after `step3`
-    selections: colors, the tracker's member order and per-vertex draws.
-    `rng` must sit right after the values the run consumed so far; the
-    result then equals the uninterrupted run's.
-    """
-    tracker = ConflictTracker(g, colors, members)
-    return _uniform_steps(g, D, tracker, _stream(rng, g.n), per_vertex, step3, cap, None)
 
 
 def tracker_coloring(tracker: ConflictTracker, D: int) -> Coloring:
@@ -481,7 +421,21 @@ def _run(
         if until_clear:
             return _uniform_walk(g, D, colors, draw, per_vertex, cap, trace_list)
         tracker = ConflictTracker(g, colors)
-        return _uniform_steps(g, D, tracker, draw, per_vertex, 0, cap, trace_list)
+        members = tracker.members
+        lim = _TWO53 - _TWO53 % D  # _below, inlined: no per-step allocation
+        step3 = 0
+        while members and step3 < cap:
+            v = members[draw() * len(members) >> 53]
+            j = draw()
+            while j >= lim:
+                j = draw()
+            x = j % D + 1
+            step3 += 1
+            per_vertex[v] += 1
+            if trace_list is not None:
+                trace_list.append((v, [x]))
+            tracker.recolor(v, x)
+        return _finish(g, D, colors, step3, per_vertex, step3, not members, trace_list)
 
     tracker = ConflictTracker(g, colors)
     members, counts = tracker.members, tracker.counts
@@ -519,8 +473,8 @@ def run_decentralized(
 ) -> RunResult:
     """One-draw-per-selection recoloring until proper or the cap is hit.
 
-    With uniform order the run takes `_uniform_steps`, the loop the
-    lockstep kernel reproduces; other orders run the shared policy loop.
+    With uniform order the run takes the member-list loop the lockstep
+    kernel reproduces; other orders run the shared policy loop.
     """
     return _run(g, D, start, sched, rng, step_cap, trace, until_clear=False)
 

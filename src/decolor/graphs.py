@@ -166,20 +166,38 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    """Parse the text format written by :func:`graph_to_text`; validates fully."""
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("graph text must start with 'n m'")
-    n, m = int(tokens[0]), int(tokens[1])
-    if len(tokens) != 2 + 2 * m:
-        raise ValueError(f"expected {m} edges, found {(len(tokens) - 2) // 2}")
+    """Parse the text format written by :func:`graph_to_text`; validates fully.
+
+    Blank lines are skipped; an error names the line it found.
+    """
+    lines = [(k, line.split()) for k, line in enumerate(text.splitlines(), start=1)]
+    lines = [(k, tokens) for k, tokens in lines if tokens]
+    if not lines:
+        raise ValueError("graph text is empty; it must start with a line 'n m'")
+    k, tokens = lines[0]
+    if len(tokens) != 2:
+        raise ValueError(f"line {k}: expected 'n m', got {len(tokens)} token(s)")
+    n, m = (_int_token(token, k) for token in tokens)
+    if m < 0:
+        raise ValueError(f"line {k}: edge count must be >= 0, got {m}")
     edges = []
-    for i in range(m):
-        u, v = int(tokens[2 + 2 * i]), int(tokens[3 + 2 * i])
+    for k, tokens in lines[1:]:
+        if len(tokens) != 2:
+            raise ValueError(f"line {k}: expected an edge 'u v', got {len(tokens)} token(s)")
+        u, v = (_int_token(token, k) for token in tokens)
         if not u < v:
-            raise ValueError(f"edge ({u}, {v}) violates the u < v convention")
+            raise ValueError(f"line {k}: edge ({u}, {v}) violates the u < v convention")
         edges.append((u, v))
+    if len(edges) != m:
+        raise ValueError(f"expected {m} edges, found {len(edges)}")
     return from_edge_list(n, edges)
+
+
+def _int_token(token: str, line: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {line}: {token!r} is not an integer") from None
 
 
 def read_graph_file(path: str) -> Graph:

@@ -14,19 +14,20 @@ Column n is a dummy vertex of color 0 that pads every adjacency row to the
 max degree; it never matches a color, so it never changes a count. Every
 trial still in lockstep has made as many selections as the others, so all
 of them sit at the same position of their streams: the kernel reads the
-streams one position at a time for the whole range (``rng.stream_rows``),
-up to the first `kernel_block(n)` values. Per selection it takes the pick
-``members[(j * |C|) >> 53]`` and the color ``j mod D + 1``. A recolor
-updates the neighbors in adjacency order and then the vertex itself, so
-the members list sees the same swap-removes and appends, in the same
-order, as ``ConflictTracker.recolor``. A trial leaves the kernel for the
-scalar loop when its next selection needs a value beyond the block, when
-that selection's color value would be rejected (probability below
-D / 2^53), or when it reaches the step cap. The scalar loop
-(``engine.resume_uniform_dc``) picks it up from the kernel's state, on the
-trial's generator advanced past the values already used. A trial whose
-block cannot hold its random initial colors, or whose initial colors meet
-a rejected value, runs in the scalar engine from the start.
+streams one position at a time for the range (``rng.stream_rows``), and
+drops finished trials from the stream whenever the active ones have
+halved. Per selection it takes the pick ``members[(j * |C|) >> 53]`` and
+the color ``j mod D + 1``. A recolor updates the neighbors in adjacency
+order and then the vertex itself, so the members list sees the same
+swap-removes and appends, in the same order, as
+``ConflictTracker.recolor``. A trial stays in the kernel until its
+conflicted set is empty or it reaches the step cap, where its state is
+the scalar engine's. Two kinds of trial run in ``run_decentralized`` from
+the start instead: one that meets a rejected value, among its random
+initial colors or a selection's color value (probability below D / 2^53
+per value), and the longest trials of a pass, once no more than a
+`TAIL_SHARE`-th of its trials are left, since their lockstep tail would
+cost more than running them alone.
 
 Persistent. All trials read the head of their streams at the same rate:
 the random initial colors, then the n - 1 Fisher-Yates values, so the
@@ -56,7 +57,6 @@ from .engine import (
     StartPolicy,
     UNIFORM_ORDER,
     _initial_colors,
-    resume_uniform_dc,
     run_decentralized,
     run_persistent,
 )
@@ -67,6 +67,13 @@ _TWO53 = 1 << 53
 # trials * (n + 1) per lockstep pass: 1024 trials at n = 32, more on smaller
 # graphs; about 264 KiB per state array
 PASS_ENTRIES = 33 * 1024
+# a one-draw pass leaves its lockstep once at most 1/TAIL_SHARE of its trials
+# are left (7 of 1000), and those rerun in the scalar engine from the start:
+# on a small graph one lockstep step costs as much as several whole scalar
+# trials. Without this rule, kernel time per trial with 1000-trial ranges
+# was 5-15 % higher on K4, K5, K8 and C4 from a mono start (medians of 9
+# runs); shares of 8, 16 and 128 measured alike within the noise.
+TAIL_SHARE = 128
 # the persistent kernel keeps 1-byte colors and 1- or 2-byte vertices per
 # entry, so its passes hold twice as many (2048 trials at n = 32, 1039 at
 # n = 64, 131 at n = 512)
@@ -86,29 +93,24 @@ WINDOW = 32
 MAX_PERSISTENT_D = 63  # colors 1..D are bits of a uint64 mask
 
 
-def kernel_block(n: int) -> int:
-    """Stream values the kernel fetches per trial (the engine's first block);
-    a trial that needs more finishes in the scalar loop."""
-    return 4 * n + 16
-
-
 def fits(g: Graph) -> bool:
     """Whether one-draw uniform-order trials on g run in the kernel: n <= 32.
 
     A lockstep step costs a fixed number of numpy calls, a few more per
     tracker event, while the scalar engine pays a fixed cost per trial plus
-    a few microseconds per step. Measured on a 2-vCPU VM, scalar time over
-    kernel time per trial was, with ranges of 1000 trials: 2.3 on K8, 2.5
-    on C8, 1.7 on K12, 1.6 on K16, 1.3 on K24, 1.2 on K32, 1.9 on C32 and
-    2.3 on G(32, 0.15); with `run_trials` of 400 trials (best of 5): 1.6 on
-    K40, 1.34 on K48 and 1.15 on K64; but 0.8 on C128, 0.5 on C256 and 0.65
-    on G(256, 0.02), where the lockstep tail runs long and every step reads
-    a row of the whole range. The cut-off stays at 32: on K64 a pass holds
-    about 3 MB of int64 state and temporaries, which raised the benchmark's
-    peak RSS from 45.96 MB to 49.4 MB (+7.5 %; 47.4 MB with only the
-    persistent kernel added) for a 10-20 % gain on one case. On short ranges
-    the kernel loses (0.3-0.75 with 64 trials, 0.8-1.2 with 200), so a
-    worker pool gives kernel runs ranges of at least 512 trials.
+    a few microseconds per step. Scalar time over kernel time per trial, CPU
+    time with `run_trials` on a 2-vCPU VM, best of 3 with 1000 trials: 2.0
+    on K8, 2.9 on C8 (D = 3), 2.0 on K12, 1.9 on K16, 2.0 on K24 and K32,
+    2.0 on C32 and 2.4 on G(32, 0.15); best of 5 with 400 trials: 1.4 on
+    K40, 1.5 on K48 and 1.4 on K64, but 1.0 on C64, 0.76 on C128, 0.44 on
+    C256 and 0.62 on G(256, 0.02) (D = 3 on the cycles). There a pass
+    holds only PASS_ENTRIES // (n + 1) trials (131 at n = 256), which share
+    each step's fixed cost over hundreds of steps. The cut-off stays at 32:
+    on K64 a pass holds about 3 MB of int64 state and temporaries, which
+    raised the benchmark's peak RSS from 45.96 MB to 49.4 MB (+7.5 %; 47.4 MB
+    with only the persistent kernel added) for a gain on one case. On short
+    ranges the kernel loses (0.3-0.75 with 64 trials, 0.8-1.2 with 200), so
+    a worker pool gives kernel runs ranges of at least 512 trials.
     """
     return g.n <= 32
 
@@ -147,7 +149,7 @@ def run_range(
     nbr = np.full((n, width), n, dtype=np.int64)
     for v, av in enumerate(g.adjacency):
         nbr[v, : len(av)] = av
-    gen = np.random.Generator(np.random.PCG64(0))  # reseeded for every hand-off
+    gen = np.random.Generator(np.random.PCG64(0))  # reseeded for every rerun
     per_pass = PASS_ENTRIES // (n + 1)
     for a in range(lo, hi, per_pass):
         b = min(a + per_pass, hi)
@@ -165,23 +167,17 @@ def _pass(g, nbr, D, start, fixed, master_seed, a, b, cap, gen, step3_out, term_
     """
     n, T = g.n, b - a
     S = n + 1
-    K = kernel_block(n)
     lim = _TWO53 - _TWO53 % D
     values = stream_rows(master_seed, a, b)
 
     colors = np.zeros((T, S), dtype=np.int64)
     if fixed is None:
-        used = n
-        if K >= n:
-            first = np.array([next(values) for _ in range(n)]).view(np.int64)
-            started = (first < lim).all(axis=0)
-            colors[:, :n] = (first % D + 1).T
-        else:
-            started = np.zeros(T, dtype=bool)
+        first = np.array([next(values) for _ in range(n)]).view(np.int64)
+        bad = ~(first < lim).all(axis=0)  # trials that rerun in the scalar engine
+        colors[:, :n] = (first % D + 1).T
     else:
-        used = 0
         colors[:, :n] = fixed
-        started = np.ones(T, dtype=bool)
+        bad = np.zeros(T, dtype=bool)
 
     # the tracker of a fresh run: counts, and the conflicted vertices ascending
     counts = np.zeros((T, S), dtype=np.int64)
@@ -215,31 +211,34 @@ def _pass(g, nbr, D, start, fixed, master_seed, a, b, cap, gen, step3_out, term_
         size[rows] = s + 1 - 2 * drop
 
     steps = np.zeros(T, dtype=np.int64)  # set when a trial leaves the lockstep
-    consumed = np.zeros(T, dtype=np.int64)
-    handed = []
-    act = np.flatnonzero(started)
+    act = np.flatnonzero(~bad)
+    col = act  # each active trial's column in the stream's rows
+    width = T  # columns the stream still computes
     step = 0
     while True:
         live = size[act] > 0
         if not live.all():
             steps[act[~live]] = step
-            act = act[live]
-        if not act.size:
+            act, col = act[live], col[live]
+        if act.size * TAIL_SHARE <= T:  # the tail reruns from the start
+            bad[act] = True
             break
-        if used + 2 > K or step >= cap:
-            steps[act], consumed[act] = step, used
-            handed.append(act)
+        if step >= cap:  # the state at the cap is the scalar engine's
+            steps[act] = step
             break
-        jp = next(values).view(np.int64)[act]
-        jc = next(values).view(np.int64)[act]
+        if 2 * act.size <= width:  # drop finished trials from the stream
+            row = values.send(col)
+            col, width = np.arange(act.size), act.size
+        else:
+            row = next(values)
+        jp = row.view(np.int64)[col]
+        jc = next(values).view(np.int64)[col]
         go = jc < lim
         if not go.all():
-            steps[act[~go]], consumed[act[~go]] = step, used
-            handed.append(act[~go])
-            act, jp, jc = act[go], jp[go], jc[go]
+            bad[act[~go]] = True
+            act, col, jp, jc = act[go], col[go], jp[go], jc[go]
             if not act.size:
                 break
-        used += 2
         step += 1
         base = act * S
         v = members_f[base + (jp * size[act] >> 53)]
@@ -283,15 +282,9 @@ def _pass(g, nbr, D, start, fixed, master_seed, a, b, cap, gen, step3_out, term_
     step3_out[:] = steps
     term_out[:] = size == 0
     pv_out[:] = pv[:, :n]
-    for t in np.flatnonzero(~started).tolist():
+    for t in np.flatnonzero(bad).tolist():
         r = run_decentralized(g, D, start, UNIFORM_ORDER, trial_rng(master_seed, a + t, gen),
                               step_cap=cap)
-        step3_out[t], term_out[t], pv_out[t] = r.step3_draws, r.terminated, r.per_vertex_draws
-    for t in np.concatenate(handed).tolist() if handed else ():
-        rng = trial_rng(master_seed, a + t, gen)
-        rng.bit_generator.advance(int(consumed[t]))
-        r = resume_uniform_dc(g, D, colors[t, :n].tolist(), members[t, : size[t]].tolist(),
-                              pv[t, :n].tolist(), int(steps[t]), rng, cap)
         step3_out[t], term_out[t], pv_out[t] = r.step3_draws, r.terminated, r.per_vertex_draws
 
 

@@ -27,14 +27,14 @@ without building a generator per trial. It runs splitmix64 and PCG64
 (XSL-RR 128/64) in numpy ``uint64`` arithmetic: the 128-bit state is two
 64-bit limbs, a step is state <- state * PCG_MULT + inc (mod 2^128), and a
 word is rotr64(hi ^ lo, hi >> 58), of which a double keeps the top 53
-bits. Its values equal ``trial_rng(m, i).random(k) * 2^53`` exactly; a
-consumer that leaves the range continues one trial's stream with
-``trial_rng`` and ``bit_generator.advance``.
+bits. Its values equal ``trial_rng(m, i).random(k) * 2^53`` exactly. A
+consumer whose trials finish at different times drops them from the
+generator's state with ``send``, so later rows cost only the trials left.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Generator
 
 import numpy as np
 
@@ -93,7 +93,9 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U(31))
 
 
-def stream_rows(master_seed: int, lo: int, hi: int) -> Iterator[np.ndarray]:
+def stream_rows(
+    master_seed: int, lo: int, hi: int
+) -> Generator[np.ndarray, np.ndarray | None, None]:
     """The streams of trials lo..hi-1, one position at a time.
 
     The k-th array yielded is a uint64 row holding value k of every trial,
@@ -101,6 +103,10 @@ def stream_rows(master_seed: int, lo: int, hi: int) -> Iterator[np.ndarray]:
     ``trial_rng(master_seed, lo + r).random(k) * 2^53``. A row costs one
     vectorized PCG64 step over the range, so the trials share the per-call
     overhead that one generator per trial pays alone.
+
+    ``send(keep)`` in place of ``next`` keeps only the columns ``keep`` (an
+    index array into the last row) and returns the next row of those
+    trials, in that order.
     """
     if lo < 0:
         raise ValueError(f"trial index must be >= 0, got {lo}")
@@ -123,4 +129,7 @@ def stream_rows(master_seed: int, lo: int, hi: int) -> Iterator[np.ndarray]:
         state_hi = new_hi
         x = state_hi ^ state_lo
         rot = state_hi >> _U(58)
-        yield ((x >> rot) | (x << ((_U(64) - rot) & _U(63)))) >> _U(11)
+        keep = yield ((x >> rot) | (x << ((_U(64) - rot) & _U(63)))) >> _U(11)
+        if keep is not None:
+            state_hi, state_lo, inc_hi, inc_lo = (
+                limb[keep] for limb in (state_hi, state_lo, inc_hi, inc_lo))

@@ -109,6 +109,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_malformed_graph_file_exits_2_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("2 1\n0 1 7\n")
+    assert main(["run", "--graph", f"file:{path}", "--trials", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "line 2" in err and "Traceback" not in err
+
+
 def test_bad_step_cap_and_workers_exit_2(capsys):
     assert main(["run", "--graph", "clique:3", "--trials", "5", "--step-cap", "-1"]) == 2
     assert "step_cap" in capsys.readouterr().err

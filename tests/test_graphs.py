@@ -126,6 +126,23 @@ def test_text_round_trip(g: Graph):
     assert graph_from_text(graph_to_text(g)) == g
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 1\n0 1 7\n", "line 2: expected an edge 'u v', got 3 token"),
+        ("3\n0 1 x\n", "line 1: expected 'n m', got 1 token"),
+        ("3 -1\n", "line 1: edge count must be >= 0, got -1"),
+        ("3 2\n0 1\n", "expected 2 edges, found 1"),
+        ("3 1\n\n0 x\n", "line 3: 'x' is not an integer"),
+        ("3 1\n2 1\n", "line 2: edge \\(2, 1\\) violates"),
+        ("", "graph text is empty"),
+    ],
+)
+def test_graph_text_errors_name_the_bad_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_text(text)
+
+
 def test_file_round_trip(tmp_path):
     g = gen_erdos_renyi(12, 0.3, 99)
     path = tmp_path / "g.txt"

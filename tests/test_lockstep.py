@@ -1,5 +1,5 @@
 """The lockstep kernels give every trial exactly the scalar engine's result,
-wherever they hand a trial back, and run_trials does not depend on the engine."""
+however long it runs, and run_trials does not depend on the engine."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from decolor import lockstep
 from decolor.coloring import Coloring
 from decolor.engine import (
-    ConflictTracker,
     FixedStart,
     RANDOM_START,
     UNIFORM_ORDER,
@@ -19,7 +18,7 @@ from decolor.engine import (
 )
 from decolor.experiments import ExperimentConfig, build_graph, build_start, run_trials, write_outputs
 from decolor.graphs import from_edge_list, gen_clique, gen_cycle
-from decolor.rng import stream_rows, trial_rng
+from decolor.rng import trial_rng
 
 
 def _scalar(g, D, start, seed, lo, hi, cap):
@@ -48,20 +47,22 @@ def kernel_ranges(draw):
     else:
         start = FixedStart(Coloring(draw(st.lists(st.integers(1, D), min_size=n, max_size=n)), D))
     cap = draw(st.sampled_from([0, 1, 2, 5, 12, default_step_cap(n, D)]))
-    block = draw(st.integers(0, lockstep.kernel_block(n)))
     lo = draw(st.integers(0, 2**40))
-    return g, D, start, cap, block, draw(st.integers(0, 2**64 - 1)), lo, lo + draw(st.integers(1, 40))
+    return g, D, start, cap, draw(st.integers(0, 2**64 - 1)), lo, lo + draw(st.integers(1, 40))
 
 
 @given(kernel_ranges())
 @settings(max_examples=150, deadline=None)
 def test_kernel_equals_the_scalar_engine_trial_by_trial(case):
-    g, D, start, cap, block, seed, lo, hi = case
-    want = _scalar(g, D, start, seed, lo, hi, cap)
-    assert _kernel(g, D, start, seed, lo, hi, cap) == want
-    with pytest.MonkeyPatch.context() as mp:  # a short block hands trials back at position `block`
-        mp.setattr(lockstep, "kernel_block", lambda n: block)
-        assert _kernel(g, D, start, seed, lo, hi, cap) == want
+    g, D, start, cap, seed, lo, hi = case
+    assert _kernel(g, D, start, seed, lo, hi, cap) == _scalar(g, D, start, seed, lo, hi, cap)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(lockstep, name)
+    monkeypatch.setattr(lockstep, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -72,39 +73,74 @@ def test_kernel_equals_the_scalar_engine_trial_by_trial(case):
         (from_edge_list(4, [(0, 1), (0, 2), (0, 3)]), 4, FixedStart(Coloring([1] * 4, 4))),
     ],
 )
-def test_every_hand_off_position_gives_the_same_trials(monkeypatch, g, D, start):
+def test_kernel_equals_the_scalar_engine_on_small_graphs(g, D, start):
     cap = default_step_cap(g.n, D)
-    want = _scalar(g, D, start, 77, 0, 60, cap)
-    # values the longest trial reads: its initial colors, then two per step
-    longest = (g.n if start is RANDOM_START else 0) + 2 * max(s for s, *_ in want)
-    for block in range(longest + 2):
-        monkeypatch.setattr(lockstep, "kernel_block", lambda n, block=block: block)
-        assert _kernel(g, D, start, 77, 0, 60, cap) == want, block
+    assert _kernel(g, D, start, 77, 0, 60, cap) == _scalar(g, D, start, 77, 0, 60, cap)
+
+
+def _reruns(monkeypatch, seed, T):
+    """The trials lockstep reruns in run_decentralized, as a list that fills
+    while the kernel runs. A rerun's generator is the trial's, fresh, so its
+    state names the trial."""
+    states = {trial_rng(seed, i).bit_generator.state["state"]["state"]: i for i in range(T)}
+    reruns = []
+    real = lockstep.run_decentralized
+    monkeypatch.setattr(lockstep, "run_decentralized", lambda g, D, start, order, rng, **kw: reruns.append(
+        states[rng.bit_generator.state["state"]["state"]]) or real(g, D, start, order, rng, **kw))
+    return reruns
+
+
+def test_long_trials_finish_in_the_kernel(monkeypatch):
+    g, D, T = gen_clique(16), 16, 300
+    cap = default_step_cap(g.n, D)
+    want = _scalar(g, D, RANDOM_START, 19, 0, T, cap)
+    reruns = _reruns(monkeypatch, 19, T)
+    assert _kernel(g, D, RANDOM_START, 19, 0, T, cap) == want
+    # values a trial reads: its initial colors, then two per step
+    longest = max(s for i, (s, *_) in enumerate(want) if i not in reruns)
+    assert g.n + 2 * longest > 4 * g.n + 16
+    assert len(reruns) <= T // lockstep.TAIL_SHARE
+    # with no tail rule every trial, the longest too, finishes in the kernel
+    reruns.clear()
+    monkeypatch.setattr(lockstep, "TAIL_SHARE", T + 1)
+    assert _kernel(g, D, RANDOM_START, 19, 0, T, cap) == want
+    assert not reruns
+
+
+def test_the_longest_trials_of_a_pass_rerun_from_the_start(monkeypatch):
+    g, D, T = gen_clique(8), 8, 1000
+    cap = default_step_cap(g.n, D)
+    want = [s for s, *_ in _scalar(g, D, RANDOM_START, 23, 0, T, cap)]
+    reruns = _reruns(monkeypatch, 23, T)
+    step3, _, _ = lockstep.run_range(g, D, RANDOM_START, 23, 0, T, cap)
+    assert step3.tolist() == want
+    assert 0 < len(reruns) <= T // lockstep.TAIL_SHARE
+    assert min(want[i] for i in reruns) > max(s for i, s in enumerate(want) if i not in reruns)
 
 
 def test_rejected_values_leave_the_kernel(monkeypatch):
-    # with D = 2^52 + 1 about half of all values are rejected; a rejection
-    # changes colors but rarely a count, so count the trials that leave
-    D, T = 2**52 + 1, 200
+    # with D = 2^52 + 1 about half of all values are rejected; the trials
+    # that rerun in run_decentralized must be exactly those that meet a
+    # rejected value among the values they read (with the tail rule off)
+    g, D, T, cap = gen_clique(2), 2**52 + 1, 200, 100
     lim = 2**53 - 2**53 % D
-    calls = {"resume": 0, "scratch": 0}
-
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(lockstep, "resume_uniform_dc", counting("resume", lockstep.resume_uniform_dc))
-    monkeypatch.setattr(lockstep, "run_decentralized", counting("scratch", lockstep.run_decentralized))
-    g = gen_clique(2)
-    rows = stream_rows(5, 0, T)
-    first = [next(rows) for _ in range(2)]
-    lockstep.run_range(g, D, FixedStart(Coloring([1, 1], D)), 5, 0, T, 100)
-    assert calls == {"resume": int((first[1] >= lim).sum()), "scratch": 0}  # the first color value
-    calls.update(resume=0)
-    lockstep.run_range(g, D, RANDOM_START, 5, 0, T, 100)
-    assert calls["scratch"] == int(((first[0] >= lim) | (first[1] >= lim)).sum())  # an initial color
+    reruns = _reruns(monkeypatch, 5, T)
+    monkeypatch.setattr(lockstep, "TAIL_SHARE", T + 1)
+    for start in (FixedStart(Coloring([1, 1], D)), RANDOM_START):
+        want = _scalar(g, D, start, 5, 0, T, cap)
+        reruns.clear()
+        assert _kernel(g, D, start, 5, 0, T, cap) == want
+        rejected = set()
+        for i, (steps, *_) in enumerate(want):
+            # the random initial colors, then per step a pick value (never
+            # rejected) and a color value; the values agree with the scalar
+            # run's up to the first rejection
+            head = g.n if start is RANDOM_START else 0
+            values = trial_rng(5, i).random(head + 2 * steps) * 2.0**53
+            if (values[:head] >= lim).any() or (values[head + 1 :: 2] >= lim).any():
+                rejected.add(i)
+        assert 0 < len(rejected) < T
+        assert sorted(reruns) == sorted(rejected)
 
 
 def test_ranges_longer_than_one_lockstep_pass(monkeypatch):
@@ -153,16 +189,6 @@ def test_routing_uses_only_the_graph_size():
     assert lockstep.fits(gen_clique(8)) and lockstep.fits(gen_cycle(16))
     assert lockstep.fits(gen_clique(32)) and not lockstep.fits(gen_cycle(33))
     assert not lockstep.fits(gen_clique(64)) and not lockstep.fits(gen_cycle(1000))
-
-
-def test_tracker_resumes_a_given_member_order():
-    g = gen_clique(4)
-    colors = [1, 1, 2, 2]
-    tracker = ConflictTracker(g, colors, members=[3, 0, 2, 1])
-    assert tracker.members == [3, 0, 2, 1]
-    assert [tracker.pos[v] for v in range(4)] == [1, 3, 2, 0]
-    with pytest.raises(ValueError, match="conflicted"):
-        ConflictTracker(g, colors, members=[0, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +258,6 @@ def test_persistent_kernel_equals_the_scalar_engine_on_larger_graphs(spec, D, st
     assert lockstep.persistent_fits(g, D)
     assert _persistent_kernel(g, D, policy, 21, 0, trials, cap) == _scalar_persistent(
         g, D, policy, 21, 0, trials, cap)
-
-
-def _counting(monkeypatch, name):
-    calls = []
-    real = getattr(lockstep, name)
-    monkeypatch.setattr(lockstep, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    return calls
 
 
 @pytest.mark.parametrize("block", [3, 64])

@@ -36,12 +36,27 @@ def test_trial_rng_streams_are_reproducible_and_independent():
     lo=st.one_of(st.integers(0, 10**6), st.integers(2**64 - 20, 2**64 + 20)),
     rows=st.integers(0, 12),
     k=st.integers(0, 70),
+    data=st.data(),
 )
 @settings(max_examples=80, deadline=None)
-def test_stream_rows_are_the_trials_stream_values(master, lo, rows, k):
+def test_stream_rows_are_the_trials_stream_values(master, lo, rows, k, data):
+    # after the first row, `send` may keep any increasing subset of the rows
+    # at any position; the kept trials' values must go on unchanged
+    sends = data.draw(st.sets(st.integers(1, 70)), label="send positions")
     stream = stream_rows(master, lo, lo + rows)
-    words = np.array([next(stream) for _ in range(k)], dtype=np.uint64).reshape(k, rows)
-    assert all(row.dtype == np.uint64 for row in words)
-    for r in range(rows):
-        want = (trial_rng(master, lo + r).random(k) * 2.0**53).astype(np.uint64)
-        assert (words[:, r] == want).all()
+    kept = list(range(rows))
+    got = {r: [] for r in kept}
+    for position in range(k):
+        if position in sends:
+            columns = st.sets(st.integers(0, len(kept) - 1)) if kept else st.just(set())
+            keep = sorted(data.draw(columns, label="kept columns"))
+            row = stream.send(np.array(keep, dtype=np.intp))
+            kept = [kept[c] for c in keep]
+        else:
+            row = next(stream)
+        assert row.dtype == np.uint64 and row.shape == (len(kept),)
+        for c, r in enumerate(kept):
+            got[r].append(int(row[c]))
+    for r, values in got.items():
+        want = (trial_rng(master, lo + r).random(len(values)) * 2.0**53).astype(np.uint64)
+        assert values == want.tolist()
