@@ -101,6 +101,11 @@ class ExperimentConfig:
             raise ValueError(f"step_cap must be >= 0, got {self.step_cap}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for name in ("exclude_cap_hits", "per_trial"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.counters, (list, tuple)):
+            raise ValueError(f"counters must be a list of counter names, got {self.counters!r}")
         self.counters = tuple(self.counters)
         for counter in self.counters:
             if counter not in VALID_COUNTERS:
@@ -116,10 +121,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "graph" not in data:
             raise ValueError("config needs a 'graph' entry")
-        kwargs = dict(data)
-        if "counters" in kwargs:
-            kwargs["counters"] = tuple(kwargs["counters"])
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -384,9 +386,8 @@ def _build(cfg: ExperimentConfig) -> tuple[Graph, int, StartPolicy, SchedulerPol
 def _in_kernel(cfg: ExperimentConfig, g: Graph, D: int, order: SchedulerPolicy) -> bool:
     """Whether cfg's trials run in a lockstep kernel: uniform order on a graph
     (and palette) the algorithm's kernel fits."""
-    if not isinstance(order, UniformRandomOrder):
-        return False
-    return lockstep.fits(g) if cfg.algorithm == "dc" else lockstep.persistent_fits(g, D)
+    return isinstance(order, UniformRandomOrder) and lockstep.fits(
+        g, D, cfg.algorithm == "persistent")
 
 
 def _chunks(trials: int, workers: int, kernel: bool) -> list[tuple[int, int]]:
@@ -399,33 +400,30 @@ def _chunks(trials: int, workers: int, kernel: bool) -> list[tuple[int, int]]:
 
 def _run_range(
     cfg: ExperimentConfig,
+    built: tuple[Graph, int, StartPolicy, SchedulerPolicy],
     lo: int,
     hi: int,
-    built: tuple[Graph, int, StartPolicy, SchedulerPolicy] | None = None,
 ):
-    """Run trials [lo, hi); returns plain lists so it can cross processes.
+    """Run trials [lo, hi) of cfg on built = `_build(cfg)`.
 
-    built is `_build(cfg)` when the caller has it already; pool workers pass
-    None and rebuild it from the spec. Uniform-order trials that a lockstep
-    kernel takes (`_in_kernel`) run there, all others in the scalar engine,
-    one trial at a time; both give identical trials.
+    Returns (step3 draws, selections, terminated, per-vertex sum, per-vertex
+    sum of squares); the last two are None unless cfg counts per_vertex.
+    Uniform-order trials that a lockstep kernel takes (`_in_kernel`) run
+    there, all others in the scalar engine, one trial at a time; both give
+    identical trials.
     """
-    g, D, start, order = _build(cfg) if built is None else built
+    g, D, start, order = built
     want_vertex = "per_vertex" in cfg.counters
     if _in_kernel(cfg, g, D, order):
         cap = default_step_cap(g.n, D) if cfg.step_cap is None else cfg.step_cap
-        args = (g, D, start, cfg.master_seed, lo, hi, cap)
-        if cfg.algorithm == "dc":
-            step3, terminated, per_vertex = lockstep.run_range(*args)
-            selections = step3
-        else:
-            step3, selections, terminated, per_vertex = lockstep.run_persistent_range(*args)
+        step3, selections, terminated, per_vertex = lockstep.run_range(
+            g, D, start, cfg.master_seed, lo, hi, cap, cfg.algorithm == "persistent")
         return (
-            step3.tolist(),
-            selections.tolist(),
-            terminated.tolist(),
-            per_vertex.sum(axis=0).tolist() if want_vertex else None,
-            np.einsum("ij,ij->j", per_vertex, per_vertex).tolist() if want_vertex else None,
+            step3,
+            selections,
+            terminated,
+            per_vertex.sum(axis=0) if want_vertex else None,
+            np.einsum("ij,ij->j", per_vertex, per_vertex) if want_vertex else None,
         )
     runner = run_decentralized if cfg.algorithm == "dc" else run_persistent
     step3 = []
@@ -443,36 +441,28 @@ def _run_range(
             vec = np.asarray(r.per_vertex_draws, dtype=np.int64)
             vertex_sum += vec
             vertex_sumsq += vec * vec
-    return (
-        step3,
-        selections,
-        terminated,
-        None if vertex_sum is None else vertex_sum.tolist(),
-        None if vertex_sumsq is None else vertex_sumsq.tolist(),
-    )
-
-
-def _run_range_packed(args: tuple) -> tuple:
-    cfg_dict, lo, hi = args
-    return _run_range(ExperimentConfig.from_dict(cfg_dict), lo, hi)
+    return step3, selections, terminated, vertex_sum, vertex_sumsq
 
 
 def run_trials(cfg: ExperimentConfig) -> TrialsResult:
     """Execute all trials and aggregate; deterministic for a fixed config.
 
-    Writes CSV/JSON next to cfg.output when it is set (see write_outputs).
+    The graph, palette, start and order are built once, here, before any
+    worker starts; pool workers run ranges of that same instance, so a file
+    graph or start is read once per run. Writes CSV/JSON next to cfg.output
+    when it is set (see write_outputs).
     """
-    built = _build(cfg)  # validates before any worker starts
+    built = _build(cfg)
     g, D = built[0], built[1]
 
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     if workers <= 1 or cfg.trials < 256:
-        parts = [_run_range(cfg, 0, cfg.trials, built)]
+        parts = [_run_range(cfg, built, 0, cfg.trials)]
     else:
         bounds = _chunks(cfg.trials, workers, _in_kernel(cfg, g, D, built[3]))
-        packed = [(cfg.to_dict(), lo, hi) for lo, hi in bounds]
+        los, his = zip(*bounds)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_range_packed, packed))
+            parts = list(pool.map(_run_range, [cfg] * len(bounds), [built] * len(bounds), los, his))
 
     step3 = np.concatenate([np.asarray(p[0], dtype=np.int64) for p in parts])
     total = step3 + g.n  # total_draws = n + step3_draws, see RunResult

@@ -2,10 +2,11 @@
 
 Both kernels run a range of trials together on numpy arrays, in passes of
 a bounded number of trial-vertex entries, and give every trial exactly the
-result the scalar engine gives it alone: ``run_range`` for the one-draw
-process (`fits`) and ``run_persistent_range`` for the persistent one
-(`persistent_fits`). Both follow the stream version 2 rules (see
-``decolor.engine``).
+result the scalar engine gives it alone. One entry point, ``run_range``,
+runs either process, and `fits` says which graphs and palettes each kernel
+takes. Both follow the stream version 2 rules (see ``decolor.engine``). A
+pass returns the trials it cannot finish, and ``run_range`` reruns each of
+them from the start in ``run_decentralized`` or ``run_persistent``.
 
 One-draw. The state per trial mirrors the scalar engine's: colors,
 same-color neighbor counts, the conflict tracker's swap-remove `members`
@@ -93,79 +94,93 @@ WINDOW = 32
 MAX_PERSISTENT_D = 63  # colors 1..D are bits of a uint64 mask
 
 
-def fits(g: Graph) -> bool:
-    """Whether one-draw uniform-order trials on g run in the kernel: n <= 32.
+def fits(g: Graph, D: int, persistent: bool) -> bool:
+    """Whether uniform-order trials on g with palette D run in a kernel:
+    one-draw trials when n <= 32, persistent ones when n <= 512 and D <= 63.
 
-    A lockstep step costs a fixed number of numpy calls, a few more per
-    tracker event, while the scalar engine pays a fixed cost per trial plus
-    a few microseconds per step. Scalar time over kernel time per trial, CPU
-    time with `run_trials` on a 2-vCPU VM, best of 3 with 1000 trials: 2.0
-    on K8, 2.9 on C8 (D = 3), 2.0 on K12, 1.9 on K16, 2.0 on K24 and K32,
-    2.0 on C32 and 2.4 on G(32, 0.15); best of 5 with 400 trials: 1.4 on
-    K40, 1.5 on K48 and 1.4 on K64, but 1.0 on C64, 0.76 on C128, 0.44 on
-    C256 and 0.62 on G(256, 0.02) (D = 3 on the cycles). There a pass
-    holds only PASS_ENTRIES // (n + 1) trials (131 at n = 256), which share
-    each step's fixed cost over hundreds of steps. The cut-off stays at 32:
-    on K64 a pass holds about 3 MB of int64 state and temporaries, which
-    raised the benchmark's peak RSS from 45.96 MB to 49.4 MB (+7.5 %; 47.4 MB
-    with only the persistent kernel added) for a gain on one case. On short
-    ranges the kernel loses (0.3-0.75 with 64 trials, 0.8-1.2 with 200), so
-    a worker pool gives kernel runs ranges of at least 512 trials.
+    One-draw. A lockstep step costs a fixed number of numpy calls, a few
+    more per tracker event, while the scalar engine pays a fixed cost per
+    trial plus a few microseconds per step. Scalar time over kernel time
+    per trial, CPU time with `run_trials` on a 2-vCPU VM, best of 3 with
+    1000 trials: 2.0 on K8, 2.9 on C8 (D = 3), 2.0 on K12, 1.9 on K16, 2.0
+    on K24 and K32, 2.0 on C32 and 2.4 on G(32, 0.15); best of 5 with 400
+    trials: 1.4 on K40, 1.5 on K48 and 1.4 on K64, but 1.0 on C64, 0.76 on
+    C128, 0.44 on C256 and 0.62 on G(256, 0.02) (D = 3 on the cycles).
+    There a pass holds only PASS_ENTRIES // (n + 1) trials (131 at
+    n = 256), which share each step's fixed cost over hundreds of steps.
+    The cut-off stays at 32: on K64 a pass holds about 3 MB of int64 state
+    and temporaries, which raised the benchmark's peak RSS from 45.96 MB to
+    49.4 MB (+7.5 %; 47.4 MB with only the persistent kernel added) for a
+    gain on one case. On short ranges the kernel loses (0.3-0.75 with 64
+    trials, 0.8-1.2 with 200), so a worker pool gives kernel runs ranges of
+    at least 512 trials.
+
+    Persistent. The walk visits each position once, so it has no lockstep
+    tail, but a pass holds PERSISTENT_PASS_ENTRIES // (n + 1) trials, so
+    per trial the kernel's fixed cost grows with n. Scalar time over kernel
+    time per trial, 512-trial ranges from a random start with D = max
+    degree + 1 (best of 3, on a Xeon VM): 2.4 on C64, 2.5 on G(64, 0.15),
+    2.7 on C128 and G(128, 0.05), 2.1 on C256 and G(256, 0.02), 3.2 on
+    G(256, 0.15), 1.4 on C512, 1.5 on G(512, 0.01), but 0.9-1.1 on C1000
+    and G(1000, 0.01), where a pass holds 67 trials.
     """
+    if persistent:
+        return g.n <= 512 and D <= MAX_PERSISTENT_D
     return g.n <= 32
 
 
-def persistent_fits(g: Graph, D: int) -> bool:
-    """Whether persistent uniform-order trials on g with palette D run in the
-    kernel: n <= 512 and D <= 63.
-
-    The walk visits each position once, so it has no lockstep tail, but a
-    pass holds PERSISTENT_PASS_ENTRIES // (n + 1) trials, so per trial the
-    kernel's fixed cost grows with n. Scalar time over kernel time per
-    trial, 512-trial ranges from a random start with D = max degree + 1
-    (best of 3, on a Xeon VM): 2.4 on C64, 2.5 on G(64, 0.15), 2.7 on C128
-    and G(128, 0.05), 2.1 on C256 and G(256, 0.02), 3.2 on G(256, 0.15),
-    1.4 on C512, 1.5 on G(512, 0.01), but 0.9-1.1 on C1000 and
-    G(1000, 0.01), where a pass holds 67 trials.
-    """
-    return g.n <= 512 and D <= MAX_PERSISTENT_D
-
-
 def run_range(
-    g: Graph, D: int, start: StartPolicy, master_seed: int, lo: int, hi: int, cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trials lo..hi-1 of a one-draw uniform-order run.
+    g: Graph, D: int, start: StartPolicy, master_seed: int, lo: int, hi: int, cap: int,
+    persistent: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Trials lo..hi-1 of a uniform-order run of the one-draw process, or of
+    the persistent one (which needs D <= 63).
 
-    Returns (step3 draws, terminated, per-vertex draws as a (hi - lo, n)
-    array), equal trial by trial to ``run_decentralized`` on
-    ``trial_rng(master_seed, i)``.
+    Returns (step3 draws, selections, terminated, per-vertex draws as a
+    (hi - lo, n) array), equal trial by trial to ``run_decentralized`` or
+    ``run_persistent`` on ``trial_rng(master_seed, i)``. For the one-draw
+    process, selections is the step3 array.
     """
+    if persistent and not 1 <= D <= MAX_PERSISTENT_D:
+        raise ValueError(f"the persistent kernel needs 1 <= D <= {MAX_PERSISTENT_D}, got {D}")
     n, T = g.n, hi - lo
     fixed = None if isinstance(start, RandomStart) else _initial_colors(g, D, start, None)
     step3 = np.zeros(T, dtype=np.int64)
-    terminated = np.zeros(T, dtype=bool)
-    per_vertex = np.zeros((T, n), dtype=np.int64)
-    width = max(g.max_degree, 1)
-    nbr = np.full((n, width), n, dtype=np.int64)
+    out = (
+        step3,
+        np.zeros(T, dtype=np.int64) if persistent else step3,
+        np.ones(T, dtype=bool),
+        np.zeros((T, n), dtype=np.int64),
+    )
+    nbr = np.full((n, max(g.max_degree, 1)), n, dtype=np.int32)  # int32: smaller gathers
     for v, av in enumerate(g.adjacency):
         nbr[v, : len(av)] = av
-    gen = np.random.Generator(np.random.PCG64(0))  # reseeded for every rerun
-    per_pass = PASS_ENTRIES // (n + 1)
+    gen = np.random.Generator(np.random.PCG64(0))  # reseeded for every fill and rerun
+    runner = run_persistent if persistent else run_decentralized
+    per_pass = (PERSISTENT_PASS_ENTRIES if persistent else PASS_ENTRIES) // (n + 1)
     for a in range(lo, hi, per_pass):
         b = min(a + per_pass, hi)
-        _pass(g, nbr, D, start, fixed, master_seed, a, b, cap, gen,
-               step3[a - lo : b - lo], terminated[a - lo : b - lo], per_vertex[a - lo : b - lo])
-    return step3, terminated, per_vertex
+        part = [arr[a - lo : b - lo] for arr in out]
+        args = (nbr, D, fixed, master_seed, a, b, cap, part)
+        bad = _persistent_pass(*args, gen) if persistent else _pass(*args)
+        for t in np.flatnonzero(bad).tolist():
+            r = runner(g, D, start, UNIFORM_ORDER, trial_rng(master_seed, a + t, gen),
+                       step_cap=cap)
+            results = (r.step3_draws, r.selections, r.terminated, r.per_vertex_draws)
+            for arr, value in zip(part, results):
+                arr[t] = value
+    return out
 
 
-def _pass(g, nbr, D, start, fixed, master_seed, a, b, cap, gen, step3_out, term_out, pv_out):
-    """Trials a..b-1 in one lockstep pass; writes their results into the outputs.
+def _pass(nbr, D, fixed, master_seed, a, b, cap, out) -> np.ndarray:
+    """Trials a..b-1 in one one-draw lockstep pass: writes their results into
+    `out` and returns the mask of trials to rerun from the start.
 
     Every trial still in lockstep has made the same number of selections and
     read the same number of values, so one cursor serves them all and the
     stream is read one row (one position of every trial) at a time.
     """
-    n, T = g.n, b - a
+    n, T = nbr.shape[0], b - a
     S = n + 1
     lim = _TWO53 - _TWO53 % D
     values = stream_rows(master_seed, a, b)
@@ -279,51 +294,17 @@ def _pass(g, nbr, D, start, fixed, master_seed, a, b, cap, gen, step3_out, term_
             apply_events(rows[lo_:hi_], bases[lo_:hi_], us[lo_:hi_], drops[lo_:hi_])
             lo_ = hi_
 
-    step3_out[:] = steps
-    term_out[:] = size == 0
-    pv_out[:] = pv[:, :n]
-    for t in np.flatnonzero(bad).tolist():
-        r = run_decentralized(g, D, start, UNIFORM_ORDER, trial_rng(master_seed, a + t, gen),
-                              step_cap=cap)
-        step3_out[t], term_out[t], pv_out[t] = r.step3_draws, r.terminated, r.per_vertex_draws
+    step3, _, terminated, per_vertex = out  # one-draw selections are step3
+    step3[:] = steps
+    terminated[:] = size == 0
+    per_vertex[:] = pv[:, :n]
+    return bad
 
 
 def walk_block(T: int) -> int:
     """Walk values each of a pass's T trials holds at once, as `WALK_ENTRIES`
     and `MAX_WALK` allow. A trial that reads past its block refills its row."""
     return min(max(WALK_ENTRIES // T, 16), MAX_WALK)
-
-
-def run_persistent_range(
-    g: Graph, D: int, start: StartPolicy, master_seed: int, lo: int, hi: int, cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Trials lo..hi-1 of a persistent uniform-order run, for D <= 63.
-
-    Returns (step3 draws, selections, terminated, per-vertex draws as a
-    (hi - lo, n) array), equal trial by trial to ``run_persistent`` on
-    ``trial_rng(master_seed, i)``.
-    """
-    if not 1 <= D <= MAX_PERSISTENT_D:
-        raise ValueError(f"the persistent kernel needs 1 <= D <= {MAX_PERSISTENT_D}, got {D}")
-    n, T = g.n, hi - lo
-    fixed = None if isinstance(start, RandomStart) else _initial_colors(g, D, start, None)
-    out = (
-        np.zeros(T, dtype=np.int64),
-        np.zeros(T, dtype=np.int64),
-        np.ones(T, dtype=bool),
-        np.zeros((T, n), dtype=np.int64),
-    )
-    nbr = np.full((n, max(g.max_degree, 1)), n, dtype=np.int32)  # int32: smaller gathers
-    for v, av in enumerate(g.adjacency):
-        nbr[v, : len(av)] = av
-    gen = np.random.Generator(np.random.PCG64(0))  # reseeded for every fill
-    per_pass = PERSISTENT_PASS_ENTRIES // (n + 1)
-    for a in range(lo, hi, per_pass):
-        b = min(a + per_pass, hi)
-        W = walk_block(b - a)
-        _persistent_pass(g, nbr, D, start, fixed, master_seed, a, b, cap, W, gen,
-                         [arr[a - lo : b - lo] for arr in out])
-    return out
 
 
 def _values(master_seed: int, trials: np.ndarray, skips: np.ndarray, width: int, gen):
@@ -352,10 +333,12 @@ def _colors(block: np.ndarray, D: int) -> np.ndarray:
     return j
 
 
-def _persistent_pass(g, nbr, D, start, fixed, master_seed, a, b, cap, W, gen, out) -> None:
-    """Trials a..b-1 in one lockstep pass, with walk blocks of W values;
-    writes their results into `out`."""
-    n, T = g.n, b - a
+def _persistent_pass(nbr, D, fixed, master_seed, a, b, cap, out, gen) -> np.ndarray:
+    """Trials a..b-1 in one persistent lockstep pass, with walk blocks of
+    `walk_block` values: writes their results into `out` and returns the mask
+    of trials to rerun from the start."""
+    n, T = nbr.shape[0], b - a
+    W = walk_block(T)
     S = n + 1
     # the head of each stream: initial colors (random start), then Fisher-Yates
     mods = [D] * (0 if fixed is not None else n) + list(range(n, 1, -1))
@@ -445,9 +428,4 @@ def _persistent_pass(g, nbr, D, start, fixed, master_seed, a, b, cap, W, gen, ou
         if bad[act].any():
             act = act[~bad[act]]
             rows = (act * S).astype(np.int32)
-
-    for t in np.flatnonzero(bad).tolist():
-        r = run_persistent(g, D, start, UNIFORM_ORDER, trial_rng(master_seed, a + t, gen),
-                           step_cap=cap)
-        step3[t], selections[t], out[2][t], per_vertex[t] = (
-            r.step3_draws, r.selections, r.terminated, r.per_vertex_draws)
+    return bad

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decolor.cli import main, parse_graph_spec, parse_order_spec, parse_start_spec
 
@@ -151,6 +155,9 @@ CLIQUE3 = {"kind": "clique", "n": 3}
     pytest.param({"graph": CLIQUE3, "trials": None}, id="trials-null"),
     pytest.param({"graph": CLIQUE3, "trials": True}, id="trials-bool"),
     pytest.param([CLIQUE3], id="top-level-list"),
+    pytest.param({"graph": CLIQUE3, "exclude_cap_hits": "false"}, id="exclude-cap-hits-string"),
+    pytest.param({"graph": CLIQUE3, "per_trial": "no"}, id="per-trial-string"),
+    pytest.param({"graph": CLIQUE3, "counters": "per_vertex"}, id="counters-string"),
 ])
 def test_malformed_config_files_exit_2_without_traceback(tmp_path, capsys, config):
     path = tmp_path / "c.json"
@@ -159,6 +166,41 @@ def test_malformed_config_files_exit_2_without_traceback(tmp_path, capsys, confi
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+# short texts: both formats with small, possibly bad numbers; lines of small
+# numbers and near-misses; free text without digits (so no graph gets large)
+_small = st.integers(-1, 6)
+_TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["D=", "D=0", "D=2", "D=x", "x", "1.5", "0x1", "+1", "1_0", "-", "\u0663"]),
+)
+_TEXTS = st.one_of(
+    st.builds(lambda n, edges, miscount: f"{n} {len(edges) + miscount}\n"
+              + "".join(f"{u} {v}\n" for u, v in edges),
+              _small, st.lists(st.tuples(_small, _small), max_size=6), st.sampled_from([0, 1, -1])),
+    st.builds(lambda D, colors: f"D={D}\n" + " ".join(map(str, colors)) + "\n",
+              _small, st.lists(_small, min_size=2, max_size=4)),
+    st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=6).map("\n".join),
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=20),
+)
+
+
+@given(text=_TEXTS, as_graph=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_graph_and_coloring_files_fail_with_one_error_line(text, as_graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        where = [f"file:{path}"] if as_graph else ["clique:3", "--start", f"file:{path}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--graph", *where, "--trials", "1", "--workers", "1"])
+    message = err.getvalue()
+    assert code in (0, 2)
+    if code == 2:
+        assert message.startswith("error: ") and message.count("\n") == 1, message
 
 
 def test_python_dash_m_runs_the_cli():

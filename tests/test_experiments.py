@@ -55,6 +55,16 @@ def test_config_validation():
         cfg(counters=("total_draws", "steps"))
     with pytest.raises(ValueError):
         cfg(counters=("per_vertex",))  # needs at least one scalar counter
+    clique = {"kind": "clique", "n": 3}
+    with pytest.raises(ValueError, match="counters must be a list"):
+        ExperimentConfig.from_dict({"graph": clique, "counters": "per_vertex"})
+    assert ExperimentConfig.from_dict({"graph": clique, "counters": ["step3_draws"]}).counters == (
+        "step3_draws",)
+    for name in ("exclude_cap_hits", "per_trial"):
+        for value in ("false", "no", 0, 1, None):
+            with pytest.raises(ValueError, match=name):
+                cfg(**{name: value})
+        assert getattr(cfg(**{name: True}), name) is True
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({"graph": {"kind": "clique", "n": 3}, "bogus": 1})
     with pytest.raises(ValueError, match="graph"):
@@ -196,6 +206,27 @@ def test_one_worker_builds_the_graph_once(monkeypatch):
                          trials=300, workers=1))
     assert len(calls) == 1
     assert res.D == 4 and res.cap_hits == 0
+
+
+def test_the_pool_reads_file_inputs_once_in_the_parent(monkeypatch, tmp_path):
+    graph, start, log = tmp_path / "c6.txt", tmp_path / "start.txt", tmp_path / "reads.log"
+    graph.write_text("6 6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n")
+    start.write_text("D=3\n1 1 1 2 2 2\n")
+    for name in ("read_graph_file", "read_coloring_file"):
+        def logging(path, _real=getattr(experiments, name), _name=name):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{_name} {os.getpid()}\n")
+            return _real(path)
+
+        monkeypatch.setattr(experiments, name, logging)
+    c = cfg(graph={"kind": "file", "path": str(graph)}, start={"kind": "file", "path": str(start)},
+            trials=2100, workers=2)
+    assert len(experiments._chunks(c.trials, 2, kernel=True)) > 2
+    pooled = run_trials(c)
+    assert sorted(log.read_text().splitlines()) == [
+        f"read_coloring_file {os.getpid()}", f"read_graph_file {os.getpid()}"]
+    c.workers = 1
+    assert (run_trials(c).total_draws == pooled.total_draws).all()
 
 
 def test_one_worker_builds_start_and_order_once(monkeypatch, tmp_path):

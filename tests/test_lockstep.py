@@ -1,5 +1,6 @@
-"""The lockstep kernels give every trial exactly the scalar engine's result,
-however long it runs, and run_trials does not depend on the engine."""
+"""The lockstep kernels, both reached through `run_range`, give every trial
+exactly the scalar engine's result, however long it runs, and run_trials
+does not depend on the engine."""
 
 from __future__ import annotations
 
@@ -29,9 +30,9 @@ def _scalar(g, D, start, seed, lo, hi, cap):
     return rows
 
 
-def _kernel(g, D, start, seed, lo, hi, cap):
-    step3, terminated, per_vertex = lockstep.run_range(g, D, start, seed, lo, hi, cap)
-    return [(s, s, t, pv) for s, t, pv in zip(step3.tolist(), terminated.tolist(), per_vertex.tolist())]
+def _kernel(g, D, start, seed, lo, hi, cap, persistent=False):
+    out = lockstep.run_range(g, D, start, seed, lo, hi, cap, persistent)
+    return list(zip(*(a.tolist() for a in out)))
 
 
 @st.composite
@@ -112,7 +113,7 @@ def test_the_longest_trials_of_a_pass_rerun_from_the_start(monkeypatch):
     cap = default_step_cap(g.n, D)
     want = [s for s, *_ in _scalar(g, D, RANDOM_START, 23, 0, T, cap)]
     reruns = _reruns(monkeypatch, 23, T)
-    step3, _, _ = lockstep.run_range(g, D, RANDOM_START, 23, 0, T, cap)
+    step3, _, _, _ = lockstep.run_range(g, D, RANDOM_START, 23, 0, T, cap, False)
     assert step3.tolist() == want
     assert 0 < len(reruns) <= T // lockstep.TAIL_SHARE
     assert min(want[i] for i in reruns) > max(s for i, s in enumerate(want) if i not in reruns)
@@ -163,14 +164,13 @@ def _outputs(tmp_path, name, cfg):
     ],
 )
 def test_run_trials_does_not_depend_on_the_engine(monkeypatch, tmp_path, spec):
-    routed = []
-    monkeypatch.setattr(lockstep, "run_range", lambda *a, _f=lockstep.run_range: routed.append(1) or _f(*a))
+    routed = _counting(monkeypatch, "run_range")
     base = dict(trials=700, master_seed=41, per_trial=True,
                 counters=("total_draws", "step3_draws", "per_vertex"), **spec)
     kernel = _outputs(tmp_path, "kernel", ExperimentConfig(**base, workers=1))
     assert routed
     pooled = _outputs(tmp_path, "pooled", ExperimentConfig(**base, workers=2))
-    monkeypatch.setattr(lockstep, "fits", lambda g: False)
+    monkeypatch.setattr(lockstep, "fits", lambda g, D, persistent: False)
     scalar = _outputs(tmp_path, "scalar", ExperimentConfig(**base, workers=1))
     assert kernel == scalar
     assert {k: v for k, v in pooled.items() if k != "json"} == {
@@ -185,10 +185,26 @@ def test_a_bad_fixed_start_fails_as_in_the_scalar_engine():
         run_trials(cfg)
 
 
-def test_routing_uses_only_the_graph_size():
-    assert lockstep.fits(gen_clique(8)) and lockstep.fits(gen_cycle(16))
-    assert lockstep.fits(gen_clique(32)) and not lockstep.fits(gen_cycle(33))
-    assert not lockstep.fits(gen_clique(64)) and not lockstep.fits(gen_cycle(1000))
+@pytest.mark.parametrize(
+    "g, D, persistent, expected",
+    [
+        # one-draw: the graph size alone
+        pytest.param(gen_clique(8), 8, False, True, id="dc-K8"),
+        pytest.param(gen_cycle(16), 3, False, True, id="dc-C16"),
+        pytest.param(gen_clique(32), 32, False, True, id="dc-K32"),
+        pytest.param(gen_cycle(33), 3, False, False, id="dc-C33"),
+        pytest.param(gen_clique(64), 64, False, False, id="dc-K64"),
+        pytest.param(gen_cycle(1000), 3, False, False, id="dc-C1000"),
+        # persistent: the graph size and the palette
+        pytest.param(gen_cycle(4), 2, True, True, id="persistent-C4-D2"),
+        pytest.param(gen_cycle(512), 3, True, True, id="persistent-C512-D3"),
+        pytest.param(gen_cycle(513), 3, True, False, id="persistent-C513-D3"),
+        pytest.param(gen_clique(64), 63, True, True, id="persistent-K64-D63"),
+        pytest.param(gen_clique(64), 64, True, False, id="persistent-K64-D64"),
+    ],
+)
+def test_routing(g, D, persistent, expected):
+    assert lockstep.fits(g, D, persistent) is expected
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +220,7 @@ def _scalar_persistent(g, D, start, seed, lo, hi, cap):
 
 
 def _persistent_kernel(g, D, start, seed, lo, hi, cap):
-    return list(zip(*(a.tolist() for a in lockstep.run_persistent_range(g, D, start, seed, lo, hi, cap))))
+    return _kernel(g, D, start, seed, lo, hi, cap, persistent=True)
 
 
 @st.composite
@@ -255,7 +271,7 @@ def test_persistent_kernel_equals_the_scalar_engine_on_larger_graphs(spec, D, st
     D = D or g.max_degree + 1
     policy = build_start(start, g, D, bundled)
     cap = default_step_cap(g.n, D)
-    assert lockstep.persistent_fits(g, D)
+    assert lockstep.fits(g, D, persistent=True)
     assert _persistent_kernel(g, D, policy, 21, 0, trials, cap) == _scalar_persistent(
         g, D, policy, 21, 0, trials, cap)
 
@@ -332,12 +348,9 @@ def test_persistent_ranges_longer_than_one_pass(monkeypatch):
         g, 5, RANDOM_START, 3, 5, 40, 100)
 
 
-def test_persistent_routing_and_the_palette_limit():
-    assert lockstep.persistent_fits(gen_clique(64), 63) and lockstep.persistent_fits(gen_cycle(4), 2)
-    assert not lockstep.persistent_fits(gen_clique(64), 64)
-    assert lockstep.persistent_fits(gen_cycle(512), 3) and not lockstep.persistent_fits(gen_cycle(513), 3)
+def test_the_persistent_kernel_rejects_palettes_above_63():
     with pytest.raises(ValueError, match="D <= 63"):
-        lockstep.run_persistent_range(gen_clique(4), 64, RANDOM_START, 1, 0, 10, 100)
+        lockstep.run_range(gen_clique(4), 64, RANDOM_START, 1, 0, 10, 100, persistent=True)
 
 
 @pytest.mark.parametrize(
@@ -349,13 +362,13 @@ def test_persistent_routing_and_the_palette_limit():
     ],
 )
 def test_persistent_run_trials_does_not_depend_on_the_engine(monkeypatch, tmp_path, spec):
-    routed = _counting(monkeypatch, "run_persistent_range")
+    routed = _counting(monkeypatch, "run_range")
     base = dict(trials=700, master_seed=43, per_trial=True, algorithm="persistent",
                 counters=("total_draws", "step3_draws", "per_vertex"), **spec)
     kernel = _outputs(tmp_path, "kernel", ExperimentConfig(**base, workers=1))
     assert routed
     pooled = _outputs(tmp_path, "pooled", ExperimentConfig(**base, workers=2))
-    monkeypatch.setattr(lockstep, "persistent_fits", lambda g, D: False)
+    monkeypatch.setattr(lockstep, "fits", lambda g, D, persistent: False)
     scalar = _outputs(tmp_path, "scalar", ExperimentConfig(**base, workers=1))
     assert len(routed) == 1 and set(kernel) == {"csv", "json", "trials.csv", "vertices.csv"}
     assert kernel == scalar
