@@ -16,7 +16,6 @@ from .adversary import (
 )
 from .coloring import (
     Coloring,
-    PotentialKind,
     coloring_from_text,
     coloring_to_text,
     conflicted_edge_count,
@@ -25,7 +24,6 @@ from .coloring import (
     is_conflicted,
     is_proper,
     monochromatic_component_count,
-    potential_value,
     random_coloring,
     read_coloring_file,
     write_coloring_file,

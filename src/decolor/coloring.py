@@ -7,8 +7,7 @@ model lets a vertex observe.
 
 from __future__ import annotations
 
-import enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -48,14 +47,6 @@ class Coloring:
         return f"Coloring({self.colors}, D={self.palette_size})"
 
 
-class PotentialKind(enum.Enum):
-    """The three progress measures tracked for one-step drift analysis."""
-
-    MonochromaticComponents = "mono-components"
-    ConflictedEdges = "conflicted-edges"
-    ConflictedVertices = "conflicted-vertices"
-
-
 def random_coloring(n: int, D: int, rng: np.random.Generator) -> Coloring:
     """Each vertex draws its color i.i.d. uniform on {1..D}."""
     if D < 1:
@@ -73,16 +64,23 @@ def is_conflicted(g: Graph, c: Coloring, v: int) -> bool:
     return any(colors[u] == cv for u in g.adjacency[v])
 
 
-def same_color_counts(g: Graph, colors: list[int]) -> list[int]:
+def same_color_counts(g: Graph, colors: Sequence[int]) -> list[int]:
     """Per vertex, the number of neighbors holding its color; a vertex is
     conflicted exactly when its count is positive."""
-    adjacency = g.adjacency
-    return [sum(1 for u in adjacency[v] if colors[u] == cv) for v, cv in enumerate(colors)]
+    counts = [0] * g.n
+    for v, av in enumerate(g.adjacency):
+        cv = colors[v]
+        k = 0
+        for u in av:
+            if colors[u] == cv:
+                k += 1
+        counts[v] = k
+    return counts
 
 
 def conflicted_vertices(g: Graph, c: Coloring) -> list[int]:
     """All conflicted vertices, ascending."""
-    return [v for v in range(g.n) if is_conflicted(g, c, v)]
+    return [v for v, k in enumerate(same_color_counts(g, c.colors)) if k]
 
 
 def is_proper(g: Graph, c: Coloring) -> bool:
@@ -137,14 +135,6 @@ def monochromatic_component_count(g: Graph, c: Coloring) -> int:
                     parent[ru] = rv
                     count -= 1
     return count
-
-
-def potential_value(kind: PotentialKind, g: Graph, c: Coloring) -> int:
-    if kind is PotentialKind.MonochromaticComponents:
-        return monochromatic_component_count(g, c)
-    if kind is PotentialKind.ConflictedEdges:
-        return conflicted_edge_count(g, c)
-    return len(conflicted_vertices(g, c))
 
 
 def coloring_to_text(c: Coloring) -> str:

@@ -240,7 +240,12 @@ def build_start(spec: Any, g: Graph, D: int, bundled: Coloring | None) -> StartP
             return FixedStart(Coloring(_field(spec, "colors", _int_list, what), D))
         if kind == "file":
             c = read_coloring_file(_field(spec, "path", str, what))
-            return FixedStart(Coloring(c.colors, D))
+            if c.palette_size != D:
+                raise ValueError(
+                    f"start file has palette D={c.palette_size} but the run uses "
+                    f"D={D}; pass --colors {c.palette_size} to match it"
+                )
+            return FixedStart(c)
         if kind == "mono":
             color = _field({"color": 1, **spec}, "color", _int, what)
             if not (1 <= color <= D):

@@ -4,9 +4,11 @@ Expected recoloring counts come from three independent routes: closed-form
 harmonic sums, absorbing-Markov-chain solves over colorings, and a recursion
 over the persistent process's shrinking conflicted set. The Markov route
 canonicalizes colorings up to color renaming (the dynamics commute with any
-palette bijection), which shrinks the state space from D^n to the number of
-set partitions with at most D blocks; the tests verify the lumped chain
-against a plain solve over raw colorings.
+palette bijection, so the lumped chain is exact by strong lumpability),
+which shrinks the state space from D^n to the number of set partitions with
+at most D blocks; the tests check it against their own breadth-first chain
+over raw colorings. Both routes read a state's conflicted vertices from
+`coloring.same_color_counts`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .coloring import (
     conflicted_vertices,
     is_conflicted,
     monochromatic_component_count,
+    same_color_counts,
 )
 from .engine import (
     AdversaryOrder,
@@ -149,73 +152,40 @@ def _pattern_weight(pattern: Sequence[int], D: int) -> int:
     return w
 
 
-def _start_weights(
-    g: Graph, D: int, start: StartPolicy, lumped: bool = True
-) -> tuple[list[tuple[tuple, int]], int]:
-    """The start distribution as ([(state key, weight)], total weight).
+def _start_weights(g: Graph, D: int, start: StartPolicy) -> tuple[list[tuple[tuple, int]], int]:
+    """The start distribution as ([(pattern, weight)], total weight).
 
-    A random start weighs every raw coloring 1, or each canonical pattern by
-    the raw colorings it stands for when lumped; a fixed start is one state,
-    validated by the engine.
+    A random start weighs each canonical pattern by the raw colorings it
+    stands for; a fixed start is one state, validated by the engine.
     """
     if not isinstance(start, RandomStart):
-        colors = _initial_colors(g, D, start, None)
-        return [(canonical_pattern(colors) if lumped else tuple(colors), 1)], 1
-    if lumped:
-        weighted = [(p, _pattern_weight(p, D)) for p in _patterns(g.n, D)]
-    else:
-        weighted = [(tuple(int(c) + 1 for c in cs), 1) for cs in np.ndindex(*([D] * g.n))]
-    return weighted, D**g.n
-
-
-def _conflicted_of(g: Graph, colors: Sequence[int]) -> list[int]:
-    out = []
-    for v in range(g.n):
-        cv = colors[v]
-        for u in g.adjacency[v]:
-            if colors[u] == cv:
-                out.append(v)
-                break
-    return out
-
-
-def _vertex_conflicted(g: Graph, colors: Sequence[int], v: int) -> bool:
-    cv = colors[v]
-    return any(colors[u] == cv for u in g.adjacency[v])
+        return [(canonical_pattern(_initial_colors(g, D, start, None)), 1)], 1
+    return [(p, _pattern_weight(p, D)) for p in _patterns(g.n, D)], D**g.n
 
 
 # ---------------------------------------------------------------------------
 # absorbing-chain construction for the one-draw algorithm
 
 
-def _color_moves(
-    state: tuple[int, ...], v: int, D: int, lumped: bool, skip: Collection[int] = ()
-):
-    """Recolor choices for v as (child colors tuple, weight) pairs, one per
-    color not in `skip`; with nothing skipped the weights sum to D.
+def _color_moves(state: tuple[int, ...], v: int, D: int, skip: Collection[int] = ()):
+    """Recolor choices for v as (child pattern, weight, drawn color) triples.
 
-    In lumped mode all colors absent from the state are interchangeable, so
-    one fresh-color child carries weight D - k; `skip` may hold only colors
-    the state uses.
+    Each color x of the state that is not in `skip` gives one child of
+    weight 1. The D - k colors absent from the state are interchangeable, so
+    one fresh-color child, drawn color k + 1, carries weight D - k. With
+    nothing skipped the weights sum to D; `skip` may hold only colors the
+    state uses.
     """
     moves = []
     base = list(state)
-    if lumped:
-        k = max(state)
-        for x in range(1, k + 1):
-            if x in skip:
-                continue
+    k = max(state)
+    for x in range(1, k + 1):
+        if x not in skip:
             base[v] = x
-            moves.append((canonical_pattern(base), 1))
-        if D > k:
-            base[v] = k + 1
-            moves.append((canonical_pattern(base), D - k))
-    else:
-        for x in range(1, D + 1):
-            if x in skip:
-                continue
-            base[v] = x
-            moves.append((tuple(base), 1))
+            moves.append((canonical_pattern(base), 1, x))
+    if D > k:
+        base[v] = k + 1
+        moves.append((canonical_pattern(base), D - k, k + 1))
     return moves
 
 
@@ -235,14 +205,15 @@ def _build_dc_chain(
     D: int,
     start_keys: Iterable,
     mimic_mode: str | None,
-    lumped: bool,
 ) -> _Chain:
     """Breadth-first enumeration of the one-draw chain from the start states.
 
-    States are colorings for the uniform scheduler; for the mimic scheduler
-    they are (coloring, active) pairs where active is the locked vertex or -1
-    at a selection boundary.
+    States are canonical patterns for the uniform scheduler; for the mimic
+    scheduler they are (pattern, active) pairs where active is the locked
+    vertex or -1 at a selection boundary. A state's conflicted vertices are
+    those with a positive `same_color_counts` entry.
     """
+    adjacency = g.adjacency
     index: dict = {}
     states: list = []
     queue: list = []
@@ -269,36 +240,30 @@ def _build_dc_chain(
         qpos += 1
         key = states[i]
         colors = key if mimic_mode is None else key[0]
-        conflicted = _conflicted_of(g, colors)
+        counts = same_color_counts(g, colors)
+        conflicted = [v for v, k in enumerate(counts) if k]
         if not conflicted:
             continue  # absorbing
-        if mimic_mode is None:
-            picks = [(v, 1) for v in conflicted]
-            pick_den = len(conflicted)
-        else:
+        picks = conflicted
+        if mimic_mode is not None:
             active = key[1]
-            if active >= 0 and _vertex_conflicted(g, colors, active):
-                picks = [(active, 1)]
-                pick_den = 1
+            if active >= 0 and counts[active]:
+                picks = [active]
             elif mimic_mode == "lowest":
-                picks = [(conflicted[0], 1)]
-                pick_den = 1
-            else:
-                picks = [(v, 1) for v in conflicted]
-                pick_den = len(conflicted)
-        den = pick_den * D
+                picks = conflicted[:1]
         acc: dict[int, int] = {}
-        for v, pw in picks:
-            for child_colors, cw in _color_moves(colors, v, D, lumped):
-                if mimic_mode is None:
-                    child = child_colors
-                else:
-                    still = _vertex_conflicted(g, child_colors, v)
-                    child = (child_colors, v if still else -1)
+        for v in picks:
+            moves = _color_moves(colors, v, D)
+            if mimic_mode is not None:
+                # the mimic adversary keeps v while its drawn color is one
+                # of its neighbors'; the fresh color never is
+                used = {colors[u] for u in adjacency[v]}
+                moves = [((child, v if x in used else -1), w, x) for child, w, x in moves]
+            for child, w, _ in moves:
                 j = intern(child)
-                acc[j] = acc.get(j, 0) + pw * cw
+                acc[j] = acc.get(j, 0) + w
         transient.append(i)
-        row_den.append(den)
+        row_den.append(len(picks) * D)
         row_entries.append(sorted(acc.items()))
 
     return _Chain(states, index, transient, row_den, row_entries)
@@ -495,12 +460,11 @@ def exact_expected_recolorings_dc(
     sched: SchedulerPolicy | None = None,
     *,
     method: str = "auto",
-    lumped: bool = True,
 ) -> ExactValue:
     """Exact expected post-start draws of the one-draw algorithm.
 
-    Solves the absorbing chain over colorings (states canonicalized up to
-    color renaming unless lumped=False). Chains with at most
+    Solves the absorbing chain over colorings canonicalized up to color
+    renaming, which is exact by strong lumpability. Chains with at most
     DEFAULT_EXACT_STATE_LIMIT transient states, or any chain under method
     "exact", go through exact rational elimination; larger ones (method
     "auto"/"iterative") use a float solve certified to CERTIFIED_TOL, which
@@ -517,11 +481,11 @@ def exact_expected_recolorings_dc(
         raise ValueError(f"unknown method {method!r}")
     mimic_mode = _resolve_dc_sched(sched)
 
-    weighted, total_weight = _start_weights(g, D, start, lumped)
+    weighted, total_weight = _start_weights(g, D, start)
     if mimic_mode is not None:
         weighted = [((key, -1), w) for key, w in weighted]
 
-    chain = _build_dc_chain(g, D, [key for key, _ in weighted], mimic_mode, lumped)
+    chain = _build_dc_chain(g, D, [key for key, _ in weighted], mimic_mode)
     if not chain.transient:
         return ExactValue(Fraction(0), method="markov-exact", transient=0, nonzeros=0,
                           fill=0, backend=RATIONAL_BACKEND)
@@ -591,11 +555,12 @@ def exact_expected_recolorings_persistent(
 
     def picks(state: tuple[int, ...], idx: int) -> list[tuple[int, int]]:
         """(vertex, next idx) pairs for the selections open at (state, idx)."""
+        counts = same_color_counts(g, state)
         if fixed_order is None:
-            return [(v, 0) for v in _conflicted_of(g, state)]
+            return [(v, 0) for v, k in enumerate(counts) if k]
         for i in range(idx, g.n):
             v = fixed_order[i]
-            if _vertex_conflicted(g, state, v):
+            if counts[v]:
                 return [(v, i + 1)]
         return []
 
@@ -616,7 +581,7 @@ def exact_expected_recolorings_persistent(
             # v draws D/f times on average, then lands uniformly on its f
             # free colors
             acc = _Q(D)
-            for child, w in _color_moves(state, v, D, True, used):
+            for child, w, _ in _color_moves(state, v, D, used):
                 acc += w * expect(child, nxt)
             val += acc / (f * len(options))
         memo[key] = val

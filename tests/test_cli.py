@@ -122,6 +122,17 @@ def test_malformed_graph_file_exits_2_with_one_error_line(tmp_path, capsys):
     assert "line 2" in err and "Traceback" not in err
 
 
+def test_a_start_file_must_use_the_run_palette(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("D=9\n1 1 2\n")
+    run = ["run", "--graph", "clique:3", "--start", f"file:{path}", "--trials", "5", "--workers", "1"]
+    assert main(run) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "D=9" in err and "D=3" in err and "--colors 9" in err
+    assert main(run + ["--colors", "9"]) == 0
+
+
 def test_bad_step_cap_and_workers_exit_2(capsys):
     assert main(["run", "--graph", "clique:3", "--trials", "5", "--step-cap", "-1"]) == 2
     assert "step_cap" in capsys.readouterr().err

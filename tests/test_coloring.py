@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from decolor.coloring import (
     Coloring,
-    PotentialKind,
     coloring_from_text,
     coloring_to_text,
     conflicted_edge_count,
@@ -17,8 +16,8 @@ from decolor.coloring import (
     is_conflicted,
     is_proper,
     monochromatic_component_count,
-    potential_value,
     random_coloring,
+    same_color_counts,
 )
 from decolor.graphs import from_edge_list, gen_clique, gen_cycle
 
@@ -56,9 +55,9 @@ def test_potentials_on_the_gadget():
     from decolor.graphs import gen_fig2_like
 
     g, c, _ = gen_fig2_like()
-    assert potential_value(PotentialKind.MonochromaticComponents, g, c) == 3
-    assert potential_value(PotentialKind.ConflictedVertices, g, c) == 3
-    assert potential_value(PotentialKind.ConflictedEdges, g, c) == 2
+    assert monochromatic_component_count(g, c) == 3
+    assert len(conflicted_vertices(g, c)) == 3
+    assert conflicted_edge_count(g, c) == 2
 
 
 def test_monochromatic_components_counts_proper_as_n():
@@ -103,6 +102,9 @@ def test_conflict_consistency(gc):
     assert listed == sorted(listed)
     assert set(listed) == {v for v in range(g.n) if is_conflicted(g, c, v)}
     assert is_proper(g, c) == (not listed)
+    assert same_color_counts(g, c.colors) == [
+        sum(c.colors[u] == c.colors[v] for u in g.adjacency[v]) for v in range(g.n)
+    ]
     # a conflicted vertex keeps its own color out of the free set exactly
     # when some neighbor shares it
     for v in listed:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,6 +210,57 @@ def test_persistent_walk_never_reconflicts_a_passed_vertex(walk):
         assert not any(colors[u] == colors[w] for w in perm[: s + 1] for u in g.adjacency[w])
     assert next(selections, None) is None
     assert r.terminated and colors == r.final_coloring.colors
+
+
+class _UniformPolicy:
+    """Uniform pick as a policy object, so `_run` sends it down the policy
+    loop instead of the persistent permutation walk."""
+
+    def pick(self, g, c, conflicted, counts, history, draw):
+        return conflicted[draw() * len(conflicted) >> 53]
+
+
+def _pooled_histograms(a, b, least=20):
+    """Two histograms over the values of a and b, as (bins, 2) counts, with
+    adjacent bins merged until each holds at least `least` trials in all."""
+    ha, hb = Counter(a), Counter(b)
+    rows = [[0, 0]]
+    for x in sorted(ha.keys() | hb.keys()):
+        if sum(rows[-1]) >= least:
+            rows.append([0, 0])
+        rows[-1][0] += ha[x]
+        rows[-1][1] += hb[x]
+    if len(rows) > 1 and sum(rows[-1]) < least:
+        last = rows.pop()
+        rows[-1] = [rows[-1][0] + last[0], rows[-1][1] + last[1]]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("label", ["K5-random", "badbip3-construction"])
+def test_persistent_uniform_walk_matches_the_policy_loop_in_distribution(label):
+    # the walk tests each position of one random permutation once; the
+    # policy loop picks uniformly among the conflicted vertices after every
+    # clear. Cleared vertices stay clear, so both give one distribution.
+    from scipy.stats import chi2_contingency
+
+    from decolor.adversary import bad_bipartite_start
+    from decolor.oracle import exact_expected_recolorings_persistent
+
+    if label == "K5-random":
+        g, D, start = gen_clique(5), 5, RANDOM_START
+    else:
+        g, c = bad_bipartite_start(3)
+        D, start = c.palette_size, FixedStart(c)
+    trials = 10_000
+    walk = [run_persistent(g, D, start, UNIFORM_ORDER, trial_rng(21, t)).step3_draws
+            for t in range(trials)]
+    policy = [run_persistent(g, D, start, _UniformPolicy(), trial_rng(22, t)).step3_draws
+              for t in range(trials)]
+    assert chi2_contingency(_pooled_histograms(walk, policy)).pvalue > 1e-4
+    exact = exact_expected_recolorings_persistent(g, D, start).as_float()
+    for sample in (walk, policy):
+        se = np.std(sample, ddof=1) / np.sqrt(trials)
+        assert abs(np.mean(sample) - exact) <= 4 * se
 
 
 @st.composite
