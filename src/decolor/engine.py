@@ -31,8 +31,8 @@ The uniform order indexes the ConflictTracker's member list, so its order
 `ConflictTracker.recolor` makes them) is part of the same contract.
 `run_trials` runs uniform-order trials on small graphs in the lockstep
 kernels (``decolor.lockstep``), which reproduce these loops on arrays and
-rerun an exceptional trial in `run_decentralized` or `run_persistent`
-from the start, so no loop needs a resume path.
+hand an exceptional trial back to be rerun in `run_decentralized` or
+`run_persistent` from the start, so no loop needs a resume path.
 """
 
 from __future__ import annotations
@@ -128,6 +128,8 @@ class AdversaryOrder:
         self.script = tuple(script) if script is not None else None
         if strategy is AdversaryStrategy.Scripted and self.script is None:
             raise ValueError("scripted adversary needs a script")
+        if strategy is AdversaryStrategy.MimicPersistent and mode not in ("uniform", "lowest"):
+            raise ValueError(f"unknown mimic mode {mode!r}")
 
     def __repr__(self) -> str:
         return f"AdversaryOrder({self.strategy}, mode={self.mode!r})"

@@ -267,7 +267,10 @@ def build_order(spec: Any, g: Graph) -> SchedulerPolicy:
         kind = spec["kind"]
         what = f"order kind {kind!r}"
         if kind == "perm":
-            return FixedPermutationOrder(_field(spec, "order", _int_list, what))
+            order = _field(spec, "order", _int_list, what)
+            if len(order) != g.n:
+                raise ValueError(f"{what} has {len(order)} entries but the graph has n={g.n}")
+            return FixedPermutationOrder(order)
         if kind == "mimic":
             return AdversaryOrder(
                 AdversaryStrategy.MimicPersistent, mode=spec.get("mode", "uniform")
@@ -316,16 +319,17 @@ class SummaryStats:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
+        """The JSON form; with no trial behind them the statistics are null."""
+        stats = {
             "mean": self.mean,
             "std": self.std,
             "se": self.se,
             "ci99": [self.ci99_low, self.ci99_high],
             "min": self.min,
             "max": self.max,
-            "cap_hits": self.cap_hits,
         }
+        return {"trials": self.trials, **(stats if self.trials else dict.fromkeys(stats)),
+                "cap_hits": self.cap_hits}
 
 
 @dataclass
@@ -403,49 +407,67 @@ def _chunks(trials: int, workers: int, kernel: bool) -> list[tuple[int, int]]:
     return [(i, min(i + chunk, trials)) for i in range(0, trials, chunk)]
 
 
-def _run_range(
-    cfg: ExperimentConfig,
-    built: tuple[Graph, int, StartPolicy, SchedulerPolicy],
-    lo: int,
-    hi: int,
-):
-    """Run trials [lo, hi) of cfg on built = `_build(cfg)`.
+def trial_passes(cfg: ExperimentConfig, built: tuple[Graph, int, StartPolicy, SchedulerPolicy],
+                 lo: int, hi: int):
+    """Run trials [lo, hi) of cfg on built = `_build(cfg)`, a pass at a time.
 
-    Returns (step3 draws, selections, terminated, per-vertex sum, per-vertex
-    sum of squares); the last two are None unless cfg counts per_vertex.
-    Uniform-order trials that a lockstep kernel takes (`_in_kernel`) run
-    there, all others in the scalar engine, one trial at a time; both give
-    identical trials.
+    A pass holds `lockstep.PASS_ENTRIES` // (n + 1) trials (persistent:
+    `lockstep.PERSISTENT_PASS_ENTRIES`), at least one. When a lockstep kernel
+    takes the trials (`_in_kernel`) it runs the pass first and this one
+    scalar loop runs the trials it hands back; otherwise the loop runs the
+    whole pass. Both give identical trials. Yields per pass (step3 draws,
+    selections, terminated, per-vertex draws with one row per trial, or None
+    unless cfg counts per_vertex).
     """
     g, D, start, order = built
+    persistent = cfg.algorithm == "persistent"
+    kernel = _in_kernel(cfg, g, D, order)
     want_vertex = "per_vertex" in cfg.counters
-    if _in_kernel(cfg, g, D, order):
-        cap = default_step_cap(g.n, D) if cfg.step_cap is None else cfg.step_cap
-        step3, selections, terminated, per_vertex = lockstep.run_range(
-            g, D, start, cfg.master_seed, lo, hi, cap, cfg.algorithm == "persistent")
-        return (
-            step3,
-            selections,
-            terminated,
-            per_vertex.sum(axis=0) if want_vertex else None,
-            np.einsum("ij,ij->j", per_vertex, per_vertex) if want_vertex else None,
-        )
-    runner = run_decentralized if cfg.algorithm == "dc" else run_persistent
-    step3 = []
-    selections = []
-    terminated = []
-    vertex_sum = np.zeros(g.n, dtype=np.int64) if want_vertex else None
-    vertex_sumsq = np.zeros(g.n, dtype=np.int64) if want_vertex else None
+    runner = run_persistent if persistent else run_decentralized
+    cap = default_step_cap(g.n, D) if cfg.step_cap is None else cfg.step_cap
+    entries = lockstep.PERSISTENT_PASS_ENTRIES if persistent else lockstep.PASS_ENTRIES
+    per_pass = max(entries // (g.n + 1), 1)
     gen = np.random.Generator(np.random.PCG64(0))  # reseeded in place for every trial
-    for i in range(lo, hi):
-        r = runner(g, D, start, order, trial_rng(cfg.master_seed, i, gen), step_cap=cfg.step_cap)
-        step3.append(r.step3_draws)
-        selections.append(r.selections)
-        terminated.append(r.terminated)
-        if want_vertex:
-            vec = np.asarray(r.per_vertex_draws, dtype=np.int64)
-            vertex_sum += vec
-            vertex_sumsq += vec * vec
+    for a in range(lo, hi, per_pass):
+        b = min(a + per_pass, hi)
+        trials = range(a, b)
+        if kernel:
+            out, rerun = lockstep.run_pass(g, D, start, cfg.master_seed, a, b, cap, persistent, gen)
+            trials = (a + rerun).tolist()
+        step3, selections, terminated, rows = results = ([], [], [], [])
+        for i in trials:
+            r = runner(g, D, start, order, trial_rng(cfg.master_seed, i, gen), step_cap=cfg.step_cap)
+            step3.append(r.step3_draws)
+            selections.append(r.selections)
+            terminated.append(r.terminated)
+            if want_vertex:
+                rows.append(r.per_vertex_draws)
+        if kernel:
+            if trials:  # the reruns overwrite their rows
+                for arr, values in zip(out, results[: 3 + want_vertex]):
+                    arr[rerun] = values
+            results = out
+        yield (*results[:3], results[3] if want_vertex else None)
+        results = out = None  # one pass at a time in memory
+
+
+def _run_range(cfg: ExperimentConfig, built: tuple[Graph, int, StartPolicy, SchedulerPolicy],
+               lo: int, hi: int):
+    """Run trials [lo, hi) of cfg on built = `_build(cfg)` (see `trial_passes`).
+
+    Returns (step3 draws, selections, terminated, per-vertex sum, per-vertex
+    sum of squares); the last two stay zero unless cfg counts per_vertex.
+    """
+    columns = []
+    vertex_sum, vertex_sumsq = np.zeros((2, built[0].n), dtype=np.int64)
+    for *pass_columns, rows in trial_passes(cfg, built, lo, hi):
+        columns.append(pass_columns)
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            vertex_sum += rows.sum(axis=0)
+            vertex_sumsq += np.einsum("ij,ij->j", rows, rows)
+            del rows  # freed before the next pass runs
+    step3, selections, terminated = (np.concatenate(column) for column in zip(*columns))
     return step3, selections, terminated, vertex_sum, vertex_sumsq
 
 
@@ -469,10 +491,9 @@ def run_trials(cfg: ExperimentConfig) -> TrialsResult:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range, [cfg] * len(bounds), [built] * len(bounds), los, his))
 
-    step3 = np.concatenate([np.asarray(p[0], dtype=np.int64) for p in parts])
+    columns = list(zip(*parts))  # each column holds every range's part, in trial order
+    step3, selections, terminated = (np.concatenate(column) for column in columns[:3])
     total = step3 + g.n  # total_draws = n + step3_draws, see RunResult
-    selections = np.concatenate([np.asarray(p[1], dtype=np.int64) for p in parts])
-    terminated = np.concatenate([np.asarray(p[2], dtype=bool) for p in parts])
     cap_hits = int((~terminated).sum())
 
     warnings: list[str] = []
@@ -490,11 +511,7 @@ def run_trials(cfg: ExperimentConfig) -> TrialsResult:
 
     per_vertex: list[PerVertexRow] | None = None
     if "per_vertex" in cfg.counters:
-        vsum = np.zeros(g.n, dtype=np.int64)
-        vsumsq = np.zeros(g.n, dtype=np.int64)
-        for p in parts:
-            vsum += np.asarray(p[3], dtype=np.int64)
-            vsumsq += np.asarray(p[4], dtype=np.int64)
+        vsum, vsumsq = sum(columns[3]), sum(columns[4])
         t = cfg.trials
         means = vsum / t
         variances = (vsumsq - t * means * means) / (t - 1) if t > 1 else np.zeros(g.n)
@@ -600,7 +617,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _json_dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Lockstep kernels: many uniform-order trials at once on small graphs.
 
-Both kernels run a range of trials together on numpy arrays, in passes of
-a bounded number of trial-vertex entries, and give every trial exactly the
-result the scalar engine gives it alone. One entry point, ``run_range``,
-runs either process, and `fits` says which graphs and palettes each kernel
-takes. Both follow the stream version 2 rules (see ``decolor.engine``). A
-pass returns the trials it cannot finish, and ``run_range`` reruns each of
-them from the start in ``run_decentralized`` or ``run_persistent``.
+Both kernels run one pass of trials together on numpy arrays and give
+every trial they finish exactly the result the scalar engine gives it
+alone. One entry point, ``run_pass``, runs either process, and `fits` says
+which graphs and palettes each kernel takes. Both follow the stream version
+2 rules (see ``decolor.engine``). A pass returns the trials it cannot
+finish, and ``decolor.experiments``, whose one loop runs every scalar trial,
+reruns them from the start in ``run_decentralized`` or ``run_persistent``.
 
 One-draw. The state per trial mirrors the scalar engine's: colors,
 same-color neighbor counts, the conflict tracker's swap-remove `members`
@@ -53,14 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import (
-    RandomStart,
-    StartPolicy,
-    UNIFORM_ORDER,
-    _initial_colors,
-    run_decentralized,
-    run_persistent,
-)
+from .engine import RandomStart, StartPolicy, _initial_colors
 from .graphs import Graph
 from .rng import stream_rows, trial_rng
 
@@ -129,21 +122,22 @@ def fits(g: Graph, D: int, persistent: bool) -> bool:
     return g.n <= 32
 
 
-def run_range(
-    g: Graph, D: int, start: StartPolicy, master_seed: int, lo: int, hi: int, cap: int,
-    persistent: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Trials lo..hi-1 of a uniform-order run of the one-draw process, or of
-    the persistent one (which needs D <= 63).
+def run_pass(
+    g: Graph, D: int, start: StartPolicy, master_seed: int, a: int, b: int, cap: int,
+    persistent: bool, gen: np.random.Generator,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Trials a..b-1 of a uniform-order run of the one-draw process, or of
+    the persistent one (which needs D <= 63), in one lockstep pass.
 
-    Returns (step3 draws, selections, terminated, per-vertex draws as a
-    (hi - lo, n) array), equal trial by trial to ``run_decentralized`` or
+    Returns ((step3 draws, selections, terminated, per-vertex draws as a
+    (b - a, n) array), the offsets from a of the trials to rerun from the
+    start). Every other trial equals ``run_decentralized`` or
     ``run_persistent`` on ``trial_rng(master_seed, i)``. For the one-draw
-    process, selections is the step3 array.
+    process, selections is the step3 array. `gen` is reseeded for every fill.
     """
     if persistent and not 1 <= D <= MAX_PERSISTENT_D:
         raise ValueError(f"the persistent kernel needs 1 <= D <= {MAX_PERSISTENT_D}, got {D}")
-    n, T = g.n, hi - lo
+    n, T = g.n, b - a
     fixed = None if isinstance(start, RandomStart) else _initial_colors(g, D, start, None)
     step3 = np.zeros(T, dtype=np.int64)
     out = (
@@ -155,21 +149,8 @@ def run_range(
     nbr = np.full((n, max(g.max_degree, 1)), n, dtype=np.int32)  # int32: smaller gathers
     for v, av in enumerate(g.adjacency):
         nbr[v, : len(av)] = av
-    gen = np.random.Generator(np.random.PCG64(0))  # reseeded for every fill and rerun
-    runner = run_persistent if persistent else run_decentralized
-    per_pass = (PERSISTENT_PASS_ENTRIES if persistent else PASS_ENTRIES) // (n + 1)
-    for a in range(lo, hi, per_pass):
-        b = min(a + per_pass, hi)
-        part = [arr[a - lo : b - lo] for arr in out]
-        args = (nbr, D, fixed, master_seed, a, b, cap, part)
-        bad = _persistent_pass(*args, gen) if persistent else _pass(*args)
-        for t in np.flatnonzero(bad).tolist():
-            r = runner(g, D, start, UNIFORM_ORDER, trial_rng(master_seed, a + t, gen),
-                       step_cap=cap)
-            results = (r.step3_draws, r.selections, r.terminated, r.per_vertex_draws)
-            for arr, value in zip(part, results):
-                arr[t] = value
-    return out
+    args = (nbr, D, fixed, master_seed, a, b, cap, out)
+    return out, np.flatnonzero(_persistent_pass(*args, gen) if persistent else _pass(*args))
 
 
 def _pass(nbr, D, fixed, master_seed, a, b, cap, out) -> np.ndarray:

@@ -444,8 +444,6 @@ def _resolve_dc_sched(sched: SchedulerPolicy | None) -> str | None:
     if sched is None or isinstance(sched, UniformRandomOrder):
         return None
     if isinstance(sched, AdversaryOrder) and sched.strategy is AdversaryStrategy.MimicPersistent:
-        if sched.mode not in ("uniform", "lowest"):
-            raise ValueError(f"unsupported mimic mode {sched.mode!r}")
         return sched.mode
     raise ValueError(
         "exact one-draw expectations support only the uniform scheduler and "

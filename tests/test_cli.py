@@ -133,6 +133,17 @@ def test_a_start_file_must_use_the_run_palette(tmp_path, capsys):
     assert main(run + ["--colors", "9"]) == 0
 
 
+@pytest.mark.parametrize("entries", [3, 6])
+def test_a_perm_order_of_the_wrong_length_exits_2(tmp_path, capsys, entries):
+    path = tmp_path / "p.txt"
+    path.write_text(" ".join(map(str, range(entries))) + "\n")
+    assert main(["run", "--graph", "clique:4", "--order", f"perm:{path}", "--trials", "5",
+                 "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{entries} entries" in err and "n=4" in err and "Traceback" not in err
+
+
 def test_bad_step_cap_and_workers_exit_2(capsys):
     assert main(["run", "--graph", "clique:3", "--trials", "5", "--step-cap", "-1"]) == 2
     assert "step_cap" in capsys.readouterr().err
@@ -202,7 +213,8 @@ _TEXTS = st.one_of(
 def test_graph_and_coloring_files_fail_with_one_error_line(text, as_graph):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.txt")
-        with open(path, "w", encoding="utf-8") as fh:
+        # a lone surrogate becomes bytes that are not UTF-8, which must fail cleanly too
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
             fh.write(text)
         where = [f"file:{path}"] if as_graph else ["clique:3", "--start", f"file:{path}"]
         err = io.StringIO()

@@ -260,6 +260,30 @@ def test_cap_hits_warn_and_optionally_drop():
     assert dropped.stats["step3_draws"].trials == 200 - dropped.cap_hits
 
 
+def test_a_run_with_every_trial_excluded_writes_strict_json(tmp_path):
+    # K4 has no proper 2-coloring, so every trial hits the cap
+    c = cfg(graph={"kind": "clique", "n": 4}, D=2, step_cap=3, trials=50, exclude_cap_hits=True,
+            output=str(tmp_path / "capped"))
+    assert run_trials(c).cap_hits == 50
+
+    def no_constant(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    doc = json.loads((tmp_path / "capped.json").read_text(), parse_constant=no_constant)
+    for stats in doc["results"].values():
+        assert stats["trials"] == 0 and stats["mean"] is None and stats["ci99"] is None
+
+
+def test_an_unknown_mimic_mode_fails_before_any_trial_runs(monkeypatch):
+    calls = []
+    real = experiments.run_decentralized
+    monkeypatch.setattr(experiments, "run_decentralized",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    with pytest.raises(ValueError, match="mimic mode 'bogus'"):
+        run_trials(cfg(order={"kind": "mimic", "mode": "bogus"}, workers=1))
+    assert not calls
+
+
 def test_per_vertex_table_matches_scalar_total():
     c = cfg(trials=2000, counters=("step3_draws", "per_vertex"), master_seed=9)
     r = run_trials(c)

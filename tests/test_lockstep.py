@@ -1,13 +1,17 @@
-"""The lockstep kernels, both reached through `run_range`, give every trial
-exactly the scalar engine's result, however long it runs, and run_trials
-does not depend on the engine."""
+"""The lockstep kernels, both reached through `run_pass` from the one pass
+loop `experiments.trial_passes`, which reruns in the scalar engine the
+trials a pass hands back, give every trial exactly the scalar engine's
+result, however long it runs, and run_trials does not depend on the engine."""
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decolor import lockstep
+from decolor import experiments, lockstep
 from decolor.coloring import Coloring
 from decolor.engine import (
     FixedStart,
@@ -17,7 +21,14 @@ from decolor.engine import (
     run_decentralized,
     run_persistent,
 )
-from decolor.experiments import ExperimentConfig, build_graph, build_start, run_trials, write_outputs
+from decolor.experiments import (
+    ExperimentConfig,
+    build_graph,
+    build_start,
+    run_trials,
+    trial_passes,
+    write_outputs,
+)
 from decolor.graphs import from_edge_list, gen_clique, gen_cycle
 from decolor.rng import trial_rng
 
@@ -31,8 +42,13 @@ def _scalar(g, D, start, seed, lo, hi, cap):
 
 
 def _kernel(g, D, start, seed, lo, hi, cap, persistent=False):
-    out = lockstep.run_range(g, D, start, seed, lo, hi, cap, persistent)
-    return list(zip(*(a.tolist() for a in out)))
+    assert lockstep.fits(g, D, persistent)
+    cfg = ExperimentConfig(graph={}, algorithm="persistent" if persistent else "dc",
+                           master_seed=seed, step_cap=cap, counters=("step3_draws", "per_vertex"))
+    rows = []
+    for columns in trial_passes(cfg, (g, D, start, UNIFORM_ORDER), lo, hi):
+        rows += zip(*(a.tolist() for a in columns))
+    return rows
 
 
 @st.composite
@@ -59,10 +75,10 @@ def test_kernel_equals_the_scalar_engine_trial_by_trial(case):
     assert _kernel(g, D, start, seed, lo, hi, cap) == _scalar(g, D, start, seed, lo, hi, cap)
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=lockstep):
     calls = []
-    real = getattr(lockstep, name)
-    monkeypatch.setattr(lockstep, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
     return calls
 
 
@@ -80,13 +96,13 @@ def test_kernel_equals_the_scalar_engine_on_small_graphs(g, D, start):
 
 
 def _reruns(monkeypatch, seed, T):
-    """The trials lockstep reruns in run_decentralized, as a list that fills
-    while the kernel runs. A rerun's generator is the trial's, fresh, so its
-    state names the trial."""
+    """The trials a lockstep pass hands back to run_decentralized, as a list
+    that fills while the kernel runs. A rerun's generator is the trial's,
+    fresh, so its state names the trial."""
     states = {trial_rng(seed, i).bit_generator.state["state"]["state"]: i for i in range(T)}
     reruns = []
-    real = lockstep.run_decentralized
-    monkeypatch.setattr(lockstep, "run_decentralized", lambda g, D, start, order, rng, **kw: reruns.append(
+    real = experiments.run_decentralized
+    monkeypatch.setattr(experiments, "run_decentralized", lambda g, D, start, order, rng, **kw: reruns.append(
         states[rng.bit_generator.state["state"]["state"]]) or real(g, D, start, order, rng, **kw))
     return reruns
 
@@ -113,8 +129,7 @@ def test_the_longest_trials_of_a_pass_rerun_from_the_start(monkeypatch):
     cap = default_step_cap(g.n, D)
     want = [s for s, *_ in _scalar(g, D, RANDOM_START, 23, 0, T, cap)]
     reruns = _reruns(monkeypatch, 23, T)
-    step3, _, _, _ = lockstep.run_range(g, D, RANDOM_START, 23, 0, T, cap, False)
-    assert step3.tolist() == want
+    assert [s for s, *_ in _kernel(g, D, RANDOM_START, 23, 0, T, cap)] == want
     assert 0 < len(reruns) <= T // lockstep.TAIL_SHARE
     assert min(want[i] for i in reruns) > max(s for i, s in enumerate(want) if i not in reruns)
 
@@ -161,21 +176,48 @@ def _outputs(tmp_path, name, cfg):
         dict(graph={"kind": "clique", "n": 6}, D=6),
         dict(graph={"kind": "cycle", "n": 8}, D=3, start={"kind": "mono", "color": 1}),
         dict(graph={"kind": "clique", "n": 4}, D=3, step_cap=4),
+        # a policy order: no kernel, scalar passes only
+        dict(graph={"kind": "erdos", "n": 12, "p": 0.3, "seed": 7}, order="min-drift"),
     ],
 )
 def test_run_trials_does_not_depend_on_the_engine(monkeypatch, tmp_path, spec):
-    routed = _counting(monkeypatch, "run_range")
+    routed = _counting(monkeypatch, "run_pass")
     base = dict(trials=700, master_seed=41, per_trial=True,
                 counters=("total_draws", "step3_draws", "per_vertex"), **spec)
     kernel = _outputs(tmp_path, "kernel", ExperimentConfig(**base, workers=1))
-    assert routed
+    assert bool(routed) == ("order" not in spec)
     pooled = _outputs(tmp_path, "pooled", ExperimentConfig(**base, workers=2))
     monkeypatch.setattr(lockstep, "fits", lambda g, D, persistent: False)
     scalar = _outputs(tmp_path, "scalar", ExperimentConfig(**base, workers=1))
-    assert kernel == scalar
+    # passes of at most 50 // (n + 1) trials split the range
+    monkeypatch.setattr(lockstep, "PASS_ENTRIES", 50)
+    split = _outputs(tmp_path, "split", ExperimentConfig(**base, workers=1))
+    assert kernel == scalar == split
     assert {k: v for k, v in pooled.items() if k != "json"} == {
         k: v for k, v in scalar.items() if k != "json"
     }
+
+
+def _traced_peak(cfg):
+    tracemalloc.start()
+    try:
+        run_trials(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_runs_hold_one_pass_in_memory():
+    # C64 persistent: 1039-trial passes, each with a 532 KB per-vertex array;
+    # both runs fill a whole pass, and memory for the whole range would grow
+    # by 2 MB from 1100 to 5100 trials
+    def cfg(trials):
+        return ExperimentConfig(graph={"kind": "cycle", "n": 64}, algorithm="persistent", D=3,
+                                trials=trials, workers=1)
+
+    run_trials(cfg(50))
+    few, many = _traced_peak(cfg(1100)), _traced_peak(cfg(5100))
+    assert many - few < 1_000_000
 
 
 def test_a_bad_fixed_start_fails_as_in_the_scalar_engine():
@@ -287,8 +329,8 @@ def test_rejected_values_rerun_their_trials(monkeypatch, block):
     want = _scalar_persistent(g, D, RANDOM_START, 9, 0, T, 10**6)
     fills = _counting(monkeypatch, "_values")
     reruns = []
-    real = lockstep.run_persistent
-    monkeypatch.setattr(lockstep, "run_persistent", lambda g, D, start, order, rng, **kw: reruns.append(
+    real = experiments.run_persistent
+    monkeypatch.setattr(experiments, "run_persistent", lambda g, D, start, order, rng, **kw: reruns.append(
         rng.bit_generator.state["state"]["state"]) or real(g, D, start, order, rng, **kw))
     monkeypatch.setattr(lockstep, "walk_block", lambda T: block)
     monkeypatch.setattr(lockstep, "_TWO53", two53)
@@ -312,7 +354,7 @@ def test_capped_trials_rerun_in_the_scalar_engine(monkeypatch):
     g, D = gen_clique(6), 6
     want = _scalar_persistent(g, D, RANDOM_START, 4, 0, 200, 6)
     capped = sum(not t for _, _, t, _ in want)
-    reruns = _counting(monkeypatch, "run_persistent")
+    reruns = _counting(monkeypatch, "run_persistent", experiments)
     assert _persistent_kernel(g, D, RANDOM_START, 4, 0, 200, 6) == want
     assert 0 < capped <= len(reruns) < 200
 
@@ -324,7 +366,7 @@ def test_a_vertex_with_no_free_color_reruns_its_trial(monkeypatch):
     cap = default_step_cap(g.n, D)
     want = _scalar_persistent(g, D, RANDOM_START, 8, 0, 200, cap)
     stuck = sum(not t for _, _, t, _ in want)
-    reruns = _counting(monkeypatch, "run_persistent")
+    reruns = _counting(monkeypatch, "run_persistent", experiments)
     assert _persistent_kernel(g, D, RANDOM_START, 8, 0, 200, cap) == want
     assert stuck > 0 and len(reruns) == stuck
 
@@ -335,7 +377,7 @@ def test_trials_that_outgrow_their_first_fill_refill_their_rows(monkeypatch, blo
     start = FixedStart(Coloring([1] * 8, D))
     want = _scalar_persistent(g, D, start, 12, 0, 100, 10**6)
     fills = _counting(monkeypatch, "_values")
-    reruns = _counting(monkeypatch, "run_persistent")
+    reruns = _counting(monkeypatch, "run_persistent", experiments)
     monkeypatch.setattr(lockstep, "walk_block", lambda T: block)
     assert _persistent_kernel(g, D, start, 12, 0, 100, 10**6) == want
     assert len(fills) > 1 and not reruns
@@ -350,7 +392,7 @@ def test_persistent_ranges_longer_than_one_pass(monkeypatch):
 
 def test_the_persistent_kernel_rejects_palettes_above_63():
     with pytest.raises(ValueError, match="D <= 63"):
-        lockstep.run_range(gen_clique(4), 64, RANDOM_START, 1, 0, 10, 100, persistent=True)
+        lockstep.run_pass(gen_clique(4), 64, RANDOM_START, 1, 0, 10, 100, True, np.random.default_rng())
 
 
 @pytest.mark.parametrize(
@@ -362,7 +404,7 @@ def test_the_persistent_kernel_rejects_palettes_above_63():
     ],
 )
 def test_persistent_run_trials_does_not_depend_on_the_engine(monkeypatch, tmp_path, spec):
-    routed = _counting(monkeypatch, "run_range")
+    routed = _counting(monkeypatch, "run_pass")
     base = dict(trials=700, master_seed=43, per_trial=True, algorithm="persistent",
                 counters=("total_draws", "step3_draws", "per_vertex"), **spec)
     kernel = _outputs(tmp_path, "kernel", ExperimentConfig(**base, workers=1))
