@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle
@@ -34,7 +34,6 @@ class CriterionResult:
     name: str
     passed: bool
     summary: str
-    details: dict = field(default_factory=dict)
     seconds: float = 0.0
 
     def line(self) -> str:
@@ -65,7 +64,6 @@ def ac1_exact_cliques() -> CriterionResult:
         "AC-1",
         passed,
         f"exact one-draw recolorings on cliques: {shown}",
-        {"checks": [(n, str(v), str(w), ok) for n, v, w, ok in checks]},
     )
 
 
@@ -85,7 +83,6 @@ def ac2_clique_monte_carlo() -> CriterionResult:
         "AC-2",
         passed,
         f"K8 mean total draws {s.mean:.4f} vs 8*H8 = {target:.4f} (4 SE = {4 * s.se:.4f})",
-        {"mean": s.mean, "se": s.se, "target": target},
     )
 
 
@@ -121,13 +118,12 @@ def ac3_per_vertex_bounds() -> CriterionResult:
             if worst is None or margin < worst[0]:
                 worst = (margin, label, row.vertex, row.mean, bound)
     passed = failures == 0
-    m, label, v, mean, bound = worst
+    _, label, v, mean, bound = worst
     return CriterionResult(
         "AC-3",
         passed,
         f"{vertices} vertices checked, {failures} above bound; tightest: "
         f"{label} v{v} mean {mean:.4f} vs H_deg+4SE {bound:.4f}",
-        {"failures": failures, "vertices": vertices, "tightest_margin": m},
     )
 
 
@@ -173,14 +169,6 @@ def ac4_adversarial_bipartite() -> CriterionResult:
         passed,
         f"means {shown}; doubling ratios {[f'{r:.2f}' for r in ratios]}; "
         f"d=3 mean {s3.mean:.4f} vs exact {exact3.value} (4 SE = {4 * s3.se:.4f})",
-        {
-            "means": means,
-            "ratios": ratios,
-            "floor_ok": floor_ok,
-            "ratio_ok": ratio_ok,
-            "exact3": str(exact3.value),
-            "mean3": s3.mean,
-        },
     )
 
 
@@ -205,7 +193,6 @@ def ac5_component_drift() -> CriterionResult:
         f"{rep.vertices_checked} conflicted vertices over {rep.samples} samples, "
         f"{len(bad)} drift violations; min drift {rep.min_phi_drift}; "
         f"gadget drift {rep.gadget_drift} tight={rep.gadget_tight}",
-        {"violations": len(bad), "min_phi_drift": str(rep.min_phi_drift)},
     )
 
 
@@ -218,7 +205,6 @@ def ac7_edge_drift() -> CriterionResult:
         not bad,
         f"{rep.vertices_checked} vertices, {len(bad)} edge-drift violations; "
         f"max edge drift {rep.max_edge_drift}",
-        {"violations": len(bad), "max_edge_drift": str(rep.max_edge_drift)},
     )
 
 
@@ -263,7 +249,6 @@ def ac6_adversarial_stopping() -> CriterionResult:
         "AC-6",
         passed,
         f"min-drift adversary means vs (n-1)*D bounds: {shown}",
-        {"rows": [(l, m, b, ok) for l, m, b, ok in rows]},
     )
 
 
@@ -301,8 +286,8 @@ def ac8_mimic_equivalence() -> CriterionResult:
     """Exact equality of the two oracles under both selection modes."""
     pairs = [("uniform", "all"), ("lowest", "identity")]
     checked = 0
-    mismatches = []
-    for label, spec, D, colors in _ac8_family():
+    mismatches = 0
+    for _, spec, D, colors in _ac8_family():
         g, _ = build_graph(spec)
         start = build_start({"kind": "fixed", "colors": colors}, g, D, None)
         for mode, order_name in pairs:
@@ -311,14 +296,12 @@ def ac8_mimic_equivalence() -> CriterionResult:
             order = "all" if order_name == "all" else list(range(g.n))
             via_persistent = oracle.exact_expected_recolorings_persistent(g, D, start, order)
             checked += 1
-            if via_dc.value != via_persistent.value:
-                mismatches.append((label, D, colors, mode, str(via_dc.value), str(via_persistent.value)))
+            mismatches += via_dc.value != via_persistent.value
     passed = checked >= 50 and not mismatches
     return CriterionResult(
         "AC-8",
         passed,
-        f"{checked} instance/mode pairs compared exactly, {len(mismatches)} mismatches",
-        {"checked": checked, "mismatches": mismatches},
+        f"{checked} instance/mode pairs compared exactly, {mismatches} mismatches",
     )
 
 
@@ -337,7 +320,6 @@ def ac9_gadget_deltas() -> CriterionResult:
         passed,
         f"conflicted-vertex delta {vertex_delta.value} (want 1/4), delta table ok={table_ok}, "
         f"monochromatic components {mono} (want 3)",
-        {"vertex_delta": str(vertex_delta.value), "table_ok": table_ok, "mono": mono},
     )
 
 
@@ -388,14 +370,13 @@ def ac10_oracle_simulation_agreement() -> CriterionResult:
         tol = 4 * s.se + float(exact.error_bound)
         ok = abs(s.mean - float(exact.value)) <= tol
         passed = passed and ok
-        rows.append((label, s.mean, float(exact.value), exact.method, ok))
+        rows.append((label, s.mean, float(exact.value), ok))
     worst = max(rows, key=lambda r: abs(r[1] - r[2]))
     return CriterionResult(
         "AC-10",
         passed,
-        f"{len(rows)} instances compared, {sum(not r[4] for r in rows)} outside 4 SE; "
+        f"{len(rows)} instances compared, {sum(not r[3] for r in rows)} outside 4 SE; "
         f"largest gap {worst[0]}: mc {worst[1]:.4f} vs exact {worst[2]:.4f}",
-        {"rows": rows},
     )
 
 

@@ -12,15 +12,19 @@ import json
 import sys
 
 from . import acceptance, oracle
-from .coloring import Coloring, coloring_to_text, write_coloring_file
-from .engine import FixedStart, run_decentralized, run_persistent, trace_to_text
+from .coloring import Coloring, coloring_to_text
+from .engine import (
+    FixedPermutationOrder,
+    FixedStart,
+    UniformRandomOrder,
+    run_decentralized,
+    run_persistent,
+    trace_to_text,
+)
 from .experiments import (
     ExperimentConfig,
     build_graph,
-    build_order,
-    build_start,
     drift_check,
-    resolve_palette,
     resolve_output_path,
     run_trials,
     sweep,
@@ -29,7 +33,7 @@ from .experiments import (
     _json_dumps,
     _write_text,
 )
-from .graphs import graph_to_text, write_graph_file
+from .graphs import graph_to_text
 from .rng import trial_rng
 
 
@@ -108,59 +112,63 @@ def parse_start_spec(text: str) -> object:
 # subcommand handlers
 
 
+def _write(path: str, text: str, ext: str = "") -> str:
+    """Write text to path, resolved under $DECOLOR_OUTPUT_DIR and given ext
+    when the name lacks it; return the path written."""
+    path = resolve_output_path(path)
+    if not path.endswith(ext):
+        path += ext
+    _write_text(path, text)
+    return path
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec = parse_graph_spec(args.kind)
     g, bundled = build_graph(spec)
     if args.out:
-        write_graph_file(resolve_output_path(args.out), g)
-        print(f"wrote {g.n} vertices / {g.edge_count()} edges to {resolve_output_path(args.out)}")
+        path = _write(args.out, graph_to_text(g))
+        print(f"wrote {g.n} vertices / {g.edge_count()} edges to {path}")
     else:
         sys.stdout.write(graph_to_text(g))
     if args.start_out:
         if bundled is None:
             raise ValueError(f"graph kind {spec['kind']!r} has no bundled start coloring")
-        write_coloring_file(resolve_output_path(args.start_out), bundled)
-        print(f"wrote start coloring to {resolve_output_path(args.start_out)}")
+        print(f"wrote start coloring to {_write(args.start_out, coloring_to_text(bundled))}")
     elif bundled is not None and not args.out:
         sys.stdout.write(coloring_to_text(bundled))
     return 0
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The JSON object of --config, if given, with every given flag on top.
+
+    A config flag's dest is the name of its ExperimentConfig field, and a
+    flag left out is None, so it keeps the file's value. Spec texts go
+    through their parser; --start-file is the start `file:<path>` and beats
+    --start.
+    """
     data: dict = {}
-    if args.config:
+    if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-    if args.graph is not None:
-        data["graph"] = parse_graph_spec(args.graph)
-    if args.algorithm is not None:
-        data["algorithm"] = args.algorithm
-    if args.colors is not None:
-        data["D"] = args.colors
-    if getattr(args, "start_file", None):
-        data["start"] = {"kind": "file", "path": args.start_file}
-    elif args.start is not None:
-        data["start"] = parse_start_spec(args.start)
-    if args.order is not None:
-        data["order"] = parse_order_spec(args.order)
-    if args.trials is not None:
-        data["trials"] = args.trials
-    if args.seed is not None:
-        data["master_seed"] = args.seed
-    if args.step_cap is not None:
-        data["step_cap"] = args.step_cap
-    if args.out is not None:
-        data["output"] = args.out
-    if getattr(args, "counters", None):
-        data["counters"] = [c.strip() for c in args.counters.split(",")]
-    if getattr(args, "per_trial", False):
-        data["per_trial"] = True
-    if getattr(args, "workers", None) is not None:
-        data["workers"] = args.workers
-    if getattr(args, "exclude_cap_hits", False):
-        data["exclude_cap_hits"] = True
+    given = dict(vars(args))
+    if given.get("start_file"):
+        given["start"] = f"file:{given['start_file']}"
+    parse = {
+        "graph": parse_graph_spec,
+        "start": parse_start_spec,
+        "order": parse_order_spec,
+        # an empty --counters sets nothing, like an absent one
+        "counters": lambda text: [c.strip() for c in text.split(",")] if text else None,
+    }
+    for name in ExperimentConfig.__dataclass_fields__:
+        value = given.get(name)
+        if value is not None and name in parse:
+            value = parse[name](value)
+        if value is not None:
+            data[name] = value
     return ExperimentConfig.from_dict(data)
 
 
@@ -183,8 +191,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace:
         runner = run_decentralized if cfg.algorithm == "dc" else run_persistent
         r = runner(*_build(cfg), trial_rng(cfg.master_seed, 0), step_cap=cfg.step_cap, trace=True)
-        path = resolve_output_path(args.trace)
-        _write_text(path, trace_to_text(r.trace))
+        path = _write(args.trace, trace_to_text(r.trace))
         print(f"  wrote trial-0 trace ({r.selections} selections) to {path}")
     return 0
 
@@ -201,34 +208,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep(cfg, args.axis, values)
     csv_text = sweep_to_csv(rows)
     sys.stdout.write(csv_text)
-    if args.out:
-        path = resolve_output_path(args.out)
-        _write_text(path if path.endswith(".csv") else path + ".csv", csv_text)
+    if args.output:
+        _write(args.output, csv_text, ".csv")
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    spec = parse_graph_spec(args.graph)
-    g, bundled = build_graph(spec)
-    D = resolve_palette(args.colors, g, bundled)
-    start_spec = parse_start_spec(args.start) if args.start else "random"
-    if getattr(args, "start_file", None):
-        start_spec = {"kind": "file", "path": args.start_file}
-    start = build_start(start_spec, g, D, bundled)
+    persistent = args.algorithm == "persistent"
+    if persistent and args.order == "all":
+        args.order = "uniform"  # the persistent oracle's name for uniform order
+    g, D, start, order = _build(_load_config(args))
 
     if args.quantity == "recolorings":
-        if args.algorithm == "dc":
-            sched = build_order(parse_order_spec(args.order or "uniform"), g)
-            value = oracle.exact_expected_recolorings_dc(g, D, start, sched, method=args.method)
+        if not persistent:
+            value = oracle.exact_expected_recolorings_dc(g, D, start, order, method=args.method)
+        elif isinstance(order, UniformRandomOrder):
+            value = oracle.exact_expected_recolorings_persistent(g, D, start, "all")
+        elif isinstance(order, FixedPermutationOrder):
+            value = oracle.exact_expected_recolorings_persistent(g, D, start, order.order)
         else:
-            order_spec = args.order or "all"
-            if order_spec in ("all", "uniform"):
-                order = "all"
-            elif order_spec.startswith("perm:"):
-                order = _read_int_file(order_spec.partition(":")[2])
-            else:
-                raise ValueError("the persistent oracle supports --order all or perm:<file>")
-            value = oracle.exact_expected_recolorings_persistent(g, D, start, order)
+            raise ValueError("the persistent oracle supports --order all or perm:<file>")
         print(value)
         if args.verbose:
             _print_oracle_diagnostics(value)
@@ -237,6 +236,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     # one-step recoloring drifts at a conflicted vertex
     if not isinstance(start, FixedStart):
         raise ValueError("drift quantities need a fixed start (--start file:/mono:/construction)")
+    # under the run's palette: a bundled start keeps its own
     c = Coloring(start.coloring.colors, D)
     if args.vertex is None:
         raise ValueError("--vertex is required for --quantity drift")
@@ -269,10 +269,7 @@ def _cmd_drift_check(args: argparse.Namespace) -> int:
         print(f"VIOLATION sample {v.sample} vertex {v.vertex} [{v.kind}]: {v.value}",
               file=sys.stderr)
     if args.out:
-        path = resolve_output_path(args.out)
-        _write_text(path if path.endswith(".json") else path + ".json",
-                    _json_dumps(rep.to_json_dict()))
-        print(f"wrote {path if path.endswith('.json') else path + '.json'}")
+        print(f"wrote {_write(args.out, _json_dumps(rep.to_json_dict()), '.json')}")
     return 0 if rep.ok else 1
 
 
@@ -288,9 +285,7 @@ def _cmd_accept(args: argparse.Namespace) -> int:
     report = acceptance.AcceptanceReport(args.suite, results)
     print(report.text().splitlines()[-1])
     if args.out:
-        path = resolve_output_path(args.out)
-        _write_text(path if path.endswith(".json") else path + ".json",
-                    _json_dumps(report.to_json_dict()))
+        _write(args.out, _json_dumps(report.to_json_dict()), ".json")
     return report.exit_code
 
 
@@ -298,25 +293,29 @@ def _cmd_accept(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *, sweepable: bool = False) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of `run` and `sweep`; each dest names an ExperimentConfig field."""
     p.add_argument("--config", help="JSON file with ExperimentConfig fields")
     p.add_argument("--graph", help="graph spec, e.g. clique:8 or file:g.txt")
     p.add_argument("--algorithm", choices=("dc", "persistent"))
-    p.add_argument("--colors", type=int, metavar="D", help="palette size (default: max degree + 1)")
+    p.add_argument("--colors", dest="D", type=int, metavar="D",
+                   help="palette size (default: max degree + 1)")
     p.add_argument("--start", help="random | construction | mono:<c> | file:<path>")
     p.add_argument("--start-file", help="coloring file to start from (overrides --start)")
     p.add_argument("--order",
                    help="uniform | perm:<file> | mimic[:lowest] | min-drift | "
                         "max-conflicted | script:<file>")
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--seed", dest="master_seed", type=int, metavar="SEED", help="master seed")
     p.add_argument("--step-cap", type=int)
     p.add_argument("--workers", type=int, help="trial worker processes (default: all cores)")
     p.add_argument("--counters", help="comma list from total_draws,step3_draws,per_vertex")
-    p.add_argument("--per-trial", action="store_true", help="also write one CSV row per trial")
-    p.add_argument("--exclude-cap-hits", action="store_true",
+    p.add_argument("--per-trial", action="store_const", const=True,
+                   help="also write one CSV row per trial")
+    p.add_argument("--exclude-cap-hits", action="store_const", const=True,
                    help="drop capped trials from the means (default: include with a warning)")
-    p.add_argument("--out", help="output stem; writes <stem>.csv and <stem>.json")
+    p.add_argument("--out", dest="output", metavar="OUT",
+                   help="output stem; writes <stem>.csv and <stem>.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="print exact expectations as p/q (≈ decimal)")
     p.add_argument("--graph", required=True)
     p.add_argument("--algorithm", choices=("dc", "persistent"), default="dc")
-    p.add_argument("--colors", type=int, metavar="D")
+    p.add_argument("--colors", dest="D", type=int, metavar="D")
     p.add_argument("--start", help="random | construction | mono:<c> | file:<path>")
     p.add_argument("--start-file")
     p.add_argument("--order", help="dc: uniform|mimic[:mode]; persistent: all|perm:<file>")

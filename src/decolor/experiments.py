@@ -257,12 +257,8 @@ def build_start(spec: Any, g: Graph, D: int, bundled: Coloring | None) -> StartP
 def build_order(spec: Any, g: Graph) -> SchedulerPolicy:
     if spec == "uniform":
         return UNIFORM_ORDER
-    if spec == "min-drift":
-        return AdversaryOrder(AdversaryStrategy.MinPhiDrift)
-    if spec == "max-conflicted":
-        return AdversaryOrder(AdversaryStrategy.MaxConflicted)
-    if spec == "mimic":
-        return AdversaryOrder(AdversaryStrategy.MimicPersistent, mode="uniform")
+    if spec in [s.value for s in AdversaryStrategy]:
+        return AdversaryOrder(AdversaryStrategy(spec))
     if isinstance(spec, dict) and "kind" in spec:
         kind = spec["kind"]
         what = f"order kind {kind!r}"
@@ -288,7 +284,8 @@ def build_order(spec: Any, g: Graph) -> SchedulerPolicy:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Normal-approximation summary of one counter over all trials."""
+    """Normal-approximation summary of one counter over all trials; with no
+    trial behind it every statistic, min and max included, is nan."""
 
     trials: int
     mean: float
@@ -296,16 +293,18 @@ class SummaryStats:
     se: float
     ci99_low: float
     ci99_high: float
-    min: int
-    max: int
+    min: int | float
+    max: int | float
     cap_hits: int
 
     @classmethod
     def from_values(cls, values: np.ndarray, cap_hits: int) -> "SummaryStats":
         t = int(values.size)
-        mean = float(values.mean()) if t else math.nan
+        if not t:  # no trial behind the counter: no statistic either
+            return cls(t, *[math.nan] * 7, cap_hits)
+        mean = float(values.mean())
         std = float(values.std(ddof=1)) if t > 1 else 0.0
-        se = std / math.sqrt(t) if t else math.nan
+        se = std / math.sqrt(t)
         return cls(
             trials=t,
             mean=mean,
@@ -313,8 +312,8 @@ class SummaryStats:
             se=se,
             ci99_low=mean - Z_99 * se,
             ci99_high=mean + Z_99 * se,
-            min=int(values.min()) if t else 0,
-            max=int(values.max()) if t else 0,
+            min=int(values.min()),
+            max=int(values.max()),
             cap_hits=cap_hits,
         )
 
@@ -565,7 +564,6 @@ def _strip_known_extension(path: str) -> str:
 def write_outputs(result: TrialsResult, output: str) -> list[str]:
     """Write <stem>.csv and <stem>.json (plus optional per-trial/vertex CSVs)."""
     stem = _strip_known_extension(resolve_output_path(output))
-    os.makedirs(os.path.dirname(stem) or ".", exist_ok=True)
     paths = []
 
     csv_path = stem + ".csv"
@@ -612,6 +610,9 @@ def write_outputs(result: TrialsResult, output: str) -> list[str]:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8 with \\n line ends, creating its parent
+    directory; every file the CLI writes goes through here."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -802,6 +803,8 @@ def drift_check(samples: int, n_max: int = 12, d_max: int = 6, seed: int = 0) ->
     The five-vertex gadget is always included and its drift of exactly 1/4
     (= 1/D there) is reported as tight.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     if d_max < 2:
         raise ValueError("need d_max >= 2")
     rng = np.random.default_rng(seed)

@@ -342,3 +342,118 @@ def test_accept_fast_suites(tmp_path, capsys):
     assert doc["passed"] is True
 
     assert main(["accept", "nonsense"]) == 2
+
+
+def test_every_run_flag_lands_on_its_config_field(tmp_path):
+    start = tmp_path / "c.txt"
+    start.write_text("D=4\n1 1 2\n")
+    perm = tmp_path / "p.txt"
+    perm.write_text("2 0 1\n")
+    out = tmp_path / "r"
+    assert main([
+        "run", "--graph", "clique:3", "--trials", "3", "--colors", "4", "--seed", "11",
+        "--out", str(out), "--step-cap", "50", "--workers", "1",
+        "--counters", "step3_draws, per_vertex", "--per-trial", "--exclude-cap-hits",
+        "--order", f"perm:{perm}", "--start", "mono:1", "--start-file", str(start),
+    ]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["config"] == {
+        "graph": {"kind": "clique", "n": 3},
+        "algorithm": "dc",
+        "D": 4,
+        "start": {"kind": "file", "path": str(start)},  # --start-file beats --start
+        "order": {"kind": "perm", "order": [2, 0, 1]},
+        "trials": 3,
+        "master_seed": 11,
+        "step_cap": 50,
+        "output": str(out),
+        "counters": ["step3_draws", "per_vertex"],
+        "exclude_cap_hits": True,
+        "per_trial": True,
+        "workers": 1,
+    }
+    assert (tmp_path / "r.trials.csv").exists() and (tmp_path / "r.vertices.csv").exists()
+
+
+def test_absent_switch_flags_keep_the_config_file_values(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "graph": {"kind": "clique", "n": 3}, "trials": 3, "counters": ["step3_draws"],
+        "per_trial": True, "exclude_cap_hits": True,
+    }))
+    # an empty --counters sets nothing either
+    assert main(["run", "--config", str(path), "--workers", "1", "--counters", "",
+                 "--out", str(tmp_path / "r")]) == 0
+    config = json.loads((tmp_path / "r.json").read_text())["config"]
+    assert config["per_trial"] is True and config["exclude_cap_hits"] is True
+    assert config["counters"] == ["step3_draws"]
+    assert (tmp_path / "r.trials.csv").exists()
+
+
+def test_oracle_drift_reads_a_bundled_start_under_the_run_palette(capsys):
+    assert main([
+        "oracle", "--graph", "fig2", "--quantity", "drift", "--start", "construction",
+        "--vertex", "0", "--colors", "5",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "component-count drift: 2/5 (≈ 0.4)" in out
+    assert "conflicted-edge drift: -2/5 (≈ -0.4)" in out
+
+
+def test_oracle_order_all_names_uniform_order_for_the_persistent_oracle_only(tmp_path, capsys):
+    persistent = ["oracle", "--graph", "clique:3", "--algorithm", "persistent"]
+    assert main(persistent + ["--order", "all"]) == 0
+    assert capsys.readouterr().out.strip() == "5/2 (≈ 2.5)"
+
+    perm = tmp_path / "p.txt"
+    perm.write_text("1 0\n")
+    assert main(persistent + ["--order", f"perm:{perm}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    assert main(["oracle", "--graph", "clique:3", "--order", "all"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv,written", [
+    pytest.param(["gen", "clique:3", "--out", "{d}/g.txt"], "g.txt", id="gen-out"),
+    pytest.param(["gen", "badbip:2", "--start-out", "{d}/s.txt"], "s.txt", id="gen-start-out"),
+    pytest.param(["run", "--graph", "clique:3", "--trials", "2", "--workers", "1",
+                  "--trace", "{d}/t.txt"], "t.txt", id="run-trace"),
+    pytest.param(["sweep", "--graph", "clique:3", "--trials", "20", "--workers", "1",
+                  "--axis", "graph.n", "--values", "3", "--out", "{d}/sw"], "sw.csv",
+                 id="sweep-out"),
+    pytest.param(["drift-check", "--samples", "2", "--out", "{d}/rep"], "rep.json",
+                 id="drift-check-out"),
+    pytest.param(["accept", "gadget", "--out", "{d}/acc"], "acc.json", id="accept-out"),
+])
+def test_every_output_path_gets_its_parent_directory(tmp_path, capsys, argv, written):
+    d = tmp_path / "missing" / "nested"
+    assert main([a.format(d=d) for a in argv]) == 0, capsys.readouterr().err
+    assert (d / written).is_file()
+
+
+def test_a_counter_with_no_trial_behind_it_writes_nan_statistics(tmp_path, capsys):
+    assert main([
+        "run", "--graph", "clique:4", "--colors", "2", "--step-cap", "3", "--exclude-cap-hits",
+        "--trials", "20", "--workers", "1", "--out", str(tmp_path / "capped"),
+    ]) == 0
+    assert "min=nan max=nan" in capsys.readouterr().out
+    header, *rows = (tmp_path / "capped.csv").read_text().splitlines()
+    columns = header.split(",")
+    stats = slice(columns.index("mean"), columns.index("max") + 1)
+    assert len(rows) == 2
+    for row in rows:
+        cells = dict(zip(columns, row.split(",")))
+        assert cells["trials"] == "0" and cells["cap_hits"] == "20"
+        assert row.split(",")[stats] == ["nan"] * 7, row
+    results = json.loads((tmp_path / "capped.json").read_text())["results"]
+    assert all(r["std"] is None and r["min"] is None and r["max"] is None for r in results.values())
+
+
+def test_drift_check_rejects_a_negative_sample_count(tmp_path, capsys):
+    assert main(["drift-check", "--samples", "-3", "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "-3" in err and "Traceback" not in err
+    assert not (tmp_path / "rep.json").exists()
