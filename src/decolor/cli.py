@@ -8,6 +8,7 @@ when that variable is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,9 +23,13 @@ from .engine import (
     trace_to_text,
 )
 from .experiments import (
+    SPEC_KINDS,
+    SPEC_PARAMS,
+    SPEC_WORDS,
     ExperimentConfig,
     build_graph,
     drift_check,
+    output_stem,
     resolve_output_path,
     run_trials,
     sweep,
@@ -41,71 +46,27 @@ from .rng import trial_rng
 # compact spec parsing (shared by several subcommands)
 
 
-def parse_graph_spec(text: str) -> dict:
-    """`clique:8`, `bipartite:3,3`, `cycle:12`, `erdos:64,0.15,6415`,
-    `badbip:8`, `fig2`, or `file:PATH`."""
-    kind, _, rest = text.partition(":")
-    args = rest.split(",") if rest else []
-
-    def ints(k: int) -> list[int]:
-        if len(args) != k:
-            raise ValueError(f"graph spec {text!r}: expected {k} parameter(s)")
-        return [int(a) for a in args]
-
-    if kind == "clique":
-        return {"kind": "clique", "n": ints(1)[0]}
-    if kind == "bipartite":
-        a, b = ints(2)
-        return {"kind": "bipartite", "a": a, "b": b}
-    if kind == "cycle":
-        return {"kind": "cycle", "n": ints(1)[0]}
-    if kind == "erdos":
-        if len(args) != 3:
-            raise ValueError(f"graph spec {text!r}: expected n,p,seed")
-        return {"kind": "erdos", "n": int(args[0]), "p": float(args[1]), "seed": int(args[2])}
-    if kind == "badbip":
-        return {"kind": "badbip", "delta": ints(1)[0]}
-    if kind == "fig2":
-        if args:
-            raise ValueError("graph spec 'fig2' takes no parameters")
-        return {"kind": "fig2"}
-    if kind == "file":
-        if not rest:
-            raise ValueError("graph spec 'file:' needs a path")
-        return {"kind": "file", "path": rest}
-    raise ValueError(f"unknown graph kind {kind!r}")
-
-
-def _read_int_file(path: str) -> list[int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [int(tok) for tok in fh.read().split()]
-
-
-def parse_order_spec(text: str) -> object:
-    """`uniform`, `perm:<file>`, `mimic[:lowest]`, `min-drift`,
-    `max-conflicted`, or `script:<file>`."""
-    if text in ("uniform", "min-drift", "max-conflicted", "mimic"):
+def parse_spec(family: str, text: str) -> object:
+    """The config form of a compact `graph`, `start` or `order` spec: one of
+    the family's bare words (`SPEC_WORDS`), or `kind:a,b` with the kind's
+    parameters in `SPEC_KINDS` order, each read by its `SPEC_PARAMS` reader.
+    A kind with one parameter takes all the text after the colon, so a path
+    may hold commas."""
+    if text in SPEC_WORDS[family]:
         return text
     kind, _, rest = text.partition(":")
-    if kind == "mimic" and rest in ("uniform", "lowest"):
-        return {"kind": "mimic", "mode": rest}
-    if kind == "perm" and rest:
-        return {"kind": "perm", "order": _read_int_file(rest)}
-    if kind == "script" and rest:
-        return {"kind": "script", "picks": _read_int_file(rest)}
-    raise ValueError(f"unknown order spec {text!r}")
+    names = SPEC_KINDS[family].get(kind)
+    if names is None or any(SPEC_PARAMS[name][1] is None for name in names):
+        raise ValueError(f"unknown {family} spec {text!r}")
+    args = rest.split(",") if len(names) > 1 else [rest] if rest else []
+    if len(args) != len(names):
+        raise ValueError(f"{family} spec {text!r}: expected {kind}:{','.join(names)}")
+    return {"kind": kind, **{name: SPEC_PARAMS[name][1](a) for name, a in zip(names, args)}}
 
 
-def parse_start_spec(text: str) -> object:
-    """`random`, `construction`, `mono:<color>`, or `file:<path>`."""
-    if text in ("random", "construction"):
-        return text
-    kind, _, rest = text.partition(":")
-    if kind == "mono" and rest:
-        return {"kind": "mono", "color": int(rest)}
-    if kind == "file" and rest:
-        return {"kind": "file", "path": rest}
-    raise ValueError(f"unknown start spec {text!r}")
+parse_graph_spec = functools.partial(parse_spec, "graph")
+parse_start_spec = functools.partial(parse_spec, "start")
+parse_order_spec = functools.partial(parse_spec, "order")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +105,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
     A config flag's dest is the name of its ExperimentConfig field, and a
     flag left out is None, so it keeps the file's value. Spec texts go
-    through their parser; --start-file is the start `file:<path>` and beats
+    through `parse_spec`; --start-file is the start `file:<path>` and beats
     --start.
     """
     data: dict = {}
@@ -156,19 +117,13 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     given = dict(vars(args))
     if given.get("start_file"):
         given["start"] = f"file:{given['start_file']}"
-    parse = {
-        "graph": parse_graph_spec,
-        "start": parse_start_spec,
-        "order": parse_order_spec,
-        # an empty --counters sets nothing, like an absent one
-        "counters": lambda text: [c.strip() for c in text.split(",")] if text else None,
-    }
+    # an empty --counters sets nothing, like an absent one
+    given["counters"] = ([c.strip() for c in given["counters"].split(",")]
+                         if given.get("counters") else None)
     for name in ExperimentConfig.__dataclass_fields__:
         value = given.get(name)
-        if value is not None and name in parse:
-            value = parse[name](value)
         if value is not None:
-            data[name] = value
+            data[name] = parse_spec(name, value) if name in SPEC_KINDS else value
     return ExperimentConfig.from_dict(data)
 
 
@@ -187,7 +142,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for w in result.warnings:
         print(f"  warning: {w}", file=sys.stderr)
     if cfg.output:
-        print(f"  wrote {resolve_output_path(cfg.output)}.{{csv,json}}")
+        print(f"  wrote {output_stem(cfg.output)}.{{csv,json}}")
     if args.trace:
         runner = run_decentralized if cfg.algorithm == "dc" else run_persistent
         r = runner(*_build(cfg), trial_rng(cfg.master_seed, 0), step_cap=cfg.step_cap, trace=True)
@@ -293,7 +248,7 @@ def _cmd_accept(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, out_help: str) -> None:
     """The flags of `run` and `sweep`; each dest names an ExperimentConfig field."""
     p.add_argument("--config", help="JSON file with ExperimentConfig fields")
     p.add_argument("--graph", help="graph spec, e.g. clique:8 or file:g.txt")
@@ -314,8 +269,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="also write one CSV row per trial")
     p.add_argument("--exclude-cap-hits", action="store_const", const=True,
                    help="drop capped trials from the means (default: include with a warning)")
-    p.add_argument("--out", dest="output", metavar="OUT",
-                   help="output stem; writes <stem>.csv and <stem>.json")
+    p.add_argument("--out", dest="output", metavar="OUT", help=out_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("run", help="run Monte Carlo trials and summarize")
-    _add_config_flags(p)
+    _add_config_flags(p, "output stem; writes <stem>.csv and <stem>.json")
     p.add_argument("--trace", metavar="PATH", help="write the trial-0 selection trace")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("sweep", help="repeat a run across one axis and tabulate growth")
-    _add_config_flags(p)
+    _add_config_flags(p, "output stem; writes <stem>.csv")
     p.add_argument("--axis", required=True, help="e.g. graph.n, graph.delta, D, master_seed")
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.set_defaults(fn=_cmd_sweep)

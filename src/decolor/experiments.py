@@ -14,9 +14,9 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -143,16 +143,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()[:12]
 
 
-def _field(spec: dict, name: str, conv: Callable[[Any], Any], what: str) -> Any:
-    """spec[name] passed through conv; a missing or ill-typed entry is a ValueError."""
-    if name not in spec:
-        raise ValueError(f"{what} needs the entry {name!r}")
-    try:
-        return conv(spec[name])
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} has a bad entry {name!r}: {spec[name]!r}") from None
-
-
 def _is_int(value: Any) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -172,48 +162,90 @@ def _edge_list(values: Any) -> list[tuple[int, ...]]:
     return [tuple(_int_list(e)) for e in values]
 
 
+def _read_int_file(path: str) -> list[int]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return [int(tok) for tok in fh.read().split()]
+
+
+# ---------------------------------------------------------------------------
+# spec kinds
+
+# Every graph, start and order kind with its parameters, in the order the
+# compact text `kind:a,b` gives them (see cli.parse_spec).
+SPEC_KINDS = {
+    "graph": {
+        "clique": ("n",),
+        "bipartite": ("a", "b"),
+        "cycle": ("n",),
+        "erdos": ("n", "p", "seed"),
+        "badbip": ("delta",),
+        "fig2": (),
+        "file": ("path",),
+        "edges": ("n", "edges"),
+    },
+    "start": {"fixed": ("colors",), "file": ("path",), "mono": ("color",)},
+    "order": {"perm": ("order",), "mimic": ("mode",), "script": ("picks",)},
+}
+# each parameter's check on a config value, and how compact text reads it;
+# a kind with a parameter that has no reader exists only in config files
+SPEC_PARAMS: dict[str, tuple[Callable[[Any], Any], Callable[[str], Any] | None]] = {
+    "n": (_int, int), "a": (_int, int), "b": (_int, int), "seed": (_int, int),
+    "delta": (_int, int), "color": (_int, int), "p": (float, float),
+    "path": (str, str), "mode": (str, str),
+    "order": (_int_list, _read_int_file), "picks": (_int_list, _read_int_file),
+    "colors": (_int_list, None), "edges": (_edge_list, None),
+}
+SPEC_DEFAULTS = {"color": 1, "mode": "uniform"}
+# the specs that are a bare word, not a kind with parameters
+SPEC_WORDS = {
+    "graph": (),
+    "start": ("random", "construction"),
+    "order": ("uniform", *(s.value for s in AdversaryStrategy if s is not AdversaryStrategy.Scripted)),
+}
+
+
+def _spec_params(family: str, spec: Any) -> tuple[str, dict]:
+    """spec's kind and parameters, checked against SPEC_KINDS[family]; an
+    unknown kind, or a missing, unknown or ill-typed parameter, is a
+    ValueError."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
+        raise ValueError(f"unknown {family} spec {spec!r}")
+    kind = spec["kind"]
+    if kind not in SPEC_KINDS[family]:
+        raise ValueError(f"unknown {family} kind {kind!r}")
+    what = f"{family} kind {kind!r}"
+    names = SPEC_KINDS[family][kind]
+    extra = set(spec) - {"kind", *names}
+    if extra:
+        raise ValueError(f"unknown parameters for {what}: {sorted(extra)}")
+    params = {}
+    for name in names:
+        if name not in spec and name not in SPEC_DEFAULTS:
+            raise ValueError(f"{what} needs the entry {name!r}")
+        value = spec.get(name, SPEC_DEFAULTS.get(name))
+        try:
+            params[name] = SPEC_PARAMS[name][0](value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} has a bad entry {name!r}: {value!r}") from None
+    return kind, params
+
+
+_GRAPH_BUILDERS: dict[str, Callable[..., tuple[Graph, Coloring | None]]] = {
+    "clique": lambda n: (gen_clique(n), None),
+    "bipartite": lambda a, b: (gen_complete_bipartite(a, b), None),
+    "cycle": lambda n: (gen_cycle(n), None),
+    "erdos": lambda n, p, seed: (gen_erdos_renyi(n, p, seed), None),
+    "badbip": bad_bipartite_start,
+    "fig2": lambda: gen_fig2_like()[:2],
+    "file": lambda path: (read_graph_file(path), None),
+    "edges": lambda n, edges: (from_edge_list(n, edges), None),
+}
+
+
 def build_graph(spec: dict) -> tuple[Graph, Coloring | None]:
     """Instantiate a graph spec; some kinds bundle a start coloring."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("graph spec must be a dict with a 'kind' key")
-    kind = spec["kind"]
-    params = {k: v for k, v in spec.items() if k != "kind"}
-
-    def take(names: set[str]) -> None:
-        extra = set(params) - names
-        if extra:
-            raise ValueError(f"unknown parameters for graph kind {kind!r}: {sorted(extra)}")
-
-    def get(name: str, conv: Callable[[Any], Any] = _int) -> Any:
-        return _field(params, name, conv, f"graph kind {kind!r}")
-
-    if kind == "clique":
-        take({"n"})
-        return gen_clique(get("n")), None
-    if kind == "bipartite":
-        take({"a", "b"})
-        return gen_complete_bipartite(get("a"), get("b")), None
-    if kind == "cycle":
-        take({"n"})
-        return gen_cycle(get("n")), None
-    if kind == "erdos":
-        take({"n", "p", "seed"})
-        return gen_erdos_renyi(get("n"), get("p", float), get("seed")), None
-    if kind == "badbip":
-        take({"delta"})
-        g, c = bad_bipartite_start(get("delta"))
-        return g, c
-    if kind == "fig2":
-        take(set())
-        g, c, _focus = gen_fig2_like()
-        return g, c
-    if kind == "file":
-        take({"path"})
-        return read_graph_file(get("path", str)), None
-    if kind == "edges":
-        take({"n", "edges"})
-        return from_edge_list(get("n"), get("edges", _edge_list)), None
-    raise ValueError(f"unknown graph kind {kind!r}")
+    kind, params = _spec_params("graph", spec)
+    return _GRAPH_BUILDERS[kind](**params)
 
 
 def resolve_palette(spec_d: int | None, g: Graph, bundled: Coloring | None) -> int:
@@ -233,49 +265,36 @@ def build_start(spec: Any, g: Graph, D: int, bundled: Coloring | None) -> StartP
         if bundled is None:
             raise ValueError("start 'construction' needs a graph kind that bundles a coloring")
         return FixedStart(bundled)
-    if isinstance(spec, dict) and "kind" in spec:
-        kind = spec["kind"]
-        what = f"start kind {kind!r}"
-        if kind == "fixed":
-            return FixedStart(Coloring(_field(spec, "colors", _int_list, what), D))
-        if kind == "file":
-            c = read_coloring_file(_field(spec, "path", str, what))
-            if c.palette_size != D:
-                raise ValueError(
-                    f"start file has palette D={c.palette_size} but the run uses "
-                    f"D={D}; pass --colors {c.palette_size} to match it"
-                )
-            return FixedStart(c)
-        if kind == "mono":
-            color = _field({"color": 1, **spec}, "color", _int, what)
-            if not (1 <= color <= D):
-                raise ValueError(f"mono start color {color} outside 1..{D}")
-            return FixedStart(Coloring([color] * g.n, D))
-    raise ValueError(f"unknown start spec {spec!r}")
+    kind, p = _spec_params("start", spec)
+    if kind == "fixed":
+        return FixedStart(Coloring(p["colors"], D))
+    if kind == "file":
+        c = read_coloring_file(p["path"])
+        if c.palette_size != D:
+            raise ValueError(
+                f"start file has palette D={c.palette_size} but the run uses "
+                f"D={D}; pass --colors {c.palette_size} to match it"
+            )
+        return FixedStart(c)
+    if not (1 <= p["color"] <= D):
+        raise ValueError(f"mono start color {p['color']} outside 1..{D}")
+    return FixedStart(Coloring([p["color"]] * g.n, D))
 
 
 def build_order(spec: Any, g: Graph) -> SchedulerPolicy:
     if spec == "uniform":
         return UNIFORM_ORDER
-    if spec in [s.value for s in AdversaryStrategy]:
+    if spec in SPEC_WORDS["order"]:
         return AdversaryOrder(AdversaryStrategy(spec))
-    if isinstance(spec, dict) and "kind" in spec:
-        kind = spec["kind"]
-        what = f"order kind {kind!r}"
-        if kind == "perm":
-            order = _field(spec, "order", _int_list, what)
-            if len(order) != g.n:
-                raise ValueError(f"{what} has {len(order)} entries but the graph has n={g.n}")
-            return FixedPermutationOrder(order)
-        if kind == "mimic":
-            return AdversaryOrder(
-                AdversaryStrategy.MimicPersistent, mode=spec.get("mode", "uniform")
-            )
-        if kind == "script":
-            return AdversaryOrder(
-                AdversaryStrategy.Scripted, script=_field(spec, "picks", _int_list, what)
-            )
-    raise ValueError(f"unknown order spec {spec!r}")
+    kind, p = _spec_params("order", spec)
+    if kind == "perm":
+        if len(p["order"]) != g.n:
+            raise ValueError(f"order kind 'perm' has {len(p['order'])} entries "
+                             f"but the graph has n={g.n}")
+        return FixedPermutationOrder(p["order"])
+    if kind == "mimic":
+        return AdversaryOrder(AdversaryStrategy.MimicPersistent, mode=p["mode"])
+    return AdversaryOrder(AdversaryStrategy.Scripted, script=p["picks"])
 
 
 # ---------------------------------------------------------------------------
@@ -556,57 +575,48 @@ def resolve_output_path(path: str) -> str:
     return path
 
 
-def _strip_known_extension(path: str) -> str:
+def output_stem(output: str) -> str:
+    """The stem a run's files take: output resolved under
+    $DECOLOR_OUTPUT_DIR, less a .csv or .json extension."""
+    path = resolve_output_path(output)
     stem, ext = os.path.splitext(path)
     return stem if ext in (".csv", ".json") else path
 
 
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The header line, then one line per row; each value as its str()."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
+def _columns(row_type: type) -> list[str]:
+    return [f.name for f in fields(row_type)]
+
+
 def write_outputs(result: TrialsResult, output: str) -> list[str]:
     """Write <stem>.csv and <stem>.json (plus optional per-trial/vertex CSVs)."""
-    stem = _strip_known_extension(resolve_output_path(output))
-    paths = []
-
-    csv_path = stem + ".csv"
-    header = (
-        "config_hash,master_seed,algorithm,n,max_degree,D,counter,trials,"
-        "mean,std,se,ci99_low,ci99_high,min,max,cap_hits"
-    )
-    lines = [header]
-    cfg = result.config
-    for counter, s in result.stats.items():
-        lines.append(
-            f"{result.config_hash},{cfg.master_seed},{cfg.algorithm},{result.n},"
-            f"{result.max_degree},{result.D},{counter},{s.trials},{s.mean!r},{s.std!r},"
-            f"{s.se!r},{s.ci99_low!r},{s.ci99_high!r},{s.min},{s.max},{s.cap_hits}"
-        )
-    _write_text(csv_path, "\n".join(lines) + "\n")
-    paths.append(csv_path)
-
-    json_path = stem + ".json"
-    _write_text(json_path, _json_dumps(result.to_json_dict()))
-    paths.append(json_path)
-
+    stem = output_stem(output)
+    cfg, h = result.config, result.config_hash
+    head = (h, cfg.master_seed, cfg.algorithm, result.n, result.max_degree, result.D)
+    files = {
+        ".csv": _csv_text(
+            ["config_hash", "master_seed", "algorithm", "n", "max_degree", "D", "counter",
+             *_columns(SummaryStats)],
+            [(*head, counter, *astuple(s)) for counter, s in result.stats.items()]),
+        ".json": _json_dumps(result.to_json_dict()),
+    }
     if result.per_vertex is not None:
-        pv_path = stem + ".vertices.csv"
-        lines = ["config_hash,vertex,degree,mean,std,se"]
-        for r in result.per_vertex:
-            lines.append(
-                f"{result.config_hash},{r.vertex},{r.degree},{r.mean!r},{r.std!r},{r.se!r}"
-            )
-        _write_text(pv_path, "\n".join(lines) + "\n")
-        paths.append(pv_path)
-
+        files[".vertices.csv"] = _csv_text(
+            ["config_hash", *_columns(PerVertexRow)],
+            [(h, *astuple(r)) for r in result.per_vertex])
     if cfg.per_trial:
-        pt_path = stem + ".trials.csv"
-        lines = ["config_hash,trial,total_draws,step3_draws,selections,terminated"]
-        for i in range(cfg.trials):
-            lines.append(
-                f"{result.config_hash},{i},{result.total_draws[i]},{result.step3_draws[i]},"
-                f"{result.selections[i]},{int(result.terminated[i])}"
-            )
-        _write_text(pt_path, "\n".join(lines) + "\n")
-        paths.append(pt_path)
-    return paths
+        files[".trials.csv"] = _csv_text(
+            ["config_hash", "trial", "total_draws", "step3_draws", "selections", "terminated"],
+            zip([h] * cfg.trials, range(cfg.trials), result.total_draws.tolist(),
+                result.step3_draws.tolist(), result.selections.tolist(),
+                result.terminated.astype(int).tolist()))
+    for ext, text in files.items():
+        _write_text(stem + ext, text)
+    return [stem + ext for ext in files]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -632,11 +642,10 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     data = cfg.to_dict()
     if axis.startswith("graph."):
         key = axis.split(".", 1)[1]
-        graph = dict(data["graph"])
-        if key not in graph and key != "seed":
-            raise ValueError(f"graph spec has no parameter {key!r} to sweep")
-        graph[key] = value
-        data["graph"] = graph
+        kind, params = _spec_params("graph", data["graph"])
+        if key not in params:
+            raise ValueError(f"graph kind {kind!r} has no parameter {key!r} to sweep")
+        data["graph"] = {**data["graph"], key: value}
     elif axis in _SWEEP_AXES:
         data[axis] = value
     else:
@@ -695,18 +704,7 @@ def sweep(base: ExperimentConfig, axis: str, values: Sequence) -> list[SweepRow]
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
-    header = (
-        "axis,value,config_hash,n,max_degree,D,trials,counter,mean,se,"
-        "mean_over_n_delta,mean_over_n_log_delta"
-    )
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r.axis},{r.value},{r.config_hash},{r.n},{r.max_degree},{r.D},{r.trials},"
-            f"{r.counter},{r.mean!r},{r.se!r},{r.mean_over_n_delta!r},"
-            f"{r.mean_over_n_log_delta!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_text(_columns(SweepRow), [astuple(r) for r in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decolor.cli import main, parse_graph_spec, parse_order_spec, parse_start_spec
+from decolor.cli import main, parse_graph_spec, parse_order_spec, parse_spec, parse_start_spec
+from decolor.experiments import (
+    OUTPUT_DIR_ENV,
+    SPEC_KINDS,
+    SPEC_PARAMS,
+    SPEC_WORDS,
+    build_graph,
+    build_order,
+    build_start,
+)
 
 
 def test_parse_graph_specs():
@@ -54,6 +64,40 @@ def test_parse_start_specs():
         parse_start_spec("zeros")
 
 
+def test_the_readme_cli_table_lists_every_compact_spec(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (tmp_path / "g.txt").write_text("3 2\n0 1\n1 2\n")
+    (tmp_path / "c.txt").write_text("D=4\n1 1 1 1 2 3\n")
+    (tmp_path / "p.txt").write_text("5 4 3 2 1 0\n")
+    # what the README's placeholders stand for, by README spelling
+    values = {"n": "4", "a": "2", "b": "3", "p": "0.5", "seed": "1", "d": "3",
+              "PATH": str(tmp_path / "g.txt"), "<color>": "2", "<path>": str(tmp_path / "c.txt"),
+              "<file>": str(tmp_path / "p.txt"), "lowest": "lowest"}
+    g, bundled = build_graph({"kind": "badbip", "delta": 3})  # n = 6, D = 4, bundles a start
+    build = {
+        "graph": build_graph,
+        "start": lambda spec: build_start(spec, g, 4, bundled),
+        "order": lambda spec: build_order(spec, g),
+    }
+    for family in SPEC_KINDS:
+        row = next(line for line in readme.splitlines() if line.startswith(f"| `--{family}` |"))
+        items = [t for t in re.findall(r"`([^`]+)`", row.split("|")[2]) if not t.startswith("--")]
+        # `mimic[:lowest]` is both `mimic` and `mimic:lowest`
+        items = {form for t in items for form in (re.sub(r"\[.*?\]", "", t), re.sub(r"[][]", "", t))}
+        seen = set()
+        for item in items:
+            kind, _, placeholders = item.partition(":")
+            text = kind + (":" + ",".join(values[p] for p in placeholders.split(",")) if placeholders else "")
+            build[family](parse_spec(family, text))
+            seen.add(kind)
+        compact = [kind for kind, names in SPEC_KINDS[family].items()
+                   if all(SPEC_PARAMS[name][1] for name in names)]
+        assert set(compact) | set(SPEC_WORDS[family]) <= seen, (family, row)
+        for kind in set(SPEC_KINDS[family]) - set(compact):  # config files only
+            with pytest.raises(ValueError):
+                parse_spec(family, f"{kind}:{values['<file>']}")
+
+
 def test_gen_stdout_and_files(tmp_path, capsys):
     assert main(["gen", "clique:3"]) == 0
     assert capsys.readouterr().out == "3 3\n0 1\n0 2\n1 2\n"
@@ -83,6 +127,27 @@ def test_run_end_to_end(tmp_path, capsys):
     assert header.startswith("config_hash,master_seed,algorithm")
     trace_lines = (tmp_path / "t.txt").read_text().splitlines()
     assert all(len(line.split()) >= 3 for line in trace_lines)
+
+
+@pytest.mark.parametrize("out", ["results/r.csv", "results/r.json", "results/r"])
+def test_run_prints_the_stem_it_writes(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    assert main(["run", "--graph", "clique:3", "--trials", "5", "--workers", "1", "--out", out]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines() if "wrote" in line)
+    stem = line.split("wrote ", 1)[1].removesuffix(".{csv,json}")
+    assert stem == str(tmp_path / "results" / "r")
+    assert os.path.isfile(stem + ".csv") and os.path.isfile(stem + ".json")
+
+
+@pytest.mark.parametrize("command,help_text", [
+    ("run", "output stem; writes <stem>.csv and <stem>.json"),
+    ("sweep", "output stem; writes <stem>.csv"),
+])
+def test_out_help_names_the_files_each_subcommand_writes(capsys, command, help_text):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert text.rsplit("--out OUT ", 1)[1].split(" --", 1)[0] == help_text
 
 
 def test_run_respects_config_file_with_flag_overrides(tmp_path, capsys):
@@ -173,6 +238,10 @@ CLIQUE3 = {"kind": "clique", "n": 3}
     pytest.param({"graph": CLIQUE3, "order": {"kind": "perm", "order": [0, 1, 2.0]}}, id="order-float-perm"),
     pytest.param({"graph": CLIQUE3, "order": {"kind": "perm"}}, id="order-no-order"),
     pytest.param({"graph": CLIQUE3, "order": {"kind": "script", "picks": [[0]]}}, id="order-nested-picks"),
+    pytest.param({"graph": CLIQUE3, "start": {"kind": "mono", "colour": 2}}, id="start-unknown-param"),
+    pytest.param({"graph": CLIQUE3, "order": {"kind": "mimic", "mdoe": "lowest"}}, id="order-unknown-param"),
+    pytest.param({"graph": CLIQUE3, "order": {"kind": "perm", "order": [0, 1, 2], "seed": 1}},
+                 id="order-perm-extra-param"),
     pytest.param({"graph": CLIQUE3, "D": "x"}, id="D-string"),
     pytest.param({"graph": CLIQUE3, "trials": None}, id="trials-null"),
     pytest.param({"graph": CLIQUE3, "trials": True}, id="trials-bool"),
