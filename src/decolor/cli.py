@@ -164,7 +164,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     csv_text = sweep_to_csv(rows)
     sys.stdout.write(csv_text)
     if args.output:
-        _write(args.output, csv_text, ".csv")
+        _write_text(output_stem(args.output) + ".csv", csv_text)
     return 0
 
 

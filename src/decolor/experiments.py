@@ -154,6 +154,19 @@ def _int(value: Any) -> int:
     return int(value)
 
 
+def _real(value: Any) -> float:
+    """A real number that is not a bool; anything else is a TypeError."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"not a real number: {value!r}")
+    return float(value)
+
+
+def _str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"not a string: {value!r}")
+    return value
+
+
 def _int_list(values: Any) -> list[int]:
     return [_int(v) for v in values]
 
@@ -190,8 +203,8 @@ SPEC_KINDS = {
 # a kind with a parameter that has no reader exists only in config files
 SPEC_PARAMS: dict[str, tuple[Callable[[Any], Any], Callable[[str], Any] | None]] = {
     "n": (_int, int), "a": (_int, int), "b": (_int, int), "seed": (_int, int),
-    "delta": (_int, int), "color": (_int, int), "p": (float, float),
-    "path": (str, str), "mode": (str, str),
+    "delta": (_int, int), "color": (_int, int), "p": (_real, float),
+    "path": (_str, str), "mode": (_str, str),
     "order": (_int_list, _read_int_file), "picks": (_int_list, _read_int_file),
     "colors": (_int_list, None), "edges": (_edge_list, None),
 }

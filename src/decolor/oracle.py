@@ -7,7 +7,10 @@ canonicalizes colorings up to color renaming (the dynamics commute with any
 palette bijection, so the lumped chain is exact by strong lumpability),
 which shrinks the state space from D^n to the number of set partitions with
 at most D blocks; the tests check it against their own breadth-first chain
-over raw colorings. Both routes read a state's conflicted vertices from
+over raw colorings. The chain is built once, as the rows of I - Q over its
+transient states, and both its exact and its certified solve read those
+rows; a state that cannot reach a proper coloring shows as a zero pivot of
+the exact elimination. Both routes read a state's conflicted vertices from
 `coloring.same_color_counts`.
 """
 
@@ -189,68 +192,55 @@ def _color_moves(state: tuple[int, ...], v: int, D: int, skip: Collection[int] =
     return moves
 
 
-@dataclass
-class _Chain:
-    """Transient rows of an absorbing chain, probabilities as num/den."""
-
-    states: list
-    index: dict
-    transient: list[int]
-    row_den: list[int]
-    row_entries: list[list[tuple[int, int]]]  # (state index, numerator)
-
-
 def _build_dc_chain(
     g: Graph,
     D: int,
     start_keys: Iterable,
     mimic_mode: str | None,
-) -> _Chain:
+) -> tuple[dict, list]:
     """Breadth-first enumeration of the one-draw chain from the start states.
 
     States are canonical patterns for the uniform scheduler; for the mimic
     scheduler they are (pattern, active) pairs where active is the locked
-    vertex or -1 at a selection boundary. A state's conflicted vertices are
-    those with a positive `same_color_counts` entry.
+    vertex or -1 at a selection boundary. A state's conflicted vertices, its
+    positive `same_color_counts` entries, are counted once, when it is first
+    reached.
+
+    Returns (index, rows): index maps each state reached to its row of I - Q,
+    or to None for a proper (absorbing) coloring, and rows[r] = (den, [(row,
+    num), ...]) lists the moves into transient states, each with probability
+    num/den, in first-reached order. Moves into absorbing states add nothing
+    to I - Q and are left out.
     """
     adjacency = g.adjacency
     index: dict = {}
-    states: list = []
     queue: list = []
 
-    def intern(key) -> int:
-        i = index.get(key)
-        if i is None:
-            i = len(states)
-            index[key] = i
-            states.append(key)
-            queue.append(i)
-        return i
+    def intern(key):
+        """key's row, or None when it is proper; a new transient state is
+        queued with the vertices the scheduler may pick in it."""
+        r = index.get(key, -1)
+        if r == -1:
+            counts = same_color_counts(g, key if mimic_mode is None else key[0])
+            picks = [v for v, k in enumerate(counts) if k]
+            if mimic_mode is not None:
+                active = key[1]
+                if active >= 0 and counts[active]:
+                    picks = [active]
+                elif mimic_mode == "lowest":
+                    picks = picks[:1]
+            r = index[key] = len(queue) if picks else None
+            if picks:
+                queue.append((key, picks))
+        return r
 
     for key in start_keys:
         intern(key)
 
-    transient: list[int] = []
-    row_den: list[int] = []
-    row_entries: list[list[tuple[int, int]]] = []
-
-    qpos = 0
-    while qpos < len(queue):
-        i = queue[qpos]
-        qpos += 1
-        key = states[i]
+    rows: list = []
+    while len(rows) < len(queue):
+        key, picks = queue[len(rows)]
         colors = key if mimic_mode is None else key[0]
-        counts = same_color_counts(g, colors)
-        conflicted = [v for v, k in enumerate(counts) if k]
-        if not conflicted:
-            continue  # absorbing
-        picks = conflicted
-        if mimic_mode is not None:
-            active = key[1]
-            if active >= 0 and counts[active]:
-                picks = [active]
-            elif mimic_mode == "lowest":
-                picks = conflicted[:1]
         acc: dict[int, int] = {}
         for v in picks:
             moves = _color_moves(colors, v, D)
@@ -261,42 +251,14 @@ def _build_dc_chain(
                 moves = [((child, v if x in used else -1), w, x) for child, w, x in moves]
             for child, w, _ in moves:
                 j = intern(child)
-                acc[j] = acc.get(j, 0) + w
-        transient.append(i)
-        row_den.append(len(picks) * D)
-        row_entries.append(sorted(acc.items()))
+                if j is not None:
+                    acc[j] = acc.get(j, 0) + w
+        rows.append((len(picks) * D, sorted(acc.items())))
 
-    return _Chain(states, index, transient, row_den, row_entries)
-
-
-def _check_absorbing_reachable(chain: _Chain) -> None:
-    """Every transient state must reach a proper coloring, else the expected
-    value is infinite and the linear system is singular."""
-    n_states = len(chain.states)
-    is_transient = [False] * n_states
-    for i in chain.transient:
-        is_transient[i] = True
-    rev: list[list[int]] = [[] for _ in range(n_states)]
-    for r, i in enumerate(chain.transient):
-        for j, _num in chain.row_entries[r]:
-            rev[j].append(i)
-    reached = [not is_transient[i] for i in range(n_states)]
-    stack = [i for i in range(n_states) if reached[i]]
-    while stack:
-        j = stack.pop()
-        for i in rev[j]:
-            if not reached[i]:
-                reached[i] = True
-                stack.append(i)
-    for i in chain.transient:
-        if not reached[i]:
-            raise ValueError(
-                "expected recoloring count is infinite: some reachable states "
-                "cannot reach a proper coloring (is D large enough?)"
-            )
+    return index, rows
 
 
-def _solve_exact(chain: _Chain) -> tuple[dict[int, object], int, int]:
+def _solve_exact(rows: list) -> tuple[list, int, int]:
     """Exact rational solve of (I - Q) x = 1 by sparse Gaussian elimination.
 
     Rows of I - Q are dicts {column: rational} with a column -> rows index
@@ -306,44 +268,48 @@ def _solve_exact(chain: _Chain) -> tuple[dict[int, object], int, int]:
     column, and drops entries that cancel to an exact zero. Back-substitution
     runs in reverse pivot order.
 
-    Diagonal pivots in any symmetric order are safe: after
-    _check_absorbing_reachable, I - Q is a nonsingular M-matrix (Q is
-    nonnegative and substochastic and every transient state reaches
-    absorption, so Q's spectral radius is below 1). Every Schur complement
-    of a nonsingular M-matrix is again one, and its diagonal is positive, so
-    every pivot is positive. Exact arithmetic makes the solution independent
-    of the order, which decides only the fill.
+    Diagonal pivots in any symmetric order are safe when every transient
+    state reaches absorption: then I - Q is a nonsingular M-matrix (Q is
+    nonnegative and substochastic with spectral radius below 1), every Schur
+    complement of it is again one, and its diagonal is positive, so every
+    pivot is positive. Exact arithmetic makes the solution independent of the
+    order, which decides only the fill. When some reachable state cannot
+    reach a proper coloring, I - Q is singular: the pivots multiply to its
+    determinant, 0, so elimination meets an exact zero pivot, and the
+    expected count is infinite, a ValueError.
 
-    Returns expected remaining draws per transient state index, the nonzero
-    count of I - Q and the fill-in (entries that elimination created).
+    Returns expected remaining draws per row, the nonzero count of I - Q and
+    the fill-in (entries that elimination created).
     """
-    t = len(chain.transient)
-    col_of = {i: r for r, i in enumerate(chain.transient)}
+    t = len(rows)
     one = _Q(1)
-    rows: list[dict[int, object]] = []
+    a: list[dict[int, object]] = []
     cols: list[set[int]] = [set() for _ in range(t)]
-    for r in range(t):
-        den = chain.row_den[r]
+    for r, (den, entries) in enumerate(rows):
         row = {r: one}
-        for j, num in chain.row_entries[r]:
-            c = col_of.get(j)
-            if c is not None:
-                row[c] = row.get(c, 0) - _Q(num, den)
+        for c, num in entries:
+            row[c] = row.get(c, 0) - _Q(num, den)
         for c in row:
             cols[c].add(r)
-        rows.append(row)
-    nonzeros = sum(len(row) for row in rows)
+        a.append(row)
+    nonzeros = sum(len(row) for row in a)
 
     b = [one] * t
     active = set(range(t))
     order: list[int] = []
     fill = 0
     while active:
-        k = min(active, key=lambda r: ((len(rows[r]) - 1) * (len(cols[r]) - 1), r))
+        k = min(active, key=lambda r: ((len(a[r]) - 1) * (len(cols[r]) - 1), r))
         active.remove(k)
         order.append(k)
-        rk = rows[k]
-        inv = one / rk.pop(k)
+        rk = a[k]
+        pivot = rk.pop(k, 0)  # an entry that cancelled was dropped
+        if not pivot:
+            raise ValueError(
+                "expected recoloring count is infinite: some reachable states "
+                "cannot reach a proper coloring (is D large enough?)"
+            )
+        inv = one / pivot
         for j in rk:
             rk[j] *= inv
             cols[j].discard(k)
@@ -351,7 +317,7 @@ def _solve_exact(chain: _Chain) -> tuple[dict[int, object], int, int]:
         below = cols[k]
         below.discard(k)
         for i in below:
-            ri = rows[i]
+            ri = a[i]
             f = ri.pop(k)
             for j, v in rk.items():
                 old = ri.get(j)
@@ -371,13 +337,13 @@ def _solve_exact(chain: _Chain) -> tuple[dict[int, object], int, int]:
     x: list = [None] * t
     for k in reversed(order):
         acc = b[k]
-        for j, v in rows[k].items():
+        for j, v in a[k].items():
             acc -= v * x[j]
         x[k] = acc
-    return {chain.transient[r]: x[r] for r in range(t)}, nonzeros, fill
+    return x, nonzeros, fill
 
 
-def _solve_certified(chain: _Chain, m_bound: int, tol: Fraction) -> tuple[dict[int, object], Fraction]:
+def _solve_certified(rows: list, m_bound: int, tol: Fraction) -> tuple[list, Fraction]:
     """Float LU solve plus iterative refinement with exact residuals.
 
     The inverse of (I - Q) has nonnegative entries whose row sums are the
@@ -387,34 +353,14 @@ def _solve_certified(chain: _Chain, m_bound: int, tol: Fraction) -> tuple[dict[i
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    t = len(chain.transient)
-    col_of = {i: r for r, i in enumerate(chain.transient)}
-    rows_idx: list[int] = []
-    cols_idx: list[int] = []
-    vals: list[float] = []
-    exact_rows: list[list[tuple[int, int]]] = []
-    for r in range(t):
-        den = chain.row_den[r]
-        entries = []
-        diag_num = 0
-        for j, num in chain.row_entries[r]:
-            cj = col_of.get(j)
-            if cj is None:
-                continue
-            if cj == r:
-                diag_num += num
-                continue
-            rows_idx.append(r)
-            cols_idx.append(cj)
-            vals.append(-num / den)
-            entries.append((cj, num))
-        rows_idx.append(r)
-        cols_idx.append(r)
-        vals.append(1.0 - diag_num / den)
-        if diag_num:
-            entries.append((r, diag_num))
-        exact_rows.append(entries)
-
+    t = len(rows)
+    # each row gives its diagonal 1 and then its entries; a self-loop's
+    # -num/den is a second diagonal entry, which csc_matrix sums with the 1
+    rows_idx, cols_idx, vals = [], [], []
+    for r, (den, entries) in enumerate(rows):
+        rows_idx += [r] * (len(entries) + 1)
+        cols_idx += [r, *(c for c, _ in entries)]
+        vals += [1.0, *(-num / den for _, num in entries)]
     a = sp.csc_matrix(
         (np.array(vals), (np.array(rows_idx), np.array(cols_idx))), shape=(t, t)
     )
@@ -424,16 +370,15 @@ def _solve_certified(chain: _Chain, m_bound: int, tol: Fraction) -> tuple[dict[i
     tol_q = _Q(tol.numerator, tol.denominator)
     for _ in range(50):
         residual = []
-        for r in range(t):
-            den = chain.row_den[r]
+        for r, (den, entries) in enumerate(rows):
             acc = _Q(den) - _Q(den) * x[r]
-            for cj, num in exact_rows[r]:
-                acc += num * x[cj]
+            for c, num in entries:
+                acc += num * x[c]
             residual.append(acc / den)
         max_r = max((abs(rv) for rv in residual), default=_Q(0))
         bound = m_bound * max_r
         if bound <= tol_q:
-            return {chain.transient[r]: x[r] for r in range(t)}, _fraction(bound)
+            return x, _fraction(bound)
         dx = lu.solve(np.array([float(rv) for rv in residual]))
         x = [xi + _Q(float(d)) for xi, d in zip(x, dx)]
     raise RuntimeError("iterative refinement failed to certify the requested tolerance")
@@ -483,32 +428,36 @@ def exact_expected_recolorings_dc(
     if mimic_mode is not None:
         weighted = [((key, -1), w) for key, w in weighted]
 
-    chain = _build_dc_chain(g, D, [key for key, _ in weighted], mimic_mode)
-    if not chain.transient:
+    index, rows = _build_dc_chain(g, D, [key for key, _ in weighted], mimic_mode)
+    if not rows:
         return ExactValue(Fraction(0), method="markov-exact", transient=0, nonzeros=0,
                           fill=0, backend=RATIONAL_BACKEND)
-    _check_absorbing_reachable(chain)
 
     nonzeros = fill = None
-    if method == "exact" or (method == "auto" and len(chain.transient) <= DEFAULT_EXACT_STATE_LIMIT):
-        solution, nonzeros, fill = _solve_exact(chain)
+    if method == "exact" or (method == "auto" and len(rows) <= DEFAULT_EXACT_STATE_LIMIT):
+        x, nonzeros, fill = _solve_exact(rows)
         bound = Fraction(0)
         how = "markov-exact"
     else:
+        # With D >= max_degree + 1 every conflicted vertex has a free color,
+        # and drawing it lowers the conflicted count, so every state reaches
+        # absorption and I - Q is nonsingular.
         if D < g.max_degree + 1:
             raise ValueError(
                 "iterative certification needs D >= max_degree + 1; "
                 "force method='exact' for smaller palettes"
             )
-        solution, bound = _solve_certified(chain, (g.n - 1) * D, CERTIFIED_TOL)
+        x, bound = _solve_certified(rows, (g.n - 1) * D, CERTIFIED_TOL)
         how = "markov-certified"
 
     total = _Q(0)
     for key, w in weighted:
-        total += w * solution.get(chain.index[key], _Q(0))
+        r = index[key]
+        if r is not None:
+            total += w * x[r]
     value = total / total_weight
     return ExactValue(_fraction(value), error_bound=bound, method=how,
-                      transient=len(chain.transient), nonzeros=nonzeros, fill=fill,
+                      transient=len(rows), nonzeros=nonzeros, fill=fill,
                       backend=RATIONAL_BACKEND)
 
 

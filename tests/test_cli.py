@@ -229,6 +229,9 @@ CLIQUE3 = {"kind": "clique", "n": 3}
     pytest.param({"graph": {"kind": "edges", "n": 3, "edges": [[0, 1.5]]}}, id="graph-float-edge"),
     pytest.param({"graph": {"kind": "erdos", "n": 5, "p": [0.5], "seed": 1}}, id="graph-list-p"),
     pytest.param({"graph": {"kind": "edges", "n": 3, "edges": [0, 1]}}, id="graph-flat-edges"),
+    pytest.param({"graph": {"kind": "erdos", "n": 5, "p": True, "seed": 1}}, id="graph-bool-p"),
+    pytest.param({"graph": {"kind": "erdos", "n": 5, "p": "0.5", "seed": 1}}, id="graph-string-p"),
+    pytest.param({"graph": {"kind": "file", "path": 5}}, id="graph-int-path"),
     pytest.param({"graph": CLIQUE3, "start": {"kind": "fixed"}}, id="start-no-colors"),
     pytest.param({"graph": CLIQUE3, "start": {"kind": "fixed", "colors": 7}}, id="start-int-colors"),
     pytest.param({"graph": CLIQUE3, "start": {"kind": "mono", "color": None}}, id="start-null-color"),
@@ -240,6 +243,7 @@ CLIQUE3 = {"kind": "clique", "n": 3}
     pytest.param({"graph": CLIQUE3, "order": {"kind": "script", "picks": [[0]]}}, id="order-nested-picks"),
     pytest.param({"graph": CLIQUE3, "start": {"kind": "mono", "colour": 2}}, id="start-unknown-param"),
     pytest.param({"graph": CLIQUE3, "order": {"kind": "mimic", "mdoe": "lowest"}}, id="order-unknown-param"),
+    pytest.param({"graph": CLIQUE3, "order": {"kind": "mimic", "mode": 7}}, id="order-int-mode"),
     pytest.param({"graph": CLIQUE3, "order": {"kind": "perm", "order": [0, 1, 2], "seed": 1}},
                  id="order-perm-extra-param"),
     pytest.param({"graph": CLIQUE3, "D": "x"}, id="D-string"),
@@ -492,6 +496,9 @@ def test_oracle_order_all_names_uniform_order_for_the_persistent_oracle_only(tmp
     pytest.param(["sweep", "--graph", "clique:3", "--trials", "20", "--workers", "1",
                   "--axis", "graph.n", "--values", "3", "--out", "{d}/sw"], "sw.csv",
                  id="sweep-out"),
+    pytest.param(["sweep", "--graph", "clique:3", "--trials", "20", "--workers", "1",
+                  "--axis", "graph.n", "--values", "3", "--out", "{d}/sw.json"], "sw.csv",
+                 id="sweep-out-json"),
     pytest.param(["drift-check", "--samples", "2", "--out", "{d}/rep"], "rep.json",
                  id="drift-check-out"),
     pytest.param(["accept", "gadget", "--out", "{d}/acc"], "acc.json", id="accept-out"),

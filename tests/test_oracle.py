@@ -125,18 +125,15 @@ def test_iterative_needs_enough_colors():
                                       method="iterative")
 
 
-def _dense_reference(chain) -> dict:
+def _dense_reference(rows) -> list:
     """Textbook dense Gaussian elimination of (I - Q) x = 1 over Fraction,
     row by row in chain order; the reference the sparse solve must match."""
-    t = len(chain.transient)
-    col_of = {i: r for r, i in enumerate(chain.transient)}
+    t = len(rows)
     a = [[Fraction(int(r == c)) for c in range(t)] for r in range(t)]
     b = [Fraction(1)] * t
-    for r in range(t):
-        for j, num in chain.row_entries[r]:
-            c = col_of.get(j)
-            if c is not None:
-                a[r][c] -= Fraction(num, chain.row_den[r])
+    for r, (den, entries) in enumerate(rows):
+        for c, num in entries:
+            a[r][c] -= Fraction(num, den)
     for k in range(t):
         for i in range(k + 1, t):
             f = a[i][k] / a[k][k]
@@ -147,40 +144,39 @@ def _dense_reference(chain) -> dict:
     x = [Fraction(0)] * t
     for k in reversed(range(t)):
         x[k] = (b[k] - sum(a[k][j] * x[j] for j in range(k + 1, t))) / a[k][k]
-    return {chain.transient[r]: x[r] for r in range(t)}
+    return x
 
 
-def _raw_chain(g, D, start_keys) -> oracle._Chain:
+def _raw_chain(g, D, start_keys):
     """Breadth-first enumeration of the uniform-order one-draw chain over raw
     color tuples, with no lumping: each conflicted vertex, then each of the D
-    colors, weighs 1. The reference the package's lumped chain must match."""
+    colors, weighs 1. Returns (index, rows) in the package's form: index maps
+    each state to its row, or to None when it is proper. The reference the
+    package's lumped chain must match."""
     index: dict = {}
-    states: list = []
+    queue: list = []
 
-    def intern(key) -> int:
+    def intern(key):
         if key not in index:
-            index[key] = len(states)
-            states.append(key)
+            conflicted = [v for v in range(g.n) if any(key[u] == key[v] for u in g.adjacency[v])]
+            index[key] = len(queue) if conflicted else None
+            if conflicted:
+                queue.append((key, conflicted))
         return index[key]
 
     for key in start_keys:
         intern(key)
-    transient, row_den, row_entries = [], [], []
-    i = 0
-    while i < len(states):
-        colors = states[i]
-        conflicted = [v for v in range(g.n) if any(colors[u] == colors[v] for u in g.adjacency[v])]
-        if conflicted:
-            acc: dict = {}
-            for v in conflicted:
-                for x in range(1, D + 1):
-                    j = intern(colors[:v] + (x,) + colors[v + 1:])
+    rows = []
+    while len(rows) < len(queue):
+        colors, conflicted = queue[len(rows)]
+        acc: dict = {}
+        for v in conflicted:
+            for x in range(1, D + 1):
+                j = intern(colors[:v] + (x,) + colors[v + 1:])
+                if j is not None:
                     acc[j] = acc.get(j, 0) + 1
-            transient.append(i)
-            row_den.append(len(conflicted) * D)
-            row_entries.append(sorted(acc.items()))
-        i += 1
-    return oracle._Chain(states, index, transient, row_den, row_entries)
+        rows.append((len(conflicted) * D, sorted(acc.items())))
+    return index, rows
 
 
 @pytest.mark.parametrize(
@@ -195,9 +191,9 @@ def test_lumping_matches_raw_enumeration(g, D, start):
     """Color-relabeling quotient must not change the answer."""
     policy = RANDOM_START if start is None else FixedStart(Coloring(start, D))
     keys = list(itertools.product(range(1, D + 1), repeat=g.n)) if start is None else [tuple(start)]
-    chain = _raw_chain(g, D, keys)
-    solution = _dense_reference(chain)
-    raw = sum(solution.get(chain.index[key], Fraction(0)) for key in keys) / len(keys)
+    index, rows = _raw_chain(g, D, keys)
+    solution = _dense_reference(rows)
+    raw = sum(solution[index[key]] for key in keys if index[key] is not None) / len(keys)
     assert exact_expected_recolorings_dc(g, D, policy).value == raw
 
 
@@ -212,14 +208,19 @@ CHAIN_KINDS = [
 
 
 @st.composite
-def small_chains(draw):
-    mode, lumped, n_max = draw(st.sampled_from(CHAIN_KINDS))
+def small_chains(draw, any_palette=False):
+    """The rows of a small chain, with D = max degree + 1 and a random start
+    for the lumped uniform kind. With any_palette, D is any of 1..max degree
+    + 1 and every kind is lumped and starts from a conflicted fixed coloring,
+    so the chain may never reach a proper coloring."""
+    kinds = [kind for kind in CHAIN_KINDS if kind[1]] if any_palette else CHAIN_KINDS
+    mode, lumped, n_max = draw(st.sampled_from(kinds))
     n = draw(st.integers(3, n_max))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=n - 1, unique=True))
     g = from_edge_list(n, edges)
-    D = g.max_degree + 1
-    if mode is None and lumped:
+    D = draw(st.integers(1, g.max_degree + 1)) if any_palette else g.max_degree + 1
+    if mode is None and lumped and not any_palette:
         keys = list(oracle._patterns(n, D))  # the random start
     else:
         colors = draw(st.lists(st.integers(1, D), min_size=n, max_size=n))
@@ -227,21 +228,32 @@ def small_chains(draw):
         colors[v] = colors[u]  # a conflicted start, so the chain is not empty
         keys = [canonical_pattern(colors) if lumped else tuple(colors)]
     if not lumped:
-        chain = _raw_chain(g, D, keys)
-    else:
-        if mode is not None:
-            keys = [(key, -1) for key in keys]
-        chain = oracle._build_dc_chain(g, D, keys, mode)
-    oracle._check_absorbing_reachable(chain)
-    return chain
+        return _raw_chain(g, D, keys)[1]
+    if mode is not None:
+        keys = [(key, -1) for key in keys]
+    return oracle._build_dc_chain(g, D, keys, mode)[1]
 
 
-@given(chain=small_chains())
+@given(rows=small_chains())
 @settings(max_examples=40, deadline=None)
-def test_sparse_solve_matches_dense_reference(chain):
-    solution, nonzeros, fill = oracle._solve_exact(chain)
-    assert solution == _dense_reference(chain)
-    assert nonzeros >= len(chain.transient) and fill >= 0
+def test_sparse_solve_matches_dense_reference(rows):
+    solution, nonzeros, fill = oracle._solve_exact(rows)
+    assert solution == _dense_reference(rows)
+    assert nonzeros >= len(rows) and fill >= 0
+
+
+@given(rows=small_chains(any_palette=True))
+@settings(max_examples=100, deadline=None)
+def test_sparse_solve_calls_a_singular_chain_infinite(rows):
+    # I - Q is singular exactly when some state cannot reach a proper
+    # coloring; the dense reference then meets a zero pivot
+    try:
+        expected = _dense_reference(rows)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="infinite"):
+            oracle._solve_exact(rows)
+    else:
+        assert oracle._solve_exact(rows)[0] == expected
 
 
 @pytest.fixture(scope="module")
@@ -251,24 +263,20 @@ def permutable_chains():
         (gen_cycle(5), 3, list(oracle._patterns(5, 3)), None),
         (gen_clique(4), 4, [((1, 1, 1, 1), -1)], "lowest"),
     ):
-        chain = oracle._build_dc_chain(g, D, keys, mode)
-        out.append((chain, oracle._solve_exact(chain)[0]))
+        rows = oracle._build_dc_chain(g, D, keys, mode)[1]
+        out.append((rows, oracle._solve_exact(rows)[0]))
     return out
 
 
 @given(which=st.integers(0, 1), data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_sparse_solve_does_not_depend_on_the_state_order(permutable_chains, which, data):
-    chain, expected = permutable_chains[which]
-    perm = data.draw(st.permutations(range(len(chain.transient))))
-    shuffled = oracle._Chain(
-        chain.states,
-        chain.index,
-        [chain.transient[p] for p in perm],
-        [chain.row_den[p] for p in perm],
-        [chain.row_entries[p] for p in perm],
-    )
-    assert oracle._solve_exact(shuffled)[0] == expected
+    rows, expected = permutable_chains[which]
+    perm = data.draw(st.permutations(range(len(rows))))
+    new_of = {p: r for r, p in enumerate(perm)}  # old row -> new row
+    shuffled = [(den, [(new_of[c], num) for c, num in entries])
+                for den, entries in (rows[p] for p in perm)]
+    assert oracle._solve_exact(shuffled)[0] == [expected[p] for p in perm]
 
 
 def test_exact_method_reproduces_the_pinned_ac10_values():
