@@ -73,12 +73,10 @@ parse_order_spec = functools.partial(parse_spec, "order")
 # subcommand handlers
 
 
-def _write(path: str, text: str, ext: str = "") -> str:
-    """Write text to path, resolved under $DECOLOR_OUTPUT_DIR and given ext
-    when the name lacks it; return the path written."""
+def _write(path: str, text: str) -> str:
+    """Write text to path, resolved under $DECOLOR_OUTPUT_DIR; return the
+    path written."""
     path = resolve_output_path(path)
-    if not path.endswith(ext):
-        path += ext
     _write_text(path, text)
     return path
 
@@ -205,10 +203,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _print_oracle_diagnostics(value: oracle.ExactValue) -> None:
     """The oracle's diagnostics on stderr, one per line; unmeasured ones are left out."""
     print(f"method: {value.method}", file=sys.stderr)
+    residual = value.max_residual
     for label, x in (("transient states", value.transient),
                      ("nonzeros of I - Q", value.nonzeros),
                      ("fill-in", value.fill),
-                     ("rationals", value.backend)):
+                     ("rationals", value.backend),
+                     ("refinement rounds", value.refinements),
+                     ("max residual", None if residual is None else f"{float(residual):.3g}")):
         if x is not None:
             print(f"{label}: {x}", file=sys.stderr)
 
@@ -224,7 +225,9 @@ def _cmd_drift_check(args: argparse.Namespace) -> int:
         print(f"VIOLATION sample {v.sample} vertex {v.vertex} [{v.kind}]: {v.value}",
               file=sys.stderr)
     if args.out:
-        print(f"wrote {_write(args.out, _json_dumps(rep.to_json_dict()), '.json')}")
+        path = output_stem(args.out) + ".json"
+        _write_text(path, _json_dumps(rep.to_json_dict()))
+        print(f"wrote {path}")
     return 0 if rep.ok else 1
 
 
@@ -240,7 +243,7 @@ def _cmd_accept(args: argparse.Namespace) -> int:
     report = acceptance.AcceptanceReport(args.suite, results)
     print(report.text().splitlines()[-1])
     if args.out:
-        _write(args.out, _json_dumps(report.to_json_dict()), ".json")
+        _write_text(output_stem(args.out) + ".json", _json_dumps(report.to_json_dict()))
     return report.exit_code
 
 
@@ -315,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--d-max", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="JSON report path")
+    p.add_argument("--out", help="report stem; writes <stem>.json")
     p.set_defaults(fn=_cmd_drift_check)
 
     p = sub.add_parser("accept", help="run the pinned acceptance suite")
     p.add_argument("suite", nargs="?", default="all",
                    help=f"one of {', '.join(sorted(acceptance.SUITES))}")
-    p.add_argument("--out", help="JSON report path")
+    p.add_argument("--out", help="report stem; writes <stem>.json")
     p.set_defaults(fn=_cmd_accept)
     return parser
 

@@ -10,8 +10,12 @@ at most D blocks; the tests check it against their own breadth-first chain
 over raw colorings. The chain is built once, as the rows of I - Q over its
 transient states, and both its exact and its certified solve read those
 rows; a state that cannot reach a proper coloring shows as a zero pivot of
-the exact elimination. Both routes read a state's conflicted vertices from
-`coloring.same_color_counts`.
+the exact elimination. Both solves do their heavy arithmetic on Python
+integers: the exact one eliminates fraction-free on the integer rows of
+den * (I - Q) and leaves only back-substitution to the rational backend,
+and the certified one holds its iterate over a power of two, so every
+residual is an exact integer. Both routes read a state's conflicted
+vertices from `coloring.same_color_counts`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -63,8 +68,10 @@ class ExactValue:
 
     The oracles also record diagnostics, which take no part in equality:
     the transient states of the chain, the nonzeros of I - Q and the fill-in
-    of its exact elimination, and the rational backend that did the
-    arithmetic. A field an oracle does not measure stays None.
+    of its exact elimination, the rational backend of the arithmetic that is
+    not done on integers, and the refinement rounds of a certified solve with
+    the max exact residual of its result. A field an oracle does not measure
+    stays None.
     """
 
     value: Fraction
@@ -74,6 +81,8 @@ class ExactValue:
     nonzeros: int | None = field(default=None, compare=False)
     fill: int | None = field(default=None, compare=False)
     backend: str | None = field(default=None, compare=False)
+    refinements: int | None = field(default=None, compare=False)
+    max_residual: Fraction | None = field(default=None, compare=False)
 
     def as_float(self) -> float:
         return float(self.value)
@@ -259,42 +268,51 @@ def _build_dc_chain(
 
 
 def _solve_exact(rows: list) -> tuple[list, int, int]:
-    """Exact rational solve of (I - Q) x = 1 by sparse Gaussian elimination.
+    """Exact solve of (I - Q) x = 1 by sparse fraction-free elimination.
 
-    Rows of I - Q are dicts {column: rational} with a column -> rows index
-    beside them. Each step pivots on the diagonal entry of the remaining row
-    with the lowest Markowitz count (row nonzeros - 1) * (column nonzeros - 1),
-    ties to the lowest row, eliminates only the rows that hold the pivot
-    column, and drops entries that cancel to an exact zero. Back-substitution
-    runs in reverse pivot order.
+    Row r of den * (I - Q) is an integer row: its diagonal is den less the
+    self-loop num, every other entry is -num, and its right-hand side is den.
+    The rows are dicts {column: int} with a column -> rows index beside
+    them. Each step pivots on the diagonal entry of the remaining row with
+    the lowest Markowitz count (row nonzeros - 1) * (column nonzeros - 1),
+    ties to the lowest row, and eliminates only the rows that hold the pivot
+    column: a row i with entry f there becomes (p/g) * row i - (f/g) * row k,
+    g = gcd(p, f), and is then divided by the gcd of its entries and its
+    right-hand side. Every integer row stays a nonzero multiple of the row
+    that rational elimination would hold, so entries cancel to an exact zero,
+    and are dropped, exactly where they would there. A self-loop that
+    cancels the diagonal stays an explicit zero entry. Back-substitution, in
+    reverse pivot order, divides by the kept pivots; it is the only rational
+    arithmetic.
 
     Diagonal pivots in any symmetric order are safe when every transient
     state reaches absorption: then I - Q is a nonsingular M-matrix (Q is
     nonnegative and substochastic with spectral radius below 1), every Schur
     complement of it is again one, and its diagonal is positive, so every
-    pivot is positive. Exact arithmetic makes the solution independent of the
+    pivot is nonzero. Exact arithmetic makes the solution independent of the
     order, which decides only the fill. When some reachable state cannot
-    reach a proper coloring, I - Q is singular: the pivots multiply to its
-    determinant, 0, so elimination meets an exact zero pivot, and the
-    expected count is infinite, a ValueError.
+    reach a proper coloring, I - Q is singular: the pivots multiply to a
+    multiple of its determinant, 0, so elimination meets an exact zero pivot,
+    and the expected count is infinite, a ValueError.
 
     Returns expected remaining draws per row, the nonzero count of I - Q and
     the fill-in (entries that elimination created).
     """
     t = len(rows)
-    one = _Q(1)
-    a: list[dict[int, object]] = []
+    a: list[dict[int, int]] = []
+    b: list[int] = []
     cols: list[set[int]] = [set() for _ in range(t)]
     for r, (den, entries) in enumerate(rows):
-        row = {r: one}
+        row = {r: den}
         for c, num in entries:
-            row[c] = row.get(c, 0) - _Q(num, den)
+            row[c] = row.get(c, 0) - num
         for c in row:
             cols[c].add(r)
         a.append(row)
+        b.append(den)
     nonzeros = sum(len(row) for row in a)
 
-    b = [one] * t
+    pivots = [0] * t
     active = set(range(t))
     order: list[int] = []
     fill = 0
@@ -303,22 +321,25 @@ def _solve_exact(rows: list) -> tuple[list, int, int]:
         active.remove(k)
         order.append(k)
         rk = a[k]
-        pivot = rk.pop(k, 0)  # an entry that cancelled was dropped
-        if not pivot:
+        p = pivots[k] = rk.pop(k, 0)  # an entry that cancelled was dropped
+        if not p:
             raise ValueError(
                 "expected recoloring count is infinite: some reachable states "
                 "cannot reach a proper coloring (is D large enough?)"
             )
-        inv = one / pivot
         for j in rk:
-            rk[j] *= inv
             cols[j].discard(k)
-        bk = b[k] = b[k] * inv
+        bk = b[k]
         below = cols[k]
         below.discard(k)
         for i in below:
             ri = a[i]
             f = ri.pop(k)
+            g = gcd(p, f)
+            pi, f = p // g, f // g
+            if pi != 1:
+                for j in ri:
+                    ri[j] *= pi
             for j, v in rk.items():
                 old = ri.get(j)
                 if old is None:
@@ -332,23 +353,39 @@ def _solve_exact(rows: list) -> tuple[list, int, int]:
                     else:
                         del ri[j]
                         cols[j].discard(i)
-            b[i] -= f * bk
+            bi = pi * b[i] - f * bk
+            g = gcd(bi, *ri.values())
+            if g > 1:
+                bi //= g
+                for j in ri:
+                    ri[j] //= g
+            b[i] = bi
 
     x: list = [None] * t
     for k in reversed(order):
-        acc = b[k]
+        acc = _Q(b[k])
         for j, v in a[k].items():
             acc -= v * x[j]
-        x[k] = acc
+        x[k] = acc / pivots[k]
     return x, nonzeros, fill
 
 
-def _solve_certified(rows: list, m_bound: int, tol: Fraction) -> tuple[list, Fraction]:
+def _solve_certified(rows: list, m_bound: int, tol: Fraction) -> tuple[list, Fraction, int, Fraction]:
     """Float LU solve plus iterative refinement with exact residuals.
 
     The inverse of (I - Q) has nonnegative entries whose row sums are the
     expected remaining draws, which are at most m_bound; the error of an
     iterate is therefore bounded by m_bound times the max exact residual.
+
+    The iterate is held as integers X over one shared power of two, x =
+    X / 2^E: every float the LU solve returns is dyadic and adds in exactly.
+    So row r's residual (1 - x_r + sum num * x_c / den) is the integer
+    R_r = den * 2^E - den * X_r + sum num * X_c over den * 2^E, and the
+    integer true division R_r / (den << E) rounds it to the float that
+    feeds the next LU solve. Only the max residual and the bound are formed
+    as rationals.
+
+    Returns (x, bound, refinement rounds, max residual).
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -365,22 +402,31 @@ def _solve_certified(rows: list, m_bound: int, tol: Fraction) -> tuple[list, Fra
         (np.array(vals), (np.array(rows_idx), np.array(cols_idx))), shape=(t, t)
     )
     lu = spla.splu(a)
-    x_float = lu.solve(np.ones(t))
-    x = [_Q(float(v)) for v in x_float]
-    tol_q = _Q(tol.numerator, tol.denominator)
-    for _ in range(50):
+    X = [0] * t
+    E = 0
+    step = lu.solve(np.ones(t))
+    for rounds in range(50):
+        # x += step, exactly: each float is n / q with q a power of two
+        ratios = [d.as_integer_ratio() for d in step.tolist()]
+        e = max([E] + [q.bit_length() - 1 for _, q in ratios])
+        X = [(xr << (e - E)) + (n << (e + 1 - q.bit_length())) for xr, (n, q) in zip(X, ratios)]
+        E = e
+
         residual = []
+        worst, worst_den = 0, 1  # the max |R_r| / den
         for r, (den, entries) in enumerate(rows):
-            acc = _Q(den) - _Q(den) * x[r]
+            scaled = den << E
+            acc = scaled - den * X[r]
             for c, num in entries:
-                acc += num * x[c]
-            residual.append(acc / den)
-        max_r = max((abs(rv) for rv in residual), default=_Q(0))
+                acc += num * X[c]
+            residual.append(acc / scaled)
+            if abs(acc) * worst_den > worst * den:
+                worst, worst_den = abs(acc), den
+        max_r = Fraction(worst, worst_den << E)
         bound = m_bound * max_r
-        if bound <= tol_q:
-            return x, _fraction(bound)
-        dx = lu.solve(np.array([float(rv) for rv in residual]))
-        x = [xi + _Q(float(d)) for xi, d in zip(x, dx)]
+        if bound <= tol:
+            return [_Q(xr, 1 << E) for xr in X], bound, rounds, max_r
+        step = lu.solve(np.array(residual))
     raise RuntimeError("iterative refinement failed to certify the requested tolerance")
 
 
@@ -409,7 +455,7 @@ def exact_expected_recolorings_dc(
     Solves the absorbing chain over colorings canonicalized up to color
     renaming, which is exact by strong lumpability. Chains with at most
     DEFAULT_EXACT_STATE_LIMIT transient states, or any chain under method
-    "exact", go through exact rational elimination; larger ones (method
+    "exact", go through exact fraction-free elimination; larger ones (method
     "auto"/"iterative") use a float solve certified to CERTIFIED_TOL, which
     needs D >= max_degree + 1 for its error bound and reports the certified
     bound on the result.
@@ -433,7 +479,7 @@ def exact_expected_recolorings_dc(
         return ExactValue(Fraction(0), method="markov-exact", transient=0, nonzeros=0,
                           fill=0, backend=RATIONAL_BACKEND)
 
-    nonzeros = fill = None
+    nonzeros = fill = refinements = max_residual = None
     if method == "exact" or (method == "auto" and len(rows) <= DEFAULT_EXACT_STATE_LIMIT):
         x, nonzeros, fill = _solve_exact(rows)
         bound = Fraction(0)
@@ -447,7 +493,7 @@ def exact_expected_recolorings_dc(
                 "iterative certification needs D >= max_degree + 1; "
                 "force method='exact' for smaller palettes"
             )
-        x, bound = _solve_certified(rows, (g.n - 1) * D, CERTIFIED_TOL)
+        x, bound, refinements, max_residual = _solve_certified(rows, (g.n - 1) * D, CERTIFIED_TOL)
         how = "markov-certified"
 
     total = _Q(0)
@@ -458,7 +504,8 @@ def exact_expected_recolorings_dc(
     value = total / total_weight
     return ExactValue(_fraction(value), error_bound=bound, method=how,
                       transient=len(rows), nonzeros=nonzeros, fill=fill,
-                      backend=RATIONAL_BACKEND)
+                      backend=RATIONAL_BACKEND, refinements=refinements,
+                      max_residual=max_residual)
 
 
 # ---------------------------------------------------------------------------

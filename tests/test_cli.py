@@ -386,6 +386,17 @@ def test_oracle_verbose_prints_diagnostics_on_stderr_only(capsys):
         "method: markov-certified", "transient states: 36"]
 
 
+def test_oracle_verbose_prints_the_certified_refinement(capsys):
+    args = ["oracle", "--graph", "cycle:5", "--colors", "3", "--method", "iterative", "-v"]
+    assert main(args) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "method: markov-certified"
+    rounds = [line for line in lines if line.startswith("refinement rounds: ")]
+    residual = [line for line in lines if line.startswith("max residual: ")]
+    assert len(rounds) == 1 and int(rounds[0].split(": ")[1]) >= 0
+    assert len(residual) == 1 and 0 <= float(residual[0].split(": ")[1]) <= 1e-12
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "sw"
     code = main([
@@ -502,6 +513,9 @@ def test_oracle_order_all_names_uniform_order_for_the_persistent_oracle_only(tmp
     pytest.param(["drift-check", "--samples", "2", "--out", "{d}/rep"], "rep.json",
                  id="drift-check-out"),
     pytest.param(["accept", "gadget", "--out", "{d}/acc"], "acc.json", id="accept-out"),
+    pytest.param(["drift-check", "--samples", "2", "--out", "{d}/rep.csv"], "rep.json",
+                 id="drift-check-out-csv"),
+    pytest.param(["accept", "gadget", "--out", "{d}/acc.csv"], "acc.json", id="accept-out-csv"),
 ])
 def test_every_output_path_gets_its_parent_directory(tmp_path, capsys, argv, written):
     d = tmp_path / "missing" / "nested"

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decolor import oracle
+from decolor import acceptance, oracle
 from decolor.adversary import AdversaryStrategy, bad_bipartite_start
 from decolor.coloring import Coloring, conflicted_edge_count, conflicted_vertices
 from decolor.engine import AdversaryOrder, FixedStart, RANDOM_START, UNIFORM_ORDER
-from decolor.experiments import random_invalid_state
+from decolor.experiments import ExperimentConfig, _build, random_invalid_state
 from decolor.graphs import (
     from_edge_list,
     gen_clique,
@@ -256,6 +257,47 @@ def test_sparse_solve_calls_a_singular_chain_infinite(rows):
         assert oracle._solve_exact(rows)[0] == expected
 
 
+def _certified_reference(rows, m_bound, tol):
+    """Float LU solve plus iterative refinement with exact Fraction
+    residuals, the iterate a list of Fraction; the reference the certified
+    solve's integer arithmetic must match bit for bit. Returns (x, bound)."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    t = len(rows)
+    rows_idx, cols_idx, vals = [], [], []
+    for r, (den, entries) in enumerate(rows):
+        rows_idx += [r] * (len(entries) + 1)
+        cols_idx += [r, *(c for c, _ in entries)]
+        vals += [1.0, *(-num / den for _, num in entries)]
+    lu = spla.splu(sp.csc_matrix(
+        (np.array(vals), (np.array(rows_idx), np.array(cols_idx))), shape=(t, t)))
+    x = [Fraction(float(v)) for v in lu.solve(np.ones(t))]
+    for _ in range(50):
+        residual = []
+        for r, (den, entries) in enumerate(rows):
+            acc = den - den * x[r]
+            for c, num in entries:
+                acc += num * x[c]
+            residual.append(acc / den)
+        bound = m_bound * max(abs(rv) for rv in residual)
+        if bound <= tol:
+            return x, bound
+        dx = lu.solve(np.array([float(rv) for rv in residual]))
+        x = [xi + Fraction(float(d)) for xi, d in zip(x, dx)]
+    raise RuntimeError("iterative refinement failed to certify the requested tolerance")
+
+
+@given(rows=small_chains())
+@settings(max_examples=40, deadline=None)
+def test_certified_solve_matches_the_fraction_reference(rows):
+    # the largest expected remaining draws, rounded up, is a valid m_bound
+    m_bound = math.ceil(max(oracle._solve_exact(rows)[0]))
+    x, bound, rounds, max_residual = oracle._solve_certified(rows, m_bound, oracle.CERTIFIED_TOL)
+    assert (x, bound) == _certified_reference(rows, m_bound, oracle.CERTIFIED_TOL)
+    assert bound == m_bound * max_residual and 0 <= rounds < 50
+
+
 @pytest.fixture(scope="module")
 def permutable_chains():
     out = []
@@ -302,6 +344,49 @@ def test_chain_diagnostics_do_not_change_the_value():
     assert certified.transient == 36 and certified.fill is None
     assert ExactValue(exact.value, method="markov-exact") == exact
     assert str(ExactValue(exact.value, method="markov-exact")) == str(exact)
+
+
+# every AC-10 instance under the default method, as AC-10 solves it: (label,
+# method, value, certified bound, (transient states, nonzeros of I - Q,
+# fill-in)); the values are the ones perfbench/pinned.json holds, and the
+# elimination counts pin the pivot order, which the solve's arithmetic must
+# not move
+PINNED_AC10 = [
+    ("edge-mono", "markov-exact", "2", "0", (1, 1, 0)),
+    ("path3", "markov-exact", "65/54", "0", (3, 7, 0)),
+    ("K3", "markov-exact", "5/2", "0", (4, 13, 0)),
+    ("K4", "markov-exact", "13/3", "0", (14, 84, 22)),
+    ("C4-mono", "markov-exact", "57/10", "0", (11, 51, 8)),
+    ("C5", "markov-exact", "469/120", "0", (36, 216, 128)),
+    ("star4-mono", "markov-exact", "176/51", "0", (10, 37, 8)),
+    ("path5", "markov-exact", "3353987/1223046", "0", (33, 166, 58)),
+    ("G(6,0.4)", "markov-exact", "2528840209003859334898215489293518256378450964519985151338889025085881667294692082430055252988156339135300105584925119028415234305735315898128050419551/680841509924335632925697713776556611148128428540735277499367247972362589405839176329919423097785704888310024106864490243019609422185890575651452436480", "0", (166, 1420, 3135)),
+    ("G(6,0.5)-mono", "markov-exact", "1467689058846012660262069938584649466540746672773464213645/228865314551570637135835923517798560387745429458748107952", "0", (168, 1458, 3296)),
+    ("C6", "markov-exact", "1906121/406638", "0", (111, 819, 1200)),
+    ("K5", "markov-exact", "77/12", "0", (51, 486, 621)),
+    ("K23", "markov-exact", "1554828677/515576160", "0", (42, 299, 255)),
+    ("badbip(2)", "markov-exact", "21/5", "0", (10, 46, 8)),
+    ("G(7,0.3)", "markov-certified", "1603942933539165913/410390516044136448", "291/5629499534213120", (320, None, None)),
+    ("C8-mono", "markov-certified", "6482681146744945/562949953421312", "2919/9007199254740992", (1051, None, None)),
+    ("path7", "markov-certified", "3532165605588074129/820781032088272896", "81/1125899906842624", (333, None, None)),
+    ("matching3-mono", "markov-exact", "6", "0", (19, 49, 0)),
+    ("G(5,0.6)", "markov-exact", "261972496939/56154689250", "0", (50, 449, 472)),
+    ("K33", "markov-exact", "285089405/53142144", "0", (169, 1774, 5669)),
+]
+
+
+def test_pinned_ac10_table_covers_every_instance():
+    assert [row[0] for row in PINNED_AC10] == [row[0] for row in acceptance._AC10_INSTANCES]
+
+
+@pytest.mark.parametrize("label,method,value,bound,counts", PINNED_AC10,
+                         ids=[row[0] for row in PINNED_AC10])
+def test_ac10_values_and_elimination_are_pinned(label, method, value, bound, counts):
+    spec, D, start = next(row[1:] for row in acceptance._AC10_INSTANCES if row[0] == label)
+    g, d, s, order = _build(ExperimentConfig(graph=spec, algorithm="dc", D=D, start=start))
+    got = exact_expected_recolorings_dc(g, d, s, order)
+    assert (got.method, got.value, got.error_bound) == (method, Fraction(value), Fraction(bound))
+    assert (got.transient, got.nonzeros, got.fill) == counts
 
 
 def test_canonical_pattern_first_occurrence_relabeling():
