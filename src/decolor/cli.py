@@ -109,7 +109,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
     given = dict(vars(args))
@@ -207,7 +210,6 @@ def _print_oracle_diagnostics(value: oracle.ExactValue) -> None:
     for label, x in (("transient states", value.transient),
                      ("nonzeros of I - Q", value.nonzeros),
                      ("fill-in", value.fill),
-                     ("rationals", value.backend),
                      ("refinement rounds", value.refinements),
                      ("max residual", None if residual is None else f"{float(residual):.3g}")):
         if x is not None:
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", choices=("recolorings", "drift"), default="recolorings")
     p.add_argument("--vertex", type=int, help="conflicted vertex for --quantity drift")
     p.add_argument("-v", "--verbose", action="store_true",
-                   help="print the oracle's diagnostics (chain size, fill-in, rationals) on stderr")
+                   help="print the oracle's diagnostics (chain size, fill-in, refinement) on stderr")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("drift-check", help="audit exact one-step drifts on random states")
@@ -334,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,12 +7,11 @@ model lets a vertex observe.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .graphs import Graph
+from .graphs import Graph, _int_token
 
 
 class Coloring:
@@ -143,11 +142,16 @@ def coloring_to_text(c: Coloring) -> str:
 
 
 def coloring_from_text(text: str) -> Coloring:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2 or not lines[0].startswith("D="):
+    """Parse the text format written by :func:`coloring_to_text`.
+
+    Blank lines are skipped; a token that is not an integer names its line.
+    """
+    lines = [(k, line) for k, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if len(lines) != 2 or not lines[0][1].startswith("D="):
         raise ValueError("coloring text must be 'D=<int>' then one line of colors")
-    D = int(lines[0][2:])
-    colors = [int(tok) for tok in lines[1].split()]
+    (k, head), (j, body) = lines
+    D = _int_token(head[2:].strip(), k)
+    colors = [_int_token(tok, j) for tok in body.split()]
     return Coloring(colors, D)
 
 

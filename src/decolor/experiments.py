@@ -818,6 +818,8 @@ def drift_check(samples: int, n_max: int = 12, d_max: int = 6, seed: int = 0) ->
         raise ValueError(f"samples must be >= 0, got {samples}")
     if d_max < 2:
         raise ValueError("need d_max >= 2")
+    if n_max < 2:
+        raise ValueError("need n_max >= 2 to build a conflict")
     rng = np.random.default_rng(seed)
     warnings: list[str] = []
     if samples == 0:

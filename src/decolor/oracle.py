@@ -12,10 +12,10 @@ transient states, and both its exact and its certified solve read those
 rows; a state that cannot reach a proper coloring shows as a zero pivot of
 the exact elimination. Both solves do their heavy arithmetic on Python
 integers: the exact one eliminates fraction-free on the integer rows of
-den * (I - Q) and leaves only back-substitution to the rational backend,
-and the certified one holds its iterate over a power of two, so every
-residual is an exact integer. Both routes read a state's conflicted
-vertices from `coloring.same_color_counts`.
+den * (I - Q) and leaves only back-substitution to `Fraction`, and the
+certified one holds its iterate over a power of two, so every residual is
+an exact integer. Both routes read a state's conflicted vertices from
+`coloring.same_color_counts`. Every value is a `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ from math import gcd
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
-
-try:
-    from gmpy2 import mpq as _Q
-
-    RATIONAL_BACKEND = "gmpy2.mpq"
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _Q
-
-    RATIONAL_BACKEND = "fractions.Fraction"
 
 from .adversary import AdversaryStrategy
 from .coloring import (
@@ -68,10 +59,9 @@ class ExactValue:
 
     The oracles also record diagnostics, which take no part in equality:
     the transient states of the chain, the nonzeros of I - Q and the fill-in
-    of its exact elimination, the rational backend of the arithmetic that is
-    not done on integers, and the refinement rounds of a certified solve with
-    the max exact residual of its result. A field an oracle does not measure
-    stays None.
+    of its exact elimination, and the refinement rounds of a certified solve
+    with the max exact residual of its result. A field an oracle does not
+    measure stays None.
     """
 
     value: Fraction
@@ -80,7 +70,6 @@ class ExactValue:
     transient: int | None = field(default=None, compare=False)
     nonzeros: int | None = field(default=None, compare=False)
     fill: int | None = field(default=None, compare=False)
-    backend: str | None = field(default=None, compare=False)
     refinements: int | None = field(default=None, compare=False)
     max_residual: Fraction | None = field(default=None, compare=False)
 
@@ -96,18 +85,14 @@ class ExactValue:
         return text
 
 
-def _fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
 def harmonic(k: int) -> ExactValue:
     """H_k = sum of 1/i for i in 1..k; H_0 = 0."""
     if k < 0:
         raise ValueError(f"harmonic index must be >= 0, got {k}")
-    total = _Q(0)
+    total = Fraction(0)
     for i in range(1, k + 1):
-        total += _Q(1, i)
-    return ExactValue(_fraction(total))
+        total += Fraction(1, i)
+    return ExactValue(total)
 
 
 def expected_draws_to_collect(D: int, k: int) -> ExactValue:
@@ -115,10 +100,10 @@ def expected_draws_to_collect(D: int, k: int) -> ExactValue:
     first draw included: sum of D/(D-i) for i in 0..k-1."""
     if k < 1 or k > D:
         raise ValueError(f"need 1 <= k <= D, got k={k}, D={D}")
-    total = _Q(0)
+    total = Fraction(0)
     for i in range(k):
-        total += _Q(D, D - i)
-    return ExactValue(_fraction(total))
+        total += Fraction(D, D - i)
+    return ExactValue(total)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +348,7 @@ def _solve_exact(rows: list) -> tuple[list, int, int]:
 
     x: list = [None] * t
     for k in reversed(order):
-        acc = _Q(b[k])
+        acc = Fraction(b[k])
         for j, v in a[k].items():
             acc -= v * x[j]
         x[k] = acc / pivots[k]
@@ -425,7 +410,7 @@ def _solve_certified(rows: list, m_bound: int, tol: Fraction) -> tuple[list, Fra
         max_r = Fraction(worst, worst_den << E)
         bound = m_bound * max_r
         if bound <= tol:
-            return [_Q(xr, 1 << E) for xr in X], bound, rounds, max_r
+            return [Fraction(xr, 1 << E) for xr in X], bound, rounds, max_r
         step = lu.solve(np.array(residual))
     raise RuntimeError("iterative refinement failed to certify the requested tolerance")
 
@@ -476,8 +461,7 @@ def exact_expected_recolorings_dc(
 
     index, rows = _build_dc_chain(g, D, [key for key, _ in weighted], mimic_mode)
     if not rows:
-        return ExactValue(Fraction(0), method="markov-exact", transient=0, nonzeros=0,
-                          fill=0, backend=RATIONAL_BACKEND)
+        return ExactValue(Fraction(0), method="markov-exact", transient=0, nonzeros=0, fill=0)
 
     nonzeros = fill = refinements = max_residual = None
     if method == "exact" or (method == "auto" and len(rows) <= DEFAULT_EXACT_STATE_LIMIT):
@@ -496,16 +480,15 @@ def exact_expected_recolorings_dc(
         x, bound, refinements, max_residual = _solve_certified(rows, (g.n - 1) * D, CERTIFIED_TOL)
         how = "markov-certified"
 
-    total = _Q(0)
+    total = Fraction(0)
     for key, w in weighted:
         r = index[key]
         if r is not None:
             total += w * x[r]
     value = total / total_weight
-    return ExactValue(_fraction(value), error_bound=bound, method=how,
+    return ExactValue(value, error_bound=bound, method=how,
                       transient=len(rows), nonzeros=nonzeros, fill=fill,
-                      backend=RATIONAL_BACKEND, refinements=refinements,
-                      max_residual=max_residual)
+                      refinements=refinements, max_residual=max_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +547,7 @@ def exact_expected_recolorings_persistent(
         if val is not None:
             return val
         options = picks(state, idx)
-        val = _Q(0)
+        val = Fraction(0)
         for v, nxt in options:
             used = {state[u] for u in adjacency[v]}
             f = D - len(used)
@@ -574,7 +557,7 @@ def exact_expected_recolorings_persistent(
                 )
             # v draws D/f times on average, then lands uniformly on its f
             # free colors
-            acc = _Q(D)
+            acc = Fraction(D)
             for child, w, _ in _color_moves(state, v, D, used):
                 acc += w * expect(child, nxt)
             val += acc / (f * len(options))
@@ -582,14 +565,14 @@ def exact_expected_recolorings_persistent(
         return val
 
     weighted, total_weight = _start_weights(g, D, start)
-    total = _Q(0)
+    total = Fraction(0)
     for key, w in weighted:
         total += w * expect(key, 0)
     # expect refers to itself, so only a full garbage collection would free
     # the memo it holds; empty it now
     memo.clear()
     value = total / total_weight
-    return ExactValue(_fraction(value), method="persistent-recursion", backend=RATIONAL_BACKEND)
+    return ExactValue(value, method="persistent-recursion")
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,27 @@ def test_malformed_config_files_exit_2_without_traceback(tmp_path, capsys, confi
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("data", [b"", b"{", b'{"graph": }', b"\xff{"])
+def test_a_config_file_that_is_not_json_is_named_in_the_error(tmp_path, capsys, data):
+    path = tmp_path / "c.json"
+    path.write_bytes(data)
+    assert main(["run", "--graph", "clique:3", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("D=x\n1 2 3\n", "line 1: 'x' is not an integer"),
+    ("D=3\n1 a 3\n", "line 2: 'a' is not an integer"),
+])
+def test_a_bad_start_file_token_names_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "start.txt"
+    path.write_text(text)
+    args = ["run", "--graph", "clique:3", "--start-file", str(path), "--trials", "1"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # short texts: both formats with small, possibly bad numbers; lines of small
 # numbers and near-misses; free text without digits (so no graph gets large)
 _small = st.integers(-1, 6)
@@ -378,8 +399,7 @@ def test_oracle_verbose_prints_diagnostics_on_stderr_only(capsys):
     assert loud.out == quiet.out
     lines = loud.err.splitlines()
     assert lines[:2] == ["method: markov-exact", "transient states: 36"]
-    assert [line.split(":")[0] for line in lines[2:]] == ["nonzeros of I - Q", "fill-in", "rationals"]
-    assert lines[-1] in ("rationals: gmpy2.mpq", "rationals: fractions.Fraction")
+    assert [line.split(":")[0] for line in lines[2:]] == ["nonzeros of I - Q", "fill-in"]
 
     assert main(args + ["--method", "iterative", "--verbose"]) == 0
     assert capsys.readouterr().err.splitlines()[:2] == [

@@ -83,6 +83,18 @@ def test_text_round_trip():
         coloring_from_text("2 2 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("D=x\n1 2\n", "line 1: 'x' is not an integer"),
+        ("D=3\n\n1 a 2\n", "line 3: 'a' is not an integer"),
+    ],
+)
+def test_coloring_text_errors_name_the_bad_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        coloring_from_text(text)
+
+
 @st.composite
 def graph_and_coloring(draw):
     n = draw(st.integers(1, 8))

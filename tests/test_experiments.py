@@ -359,3 +359,9 @@ def test_drift_check_empty_is_vacuous_with_warning():
     assert rep.vertices_checked >= 1
     doc = rep.to_json_dict()
     assert doc["ok"] and doc["gadget_drift"]["p"] == 1 and doc["gadget_drift"]["q"] == 4
+
+
+@pytest.mark.parametrize("samples", [0, 3])
+def test_drift_check_rejects_n_max_below_two_with_or_without_samples(samples):
+    with pytest.raises(ValueError, match="n_max >= 2"):
+        drift_check(samples, n_max=1)

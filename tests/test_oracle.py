@@ -290,7 +290,7 @@ def _certified_reference(rows, m_bound, tol):
 
 @given(rows=small_chains())
 @settings(max_examples=40, deadline=None)
-def test_certified_solve_matches_the_fraction_reference(rows):
+def test_certified_solve_matches_its_rational_reference(rows):
     # the largest expected remaining draws, rounded up, is a valid m_bound
     m_bound = math.ceil(max(oracle._solve_exact(rows)[0]))
     x, bound, rounds, max_residual = oracle._solve_certified(rows, m_bound, oracle.CERTIFIED_TOL)
@@ -339,11 +339,32 @@ def test_chain_diagnostics_do_not_change_the_value():
     g = gen_cycle(5)
     exact = exact_expected_recolorings_dc(g, 3, RANDOM_START, method="exact")
     assert exact.transient == 36 and exact.nonzeros > 36 and exact.fill >= 0
-    assert exact.backend == oracle.RATIONAL_BACKEND
     certified = exact_expected_recolorings_dc(g, 3, RANDOM_START, method="iterative")
     assert certified.transient == 36 and certified.fill is None
     assert ExactValue(exact.value, method="markov-exact") == exact
     assert str(ExactValue(exact.value, method="markov-exact")) == str(exact)
+
+
+def test_every_oracle_route_returns_the_stdlib_rational():
+    g = gen_cycle(5)
+    certified = exact_expected_recolorings_dc(g, 3, RANDOM_START, method="iterative")
+    g2, c2, focus = gen_fig2_like()
+    results = [
+        harmonic(0),
+        harmonic(5),
+        expected_draws_to_collect(6, 4),
+        exact_expected_recolorings_dc(g, 3, RANDOM_START, method="exact"),
+        certified,
+        # a proper start: no transient state, nothing to solve
+        exact_expected_recolorings_dc(g, 3, FixedStart(Coloring([1, 2, 1, 2, 3], 3))),
+        exact_expected_recolorings_persistent(g, 3, RANDOM_START, "all"),
+        exact_expected_recolorings_persistent(g, 3, RANDOM_START, [4, 2, 0, 3, 1]),
+        *exact_expected_conflict_deltas(g2, c2, focus),
+    ]
+    for got in results:
+        assert type(got.value) is Fraction, got
+        assert type(got.error_bound) is Fraction, got
+    assert type(certified.max_residual) is Fraction
 
 
 # every AC-10 instance under the default method, as AC-10 solves it: (label,
