@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import oracle
@@ -444,15 +444,7 @@ class AcceptanceReport:
         return {
             "suite": self.suite,
             "passed": self.passed,
-            "criteria": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "summary": r.summary,
-                    "seconds": r.seconds,
-                }
-                for r in self.results
-            ],
+            "criteria": [asdict(r) for r in self.results],
         }
 
 

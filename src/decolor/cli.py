@@ -160,7 +160,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             values.append(int(tok))
         except ValueError:
-            values.append(float(tok))
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ValueError(f"--values: {tok!r} is not a number") from None
     rows = sweep(cfg, args.axis, values)
     csv_text = sweep_to_csv(rows)
     sys.stdout.write(csv_text)

@@ -38,6 +38,7 @@ from .coloring import (
 )
 from .engine import (
     AdversaryOrder,
+    FixedPermutationOrder,
     RandomStart,
     SchedulerPolicy,
     StartPolicy,
@@ -510,45 +511,37 @@ def exact_expected_recolorings_persistent(
     with f free colors contributes D/f expected draws and lands uniformly on
     its free set; the recursion branches over those landings.
 
-    order=<permutation> processes vertices in that fixed order instead. Both
-    run one memoised recursion over (pattern, position in the order).
+    order=<permutation> processes vertices in that fixed order instead: the
+    engine's `FixedPermutationOrder` rule, the earliest conflicted vertex of
+    the permutation. Since cleared vertices stay clear, that vertex is never
+    one the order has passed, so both run one recursion memoised on the
+    coloring pattern alone.
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
     if g.n > PERSISTENT_N_GUARD:
         raise ValueError(f"persistent oracle is limited to n <= {PERSISTENT_N_GUARD}")
-    fixed_order: tuple[int, ...] | None
+    position: list[int] | None = None
     if isinstance(order, str):
         if order != "all":
             raise ValueError(f"order must be 'all' or a permutation, got {order!r}")
-        fixed_order = None
     else:
-        fixed_order = tuple(int(v) for v in order)
-        if sorted(fixed_order) != list(range(g.n)):
+        position = FixedPermutationOrder(order).position
+        if len(position) != g.n:
             raise ValueError("order must be a permutation of 0..n-1")
 
     adjacency = g.adjacency
     memo: dict = {}
 
-    def picks(state: tuple[int, ...], idx: int) -> list[tuple[int, int]]:
-        """(vertex, next idx) pairs for the selections open at (state, idx)."""
-        counts = same_color_counts(g, state)
-        if fixed_order is None:
-            return [(v, 0) for v, k in enumerate(counts) if k]
-        for i in range(idx, g.n):
-            v = fixed_order[i]
-            if counts[v]:
-                return [(v, i + 1)]
-        return []
-
-    def expect(state: tuple[int, ...], idx: int):
-        key = (state, idx)
-        val = memo.get(key)
+    def expect(state: tuple[int, ...]):
+        val = memo.get(state)
         if val is not None:
             return val
-        options = picks(state, idx)
+        options = [v for v, k in enumerate(same_color_counts(g, state)) if k]
+        if position is not None and options:
+            options = [min(options, key=position.__getitem__)]
         val = Fraction(0)
-        for v, nxt in options:
+        for v in options:
             used = {state[u] for u in adjacency[v]}
             f = D - len(used)
             if f == 0:
@@ -559,15 +552,15 @@ def exact_expected_recolorings_persistent(
             # free colors
             acc = Fraction(D)
             for child, w, _ in _color_moves(state, v, D, used):
-                acc += w * expect(child, nxt)
+                acc += w * expect(child)
             val += acc / (f * len(options))
-        memo[key] = val
+        memo[state] = val
         return val
 
     weighted, total_weight = _start_weights(g, D, start)
     total = Fraction(0)
     for key, w in weighted:
-        total += w * expect(key, 0)
+        total += w * expect(key)
     # expect refers to itself, so only a full garbage collection would free
     # the memo it holds; empty it now
     memo.clear()

@@ -176,6 +176,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["oracle", "--graph", "cycle:30", "--colors", "3"]) == 2
     assert "guard" in capsys.readouterr().err
+    assert main(["sweep", "--graph", "clique:3", "--axis", "graph.n", "--values", "3,,4"]) == 2
+    assert capsys.readouterr().err == "error: --values: '' is not a number\n"
 
 
 def test_malformed_graph_file_exits_2_with_one_error_line(tmp_path, capsys):

@@ -361,6 +361,22 @@ def test_drift_check_empty_is_vacuous_with_warning():
     assert doc["ok"] and doc["gadget_drift"]["p"] == 1 and doc["gadget_drift"]["q"] == 4
 
 
+def test_drift_check_makes_one_oracle_call_per_checked_vertex(monkeypatch):
+    # the gadget is sample 0, so its drift comes from the same pass
+    from decolor import oracle
+
+    calls = {"exact_expected_phi_delta": 0, "exact_expected_conflict_deltas": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(oracle, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    rep = drift_check(20, seed=3)
+    assert calls == {"exact_expected_phi_delta": 0,
+                     "exact_expected_conflict_deltas": rep.vertices_checked}
+    assert rep.gadget_tight and rep.gadget_drift == Fraction(1, 4)
+
+
 @pytest.mark.parametrize("samples", [0, 3])
 def test_drift_check_rejects_n_max_below_two_with_or_without_samples(samples):
     with pytest.raises(ValueError, match="n_max >= 2"):

@@ -13,7 +13,14 @@ from hypothesis import given, settings, strategies as st
 from decolor import acceptance, oracle
 from decolor.adversary import AdversaryStrategy, bad_bipartite_start
 from decolor.coloring import Coloring, conflicted_edge_count, conflicted_vertices
-from decolor.engine import AdversaryOrder, FixedStart, RANDOM_START, UNIFORM_ORDER
+from decolor.engine import (
+    AdversaryOrder,
+    FixedPermutationOrder,
+    FixedStart,
+    RANDOM_START,
+    UNIFORM_ORDER,
+    run_persistent,
+)
 from decolor.experiments import ExperimentConfig, _build, random_invalid_state
 from decolor.graphs import (
     from_edge_list,
@@ -34,6 +41,7 @@ from decolor.oracle import (
     harmonic,
     verify_fig2_deltas,
 )
+from decolor.rng import trial_rng
 
 
 def frac(p, q=1):
@@ -463,6 +471,42 @@ def test_mimic_adversary_reproduces_persistent():
     via_dc = exact_expected_recolorings_dc(g, 3, start, lowest, method="exact")
     via_persistent = exact_expected_recolorings_persistent(g, 3, start, [0, 1, 2, 3])
     assert via_dc.value == via_persistent.value == frac(9, 2)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_fixed_order_is_the_lowest_mimic_on_the_relabeled_graph(data):
+    # relabel each vertex to its position in the order: the persistent
+    # process under the order is then the one-draw process under the mimic
+    # adversary that finishes the lowest conflicted vertex first
+    n = data.draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    g = from_edge_list(n, edges)
+    D = g.max_degree + data.draw(st.integers(1, 2))
+    order = data.draw(st.permutations(range(n)))
+    at = {v: i for i, v in enumerate(order)}
+    g_pi = from_edge_list(n, [tuple(sorted((at[u], at[v]))) for u, v in edges])
+    if data.draw(st.booleans()):
+        start = start_pi = RANDOM_START
+    else:
+        colors = data.draw(st.lists(st.integers(1, D), min_size=n, max_size=n))
+        start = FixedStart(Coloring(colors, D))
+        start_pi = FixedStart(Coloring([colors[v] for v in order], D))
+    lowest = AdversaryOrder(AdversaryStrategy.MimicPersistent, mode="lowest")
+    assert (exact_expected_recolorings_persistent(g, D, start, order).value
+            == exact_expected_recolorings_dc(g_pi, D, start_pi, lowest, method="exact").value)
+
+
+def test_a_fixed_order_run_matches_the_persistent_oracle():
+    g, c = bad_bipartite_start(3)
+    order = (3, 0, 5, 1, 4, 2)
+    exact = exact_expected_recolorings_persistent(g, 4, FixedStart(c), order).as_float()
+    sched = FixedPermutationOrder(order)
+    sample = [run_persistent(g, 4, FixedStart(c), sched, trial_rng(31, t)).step3_draws
+              for t in range(4000)]
+    se = np.std(sample, ddof=1) / np.sqrt(len(sample))
+    assert abs(np.mean(sample) - exact) <= 4 * se
 
 
 # ---------------------------------------------------------------------------
