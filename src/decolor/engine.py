@@ -113,9 +113,16 @@ class FixedPermutationOrder:
 
 
 class AdversaryOrder:
-    """Step-2 policy: delegate selection to an adversary strategy."""
+    """Step-2 policy: delegate selection to an adversary strategy.
 
-    __slots__ = ("strategy", "mode", "script")
+    `drift` is the `adversary.DriftState` in which the min-drift picker keeps
+    its components from one pick to the next. It is made empty at the
+    order's first pick, whatever the strategy, and only that picker fills
+    it. The state checks every coloring it is handed, so one order serves
+    any number of runs.
+    """
+
+    __slots__ = ("strategy", "mode", "script", "drift")
 
     def __init__(
         self,
@@ -130,6 +137,7 @@ class AdversaryOrder:
             raise ValueError("scripted adversary needs a script")
         if strategy is AdversaryStrategy.MimicPersistent and mode not in ("uniform", "lowest"):
             raise ValueError(f"unknown mimic mode {mode!r}")
+        self.drift = None
 
     def __repr__(self) -> str:
         return f"AdversaryOrder({self.strategy}, mode={self.mode!r})"
@@ -140,10 +148,13 @@ class AdversaryOrder:
         any order, given the state's same-color neighbor counts, the vertices
         picked so far and the run's next-value function (see `dispatch_pick`).
         """
+        if self.drift is None:
+            self.drift = _adv.DriftState()
         # read at call time, so a wrapper set on the module attribute (as
         # perfbench/tracing.py sets one) sees every pick
         v = _adv.dispatch_pick(
-            self.strategy, self.mode, self.script, g, c, conflicted, counts, history, draw
+            self.strategy, self.mode, self.script, g, c, conflicted, counts, history, draw,
+            self.drift,
         )
         if counts[v] <= 0:
             raise RuntimeError(f"adversary returned non-conflicted vertex {v}")
@@ -414,6 +425,8 @@ def _run(
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
+    if isinstance(sched, FixedPermutationOrder) and len(sched.order) != g.n:
+        raise ValueError("order must be a permutation of 0..n-1")
     cap = default_step_cap(g.n, D) if step_cap is None else step_cap
     draw = _stream(rng, g.n)
     colors = _initial_colors(g, D, start, draw)
@@ -444,23 +457,31 @@ def _run(
     coloring = tracker_coloring(tracker, D)
     adjacency = g.adjacency
     history: list[int] = []
+    lim = _TWO53 - _TWO53 % D
     step3 = 0
     while members and step3 < cap:
         v = sched.pick(g, coloring, members, counts, history, draw)
         history.append(v)
         if not until_clear:
-            draws = [_below(draw, D) + 1]
+            j = draw()  # _below, inlined: no per-step allocation
+            while j >= lim:
+                j = draw()
+            x = j % D + 1
+            draws = None
+            step3 += 1
+            per_vertex[v] += 1
         elif per_vertex[v]:  # every selection draws at least once
             raise RuntimeError(f"vertex {v} selected twice in a persistent run")
         else:
             draws = _redraw_until_clear(draw, D, {colors[u] for u in adjacency[v]}, cap - step3)
-        step3 += len(draws)
-        per_vertex[v] += len(draws)
+            x = draws[-1]
+            step3 += len(draws)
+            per_vertex[v] += len(draws)
         # intermediate draws never leave the loop, so one tracker update
         # with the last drawn color is equivalent to applying each draw
-        tracker.recolor(v, draws[-1])
+        tracker.recolor(v, x)
         if trace_list is not None:
-            trace_list.append((v, draws))
+            trace_list.append((v, draws or [x]))
     return _finish(g, D, colors, step3, per_vertex, len(history), not members, trace_list)
 
 

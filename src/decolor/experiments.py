@@ -410,7 +410,8 @@ def _build(cfg: ExperimentConfig) -> tuple[Graph, int, StartPolicy, SchedulerPol
     """cfg's graph, palette, start and order, validated."""
     g, bundled = build_graph(cfg.graph)
     D = resolve_palette(cfg.D, g, bundled)
-    # policies are stateless; per-run state lives in the engine
+    # per-run state lives in the engine; the one policy cache, the min-drift
+    # order's DriftState, checks every coloring it is handed
     return g, D, build_start(cfg.start, g, D, bundled), build_order(cfg.order, g)
 
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decolor import adversary
 from decolor.adversary import (
+    AdversaryStrategy,
+    DriftState,
     bad_bipartite_start,
     max_conflicted_pick,
     mimic_persistent_pick,
@@ -17,8 +21,16 @@ from decolor.adversary import (
     scripted_pick,
 )
 from decolor.coloring import Coloring, conflicted_vertices, is_conflicted, same_color_counts
+from decolor.engine import (
+    RANDOM_START,
+    AdversaryOrder,
+    FixedStart,
+    run_decentralized,
+    run_persistent,
+)
 from decolor.graphs import from_edge_list, gen_clique, gen_fig2_like
 from decolor.oracle import exact_expected_phi_delta
+from decolor.rng import trial_rng
 
 
 def test_bad_bipartite_start_shape():
@@ -158,3 +170,109 @@ def test_scripted_pick_follows_and_validates():
         scripted_pick([2], [0, 2], [2])
     with pytest.raises(ValueError, match="not conflicted"):
         scripted_pick([1], [0, 2], [])
+
+
+@st.composite
+def drift_runs(draw):
+    """A graph, a palette D from 1 to max degree + 3 and a list of runs of
+    one min-drift order on it: (runner, start, step cap, seed)."""
+    if draw(st.booleans()):
+        g, c = bad_bipartite_start(draw(st.integers(1, 4)))
+        construction = c.colors
+    else:
+        n = draw(st.integers(1, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = from_edge_list(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+        construction = None
+    D = draw(st.integers(max(construction or [1]), g.max_degree + 3))
+    colors = draw(st.lists(st.integers(1, D), min_size=g.n, max_size=g.n))
+    starts = [RANDOM_START, FixedStart(Coloring([1] * g.n, D)), FixedStart(Coloring(colors, D))]
+    if construction:
+        starts.append(FixedStart(Coloring(construction, D)))
+    runs = st.tuples(st.sampled_from([run_decentralized, run_persistent]), st.sampled_from(starts),
+                     st.sampled_from([0, 1, 5, None]), st.integers(0, 2**32))
+    return g, D, draw(st.lists(runs, min_size=1, max_size=4))
+
+
+@given(drift_runs())
+@settings(max_examples=150, deadline=None)
+def test_drift_state_matches_a_full_build_after_every_pick(case):
+    # the engine's order keeps one DriftState across picks and runs; after
+    # each pick its numerators must equal a fresh full build's
+    g, D, runs = case
+    order = AdversaryOrder(AdversaryStrategy.MinPhiDrift)
+    picks = []
+
+    def checked(g, c, conflicted, counts=None, state=None):
+        v = min_phi_drift_pick(g, c, conflicted, counts, state)
+        whole = sorted(conflicted)
+        fresh = phi_drift_numerators(g, c, whole)
+        assert [state.num[w] for w in whole] == fresh
+        assert v == min(zip(fresh, whole))[1]
+        picks.append(v)
+        return v
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adversary, "min_phi_drift_pick", checked)
+        for runner, start, cap, seed in runs:
+            runner(g, D, start, order, trial_rng(seed, 0), step_cap=cap)
+    assert order.drift is not None or not picks
+
+
+def _state_after_one_pick(g, c):
+    state = DriftState()
+    counts = same_color_counts(g, c.colors)
+    v = min_phi_drift_pick(g, c, conflicted_vertices(g, c), counts, state)
+    return state, v
+
+
+def _pick_with(state, g, colors, D):
+    c = Coloring(colors, D)
+    counts = same_color_counts(g, colors)
+    conflicted = conflicted_vertices(g, c)
+    got = min_phi_drift_pick(g, c, conflicted[::-1], counts, state)
+    assert got == min_phi_drift_pick(g, c, conflicted)  # the full recompute
+    assert [state.num[v] for v in conflicted] == phi_drift_numerators(g, c, conflicted)
+    return got
+
+
+@given(invalid_states(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_drift_state_rebuilds_for_any_other_change(state, data):
+    g, c = state
+    D = c.palette_size
+    drift, v = _state_after_one_pick(g, c)
+    # a coloring that differs at a vertex other than the pick, and maybe at the pick too
+    colors = list(c.colors)
+    w = data.draw(st.sampled_from([u for u in range(g.n) if u != v]))
+    colors[w] = data.draw(st.sampled_from([x for x in range(1, D + 1) if x != colors[w]]))
+    if data.draw(st.booleans()):
+        colors[v] = data.draw(st.integers(1, D))
+    if conflicted_vertices(g, Coloring(colors, D)):
+        _pick_with(drift, g, colors, D)
+    # the same coloring on another graph object, and under another palette
+    drift, _ = _state_after_one_pick(g, c)
+    twin = from_edge_list(g.n, g.edges()[1:])
+    if conflicted_vertices(twin, c):
+        _pick_with(drift, twin, c.colors, D)
+    drift, _ = _state_after_one_pick(g, c)
+    _pick_with(drift, g, c.colors, D + data.draw(st.integers(1, 3)))
+
+
+def test_drift_state_sees_a_recolor_of_a_vertex_it_did_not_pick():
+    # on the path 0-1-2, all one color and D = 3, the leaf 0 is picked; if
+    # vertex 2 recolors instead, 0 and 1 form a pair and 1, next to the
+    # other-colored 2, has the lower numerator
+    g = from_edge_list(3, [(0, 1), (1, 2)])
+    drift, v = _state_after_one_pick(g, Coloring([2, 2, 2], 3))
+    assert v == 0
+    assert _pick_with(drift, g, [2, 2, 1], 3) == 1
+
+
+def test_an_unpickled_drift_state_is_empty():
+    g, c = bad_bipartite_start(3)
+    drift, _ = _state_after_one_pick(g, c)
+    assert drift.graph is g
+    copy = pickle.loads(pickle.dumps(AdversaryOrder(AdversaryStrategy.MinPhiDrift)))
+    assert copy.drift is None
+    assert pickle.loads(pickle.dumps(drift)).graph is None

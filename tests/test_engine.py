@@ -104,6 +104,14 @@ def test_fixed_permutation_takes_first_conflicted_in_order():
     assert r.terminated
 
 
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("order", [[1, 0], [1, 0, 2, 3, 4, 5, 6]])
+def test_fixed_permutation_of_the_wrong_length_is_rejected(runner, order):
+    # a valid permutation of 0..len-1, but not of the graph's 0..n-1
+    with pytest.raises(ValueError, match=r"order must be a permutation of 0\.\.n-1"):
+        runner(gen_cycle(5), 3, RANDOM_START, FixedPermutationOrder(order), trial_rng(1, 0))
+
+
 def test_scripted_scheduler_rejects_unconflicted_vertex():
     g = from_edge_list(3, [(0, 1)])
     start = FixedStart(Coloring([1, 1, 2], 3))

@@ -30,6 +30,8 @@ CASES = {
         "--graph", "badbip:3", "--start", "construction", "--order", "mimic", "--seed", "3",
     ],
     "erdos12-dc-min-drift": ["--graph", "erdos:12,0.4,5", "--order", "min-drift", "--seed", "12"],
+    # many small components: the drift state's local updates carry most picks
+    "erdos60-dc-min-drift": ["--graph", "erdos:60,0.1,7", "--order", "min-drift", "--seed", "60"],
     "badbip4-dc-max-conflicted": [
         "--graph", "badbip:4", "--start", "construction", "--order", "max-conflicted", "--seed", "5",
     ],
@@ -37,6 +39,10 @@ CASES = {
     "erdos12-persistent-max-conflicted-cap8": [
         "--graph", "erdos:12,0.4,5", "--algorithm", "persistent", "--order", "max-conflicted",
         "--step-cap", "8", "--counters", "total_draws,step3_draws,per_vertex", "--seed", "6",
+    ],
+    "erdos12-persistent-min-drift-cap8": [
+        "--graph", "erdos:12,0.4,5", "--algorithm", "persistent", "--order", "min-drift",
+        "--step-cap", "8", "--counters", "total_draws,step3_draws,per_vertex", "--seed", "9",
     ],
     "erdos12-dc-mimic-cap10": [
         "--graph", "erdos:12,0.4,5", "--order", "mimic", "--step-cap", "10", "--seed", "7",
@@ -62,9 +68,8 @@ def test_run_outputs_match_golden_bytes(tmp_path, capsys, name):
         assert got[fname] == want[fname], f"{fname} differs from tests/golden/{fname}"
 
 
-def test_worker_pool_writes_the_same_bytes(tmp_path, capsys):
-    name = "k8-dc-random"
-    got = _run(name, tmp_path, workers=2)
+def _assert_pool_bytes(name: str, out_dir: Path) -> None:
+    got = _run(name, out_dir, workers=2)
     for fname, data in got.items():
         if fname.endswith(".json"):
             doc = json.loads(data)
@@ -72,6 +77,15 @@ def test_worker_pool_writes_the_same_bytes(tmp_path, capsys):
             doc["config"]["workers"] = 1  # the one field that records the layout
             data = _json_dumps(doc).encode()
         assert data == (GOLDEN / fname).read_bytes(), fname
+
+
+def test_worker_pool_writes_the_same_bytes(tmp_path, capsys):
+    _assert_pool_bytes("k8-dc-random", tmp_path)
+
+
+def test_min_drift_worker_pool_writes_the_same_bytes(tmp_path, capsys):
+    # each worker's min-drift order keeps its own drift state, from empty
+    _assert_pool_bytes("erdos60-dc-min-drift", tmp_path)
 
 
 if __name__ == "__main__":
