@@ -74,28 +74,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adjacency)
 
 
-def validate(g: Graph) -> None:
-    """Check the Graph invariants; raises ValueError on any violation."""
-    if g.n < 1:
-        raise ValueError("n must be >= 1")
-    if len(g.adjacency) != g.n:
-        raise ValueError("adjacency length differs from n")
-    for v, a in enumerate(g.adjacency):
-        if sorted(a) != a:
-            raise ValueError(f"adjacency of {v} is not sorted")
-        if len(set(a)) != len(a):
-            raise ValueError(f"duplicate neighbor at vertex {v}")
-        for u in a:
-            if not (0 <= u < g.n):
-                raise ValueError(f"neighbor {u} of {v} out of range")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {v}")
-            if v not in g.adjacency[u]:
-                raise ValueError(f"asymmetric edge ({v}, {u})")
-    if g.max_degree != max((len(a) for a in g.adjacency), default=0):
-        raise ValueError("cached max_degree is stale")
-
-
 def gen_clique(n: int) -> Graph:
     """Complete graph K_n."""
     if n < 1:

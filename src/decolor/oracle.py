@@ -1,21 +1,22 @@
 """Exact ground truth on small instances.
 
-Expected recoloring counts come from three independent routes: closed-form
-harmonic sums, absorbing-Markov-chain solves over colorings, and a recursion
-over the persistent process's shrinking conflicted set. The Markov route
-canonicalizes colorings up to color renaming (the dynamics commute with any
-palette bijection, so the lumped chain is exact by strong lumpability),
-which shrinks the state space from D^n to the number of set partitions with
-at most D blocks; the tests check it against their own breadth-first chain
-over raw colorings. The chain is built once, as the rows of I - Q over its
-transient states, and both its exact and its certified solve read those
-rows; a state that cannot reach a proper coloring shows as a zero pivot of
-the exact elimination. Both solves do their heavy arithmetic on Python
-integers: the exact one eliminates fraction-free on the integer rows of
-den * (I - Q) and leaves only back-substitution to `Fraction`, and the
-certified one holds its iterate over a power of two, so every residual is
-an exact integer. Both routes read a state's conflicted vertices from
-`coloring.same_color_counts`. Every value is a `fractions.Fraction`.
+Expected recoloring counts come from three routes: closed-form
+harmonic sums, absorbing-Markov-chain solves over colorings, and an exact
+evaluation of the persistent process over its states. The last two walk one
+state space: colorings canonicalized up to color renaming (the dynamics
+commute with any palette bijection, so the lumped chain is exact by strong
+lumpability), which shrinks it from D^n to the number of set partitions with
+at most D blocks; the tests check both against their own enumerations over
+raw colorings. One breadth-first walk interns each state once, counts it
+against STATE_BUDGET and lists its children per pick, and each order's pick
+rule is written once. The one-draw chain folds those children into the rows
+of I - Q, and both its exact and its certified solve read those rows; a
+state that cannot reach a proper coloring shows as a zero pivot of the exact
+elimination. Both solves do their heavy arithmetic on Python integers: the
+exact one eliminates fraction-free on the integer rows of den * (I - Q) and
+leaves only back-substitution to `Fraction`, and the certified one holds its
+iterate over a power of two, so every residual is an exact integer. Every
+value is a `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Collection, Iterable, Iterator, Sequence
+from math import gcd, perm
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -47,8 +48,7 @@ from .engine import (
 )
 from .graphs import Graph
 
-DC_STATE_GUARD = 2_000_000
-PERSISTENT_N_GUARD = 8
+STATE_BUDGET = 300_000
 DEFAULT_EXACT_STATE_LIMIT = 260
 CERTIFIED_TOL = Fraction(1, 10**12)
 
@@ -140,117 +140,150 @@ def _patterns(n: int, D: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 0)
 
 
-def _pattern_weight(pattern: Sequence[int], D: int) -> int:
-    """Number of raw colorings over {1..D} with this canonical pattern:
-    the falling factorial D * (D-1) * ... over the distinct-color count."""
-    k = max(pattern)
-    w = 1
-    for i in range(k):
-        w *= D - i
-    return w
-
-
-def _start_weights(g: Graph, D: int, start: StartPolicy) -> tuple[list[tuple[tuple, int]], int]:
-    """The start distribution as ([(pattern, weight)], total weight).
-
-    A random start weighs each canonical pattern by the raw colorings it
-    stands for; a fixed start is one state, validated by the engine.
-    """
-    if not isinstance(start, RandomStart):
-        return [(canonical_pattern(_initial_colors(g, D, start, None)), 1)], 1
-    return [(p, _pattern_weight(p, D)) for p in _patterns(g.n, D)], D**g.n
+def _pattern_count(n: int, D: int) -> int:
+    """How many patterns `_patterns(n, D)` yields: the Stirling numbers
+    S(n, k) summed over k <= D."""
+    s = [1] + [0] * min(n, D)  # S(i, k) for each k, from i = 0
+    for _ in range(n):
+        s = [0] + [k * s[k] + s[k - 1] for k in range(1, len(s))]
+    return sum(s)
 
 
 # ---------------------------------------------------------------------------
-# absorbing-chain construction for the one-draw algorithm
+# the state walk both oracles share, and the one-draw chain it builds
 
 
-def _color_moves(state: tuple[int, ...], v: int, D: int, skip: Collection[int] = ()):
-    """Recolor choices for v as (child pattern, weight, drawn color) triples.
+def _color_moves(state: tuple[int, ...], v: int, D: int, skip: Collection[int] = (),
+                 lock: Collection[int] = ()) -> list[tuple[tuple[int, ...], int, int]]:
+    """Recolor choices for v as (child pattern, weight, locked vertex) triples.
 
     Each color x of the state that is not in `skip` gives one child of
-    weight 1. The D - k colors absent from the state are interchangeable, so
-    one fresh-color child, drawn color k + 1, carries weight D - k. With
-    nothing skipped the weights sum to D; `skip` may hold only colors the
-    state uses.
+    weight 1, which keeps v locked when x is in `lock` and else locks -1. The
+    D - k colors absent from the state are interchangeable, so one
+    fresh-color child, labelled k + 1, carries weight D - k and locks -1.
+    With nothing skipped the weights sum to D; `skip` and `lock` may hold
+    only colors the state uses. A child needs relabeling only when v held
+    the first occurrence of label m + 1 or takes a label above m + 1, m the
+    largest label before v.
     """
-    moves = []
-    base = list(state)
+    head, tail = state[:v], state[v + 1:]
+    m = max(head, default=0)
+    keep = m + 1 if state[v] <= m else 0  # the labels v takes with no relabeling
     k = max(state)
+    moves = []
     for x in range(1, k + 1):
         if x not in skip:
-            base[v] = x
-            moves.append((canonical_pattern(base), 1, x))
+            child = head + (x,) + tail
+            moves.append((child if x <= keep else canonical_pattern(child), 1, v if x in lock else -1))
     if D > k:
-        base[v] = k + 1
-        moves.append((canonical_pattern(base), D - k, k + 1))
+        child = head + (k + 1,) + tail
+        moves.append((child if k < keep else canonical_pattern(child), D - k, -1))
     return moves
 
 
-def _build_dc_chain(
-    g: Graph,
-    D: int,
-    start_keys: Iterable,
-    mimic_mode: str | None,
-) -> tuple[dict, list]:
-    """Breadth-first enumeration of the one-draw chain from the start states.
+def _walk(g: Graph, D: int, start: StartPolicy, position: Sequence[int] | None,
+          moves: Callable) -> tuple[list, int, Iterator]:
+    """Breadth-first walk over the states reached from the start distribution.
 
-    States are canonical patterns for the uniform scheduler; for the mimic
-    scheduler they are (pattern, active) pairs where active is the locked
-    vertex or -1 at a selection boundary. A state's conflicted vertices, its
-    positive `same_color_counts` entries, are counted once, when it is first
-    reached.
+    A state is a (pattern, locked) pair: a canonical coloring and the vertex
+    a mimic adversary keeps, or -1. The pick rule of every order: the locked
+    vertex while it stays conflicted, else the conflicted vertex earliest in
+    `position` (a fixed order, or the identity for mimic "lowest") when it
+    is given, else every conflicted vertex. moves(pattern, v) lists the
+    (child pattern, weight, locked vertex) triples of picking v.
 
-    Returns (index, rows): index maps each state reached to its row of I - Q,
-    or to None for a proper (absorbing) coloring, and rows[r] = (den, [(row,
-    num), ...]) lists the moves into transient states, each with probability
-    num/den, in first-reached order. Moves into absorbing states add nothing
-    to I - Q and are left out.
+    A random start weighs each canonical pattern by the D!/(D-k)! raw
+    colorings with its k colors; a fixed start is one state, validated by
+    the engine. Each state is interned once, and every state counts against
+    STATE_BUDGET, so a random start is refused before enumeration when its
+    patterns pass it.
+
+    Returns (starts, total weight, states): starts lists each start state's
+    row, or None when it is proper, with its weight, and states yields in
+    row order each transient state's conflicted count and, per pick, its
+    [(child row or None, weight)].
     """
-    adjacency = g.adjacency
+    if not isinstance(start, RandomStart):
+        weighted, total_weight = [(canonical_pattern(_initial_colors(g, D, start, None)), 1)], 1
+    else:
+        count = _pattern_count(g.n, D)
+        if count > STATE_BUDGET:
+            raise ValueError(f"a random start on {g.n} vertices with D={D} has {count} colorings "
+                             f"up to renaming, over the state budget of {STATE_BUDGET}")
+        weighted, total_weight = [(p, perm(D, max(p))) for p in _patterns(g.n, D)], D**g.n
     index: dict = {}
     queue: list = []
 
     def intern(key):
-        """key's row, or None when it is proper; a new transient state is
-        queued with the vertices the scheduler may pick in it."""
-        r = index.get(key, -1)
-        if r == -1:
-            counts = same_color_counts(g, key if mimic_mode is None else key[0])
-            picks = [v for v, k in enumerate(counts) if k]
-            if mimic_mode is not None:
-                active = key[1]
-                if active >= 0 and counts[active]:
-                    picks = [active]
-                elif mimic_mode == "lowest":
-                    picks = picks[:1]
-            r = index[key] = len(queue) if picks else None
-            if picks:
-                queue.append((key, picks))
+        if len(index) == STATE_BUDGET:
+            raise ValueError(f"the states reached from this start pass the state budget of {STATE_BUDGET}")
+        pattern, locked = key
+        counts = same_color_counts(g, pattern)
+        picks = [locked] if locked >= 0 and counts[locked] else [v for v, k in enumerate(counts) if k]
+        if position is not None and len(picks) > 1:
+            picks = [min(picks, key=position.__getitem__)]
+        r = index[key] = len(queue) if picks else None
+        if picks:
+            queue.append((pattern, picks, g.n - counts.count(0)))
         return r
 
-    for key in start_keys:
-        intern(key)
+    starts = [(intern((p, -1)), w) for p, w in weighted]  # distinct patterns
 
+    def states():
+        get = index.get
+        for pattern, picks, conflicted in queue:  # grows as children are interned
+            children = []
+            for v in picks:
+                pick = []
+                for child, w, locked in moves(pattern, v):
+                    key = (child, locked)
+                    r = get(key, -1)
+                    pick.append((intern(key) if r == -1 else r, w))
+                children.append(pick)
+            yield conflicted, children
+
+    return starts, total_weight, states()
+
+
+def _start_mean(starts: list, total_weight: int, x: list) -> Fraction:
+    """The start distribution's mean of x, which is 0 on proper states."""
+    return sum((w * x[r] for r, w in starts if r is not None), Fraction(0)) / total_weight
+
+
+def _build_dc_chain(g: Graph, D: int, start: StartPolicy,
+                    sched: SchedulerPolicy | None) -> tuple[list, int, list]:
+    """The one-draw chain from the start distribution, as the rows of I - Q.
+
+    Returns the walk's starts and total weight, and rows, where rows[r] =
+    (den, [(row, num), ...]) lists row r's moves into transient states, each
+    with probability num/den. Moves into absorbing states add nothing to
+    I - Q and are left out.
+    """
+    if sched is None or isinstance(sched, UniformRandomOrder):
+        position, mimic = None, False
+    elif isinstance(sched, AdversaryOrder) and sched.strategy is AdversaryStrategy.MimicPersistent:
+        position, mimic = (range(g.n) if sched.mode == "lowest" else None), True
+    else:
+        raise ValueError(
+            "exact one-draw expectations support only the uniform scheduler and "
+            "the mimic-persistent adversary"
+        )
+
+    def moves(pattern, v):
+        # the mimic adversary keeps v while its drawn color is one of its
+        # neighbors'
+        return _color_moves(pattern, v, D, lock={pattern[u] for u in g.adjacency[v]} if mimic else ())
+
+    starts, total_weight, states = _walk(g, D, start, position, moves)
     rows: list = []
-    while len(rows) < len(queue):
-        key, picks = queue[len(rows)]
-        colors = key if mimic_mode is None else key[0]
+    for _, children in states:
         acc: dict[int, int] = {}
-        for v in picks:
-            moves = _color_moves(colors, v, D)
-            if mimic_mode is not None:
-                # the mimic adversary keeps v while its drawn color is one
-                # of its neighbors'; the fresh color never is
-                used = {colors[u] for u in adjacency[v]}
-                moves = [((child, v if x in used else -1), w, x) for child, w, x in moves]
-            for child, w, _ in moves:
-                j = intern(child)
+        for pick in children:
+            for j, w in pick:
                 if j is not None:
                     acc[j] = acc.get(j, 0) + w
-        rows.append((len(picks) * D, sorted(acc.items())))
-
-    return index, rows
+        rows.append((len(children) * D, sorted(acc.items())))
+    return starts, total_weight, rows
 
 
 def _solve_exact(rows: list) -> tuple[list, int, int]:
@@ -416,18 +449,6 @@ def _solve_certified(rows: list, m_bound: int, tol: Fraction) -> tuple[list, Fra
     raise RuntimeError("iterative refinement failed to certify the requested tolerance")
 
 
-def _resolve_dc_sched(sched: SchedulerPolicy | None) -> str | None:
-    """Map a scheduler policy to the chain kind: None for uniform, else mode."""
-    if sched is None or isinstance(sched, UniformRandomOrder):
-        return None
-    if isinstance(sched, AdversaryOrder) and sched.strategy is AdversaryStrategy.MimicPersistent:
-        return sched.mode
-    raise ValueError(
-        "exact one-draw expectations support only the uniform scheduler and "
-        "the mimic-persistent adversary"
-    )
-
-
 def exact_expected_recolorings_dc(
     g: Graph,
     D: int,
@@ -448,19 +469,9 @@ def exact_expected_recolorings_dc(
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
-    if D**g.n > DC_STATE_GUARD:
-        raise ValueError(
-            f"state space {D}^{g.n} exceeds the guard of {DC_STATE_GUARD} raw colorings"
-        )
     if method not in ("auto", "exact", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    mimic_mode = _resolve_dc_sched(sched)
-
-    weighted, total_weight = _start_weights(g, D, start)
-    if mimic_mode is not None:
-        weighted = [((key, -1), w) for key, w in weighted]
-
-    index, rows = _build_dc_chain(g, D, [key for key, _ in weighted], mimic_mode)
+    starts, total_weight, rows = _build_dc_chain(g, D, start, sched)
     if not rows:
         return ExactValue(Fraction(0), method="markov-exact", transient=0, nonzeros=0, fill=0)
 
@@ -481,19 +492,13 @@ def exact_expected_recolorings_dc(
         x, bound, refinements, max_residual = _solve_certified(rows, (g.n - 1) * D, CERTIFIED_TOL)
         how = "markov-certified"
 
-    total = Fraction(0)
-    for key, w in weighted:
-        r = index[key]
-        if r is not None:
-            total += w * x[r]
-    value = total / total_weight
-    return ExactValue(value, error_bound=bound, method=how,
+    return ExactValue(_start_mean(starts, total_weight, x), error_bound=bound, method=how,
                       transient=len(rows), nonzeros=nonzeros, fill=fill,
                       refinements=refinements, max_residual=max_residual)
 
 
 # ---------------------------------------------------------------------------
-# persistent process, by recursion over the shrinking conflicted set
+# persistent process, evaluated over the DAG of its states
 
 
 def exact_expected_recolorings_persistent(
@@ -509,18 +514,21 @@ def exact_expected_recolorings_persistent(
     become conflicted again, so at each boundary the next processed vertex of
     a uniformly random permutation is uniform over the survivors. A vertex
     with f free colors contributes D/f expected draws and lands uniformly on
-    its free set; the recursion branches over those landings.
+    its free set.
 
     order=<permutation> processes vertices in that fixed order instead: the
     engine's `FixedPermutationOrder` rule, the earliest conflicted vertex of
     the permutation. Since cleared vertices stay clear, that vertex is never
-    one the order has passed, so both run one recursion memoised on the
-    coloring pattern alone.
+    one the order has passed, so for both orders the state is the coloring
+    pattern alone.
+
+    Every move clears its vertex and conflicts no other, so each child has
+    fewer conflicted vertices than its parent: the states form a DAG, and
+    evaluating them in ascending conflicted count finds every child's value
+    before its parent's.
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
-    if g.n > PERSISTENT_N_GUARD:
-        raise ValueError(f"persistent oracle is limited to n <= {PERSISTENT_N_GUARD}")
     position: list[int] | None = None
     if isinstance(order, str):
         if order != "all":
@@ -530,42 +538,31 @@ def exact_expected_recolorings_persistent(
         if len(position) != g.n:
             raise ValueError("order must be a permutation of 0..n-1")
 
-    adjacency = g.adjacency
-    memo: dict = {}
+    def moves(pattern, v):
+        used = {pattern[u] for u in g.adjacency[v]}
+        if len(used) == D:
+            raise ValueError(f"vertex {v} has no free color; the persistent process cannot finish")
+        return _color_moves(pattern, v, D, skip=used)
 
-    def expect(state: tuple[int, ...]):
-        val = memo.get(state)
-        if val is not None:
-            return val
-        options = [v for v, k in enumerate(same_color_counts(g, state)) if k]
-        if position is not None and options:
-            options = [min(options, key=position.__getitem__)]
-        val = Fraction(0)
-        for v in options:
-            used = {state[u] for u in adjacency[v]}
-            f = D - len(used)
-            if f == 0:
-                raise ValueError(
-                    f"vertex {v} has no free color; the persistent process cannot finish"
-                )
+    starts, total_weight, states = _walk(g, D, start, position, moves)
+    states = list(states)
+    value: list = [None] * len(states)
+    for r in sorted(range(len(states)), key=lambda r: states[r][0]):
+        children = states[r][1]
+        total = 0
+        for pick in children:
             # v draws D/f times on average, then lands uniformly on its f
-            # free colors
-            acc = Fraction(D)
-            for child, w, _ in _color_moves(state, v, D, used):
-                acc += w * expect(child)
-            val += acc / (f * len(options))
-        memo[state] = val
-        return val
-
-    weighted, total_weight = _start_weights(g, D, start)
-    total = Fraction(0)
-    for key, w in weighted:
-        total += w * expect(key)
-    # expect refers to itself, so only a full garbage collection would free
-    # the memo it holds; empty it now
-    memo.clear()
-    value = total / total_weight
-    return ExactValue(value, method="persistent-recursion")
+            # free colors, whose weights sum to f
+            f = 0
+            acc = D
+            for j, w in pick:
+                f += w
+                if j is not None:  # most weigh 1, and a Fraction product is slow
+                    acc += value[j] if w == 1 else value[j] * w
+            total += Fraction(acc, f * len(children))
+        value[r] = total
+    return ExactValue(_start_mean(starts, total_weight, value), method="persistent-recursion",
+                      transient=len(states))
 
 
 # ---------------------------------------------------------------------------

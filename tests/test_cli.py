@@ -175,7 +175,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--graph", "nope:1"]) == 2
     capsys.readouterr()
     assert main(["oracle", "--graph", "cycle:30", "--colors", "3"]) == 2
-    assert "guard" in capsys.readouterr().err
+    assert "over the state budget of 300000" in capsys.readouterr().err
     assert main(["sweep", "--graph", "clique:3", "--axis", "graph.n", "--values", "3,,4"]) == 2
     assert capsys.readouterr().err == "error: --values: '' is not a number\n"
 
@@ -406,6 +406,11 @@ def test_oracle_verbose_prints_diagnostics_on_stderr_only(capsys):
     assert main(args + ["--method", "iterative", "--verbose"]) == 0
     assert capsys.readouterr().err.splitlines()[:2] == [
         "method: markov-certified", "transient states: 36"]
+
+    assert main(["oracle", "--graph", "badbip:5", "--algorithm", "persistent",
+                 "--start", "construction", "-v"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "method: persistent-recursion", "transient states: 31"]
 
 
 def test_oracle_verbose_prints_the_certified_refinement(capsys):

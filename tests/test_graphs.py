@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from decolor.graphs import (
     Graph,
     from_edge_list,
-    validate,
     gen_clique,
     gen_complete_bipartite,
     gen_cycle,
@@ -111,11 +110,13 @@ def small_graphs(draw):
 @given(small_graphs())
 @settings(max_examples=80)
 def test_graph_invariants(g: Graph):
-    validate(g)
+    assert len(g.adjacency) == g.n
     assert g.max_degree == max((len(a) for a in g.adjacency), default=0)
     for v, neighbors in enumerate(g.adjacency):
         assert neighbors == sorted(neighbors)
+        assert len(set(neighbors)) == len(neighbors)
         for u in neighbors:
+            assert 0 <= u < g.n
             assert v in g.adjacency[u]
             assert u != v
 

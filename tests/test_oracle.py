@@ -105,8 +105,23 @@ def test_dc_proper_start_is_zero():
 
 
 def test_dc_state_guard():
-    with pytest.raises(ValueError, match="guard"):
+    # a random start is refused before enumeration, with its pattern count
+    # sum over k <= 3 of S(30, k)
+    message = "has 34315188682442 colorings up to renaming, over the state budget of 300000"
+    with pytest.raises(ValueError, match=message):
         exact_expected_recolorings_dc(gen_cycle(30), 3, RANDOM_START)
+    with pytest.raises(ValueError, match=message):
+        exact_expected_recolorings_persistent(gen_cycle(30), 3, RANDOM_START)
+
+
+def test_state_budget_admits_every_random_start_of_the_old_raw_coloring_limit():
+    # the largest random start with D >= 3 and D^n <= 2 * 10^6 is n = 13, D = 3
+    assert oracle._pattern_count(13, 3) == 265721 <= oracle.STATE_BUDGET
+    assert oracle._pattern_count(10, 4) == 43947
+    assert oracle._pattern_count(19, 2) <= oracle.STATE_BUDGET < oracle._pattern_count(20, 2)
+    for n in range(1, 8):
+        for D in range(1, 9):
+            assert oracle._pattern_count(n, D) == len(list(oracle._patterns(n, D)))
 
 
 def test_dc_unreachable_absorption_is_an_error():
@@ -230,17 +245,16 @@ def small_chains(draw, any_palette=False):
     g = from_edge_list(n, edges)
     D = draw(st.integers(1, g.max_degree + 1)) if any_palette else g.max_degree + 1
     if mode is None and lumped and not any_palette:
-        keys = list(oracle._patterns(n, D))  # the random start
+        start = RANDOM_START
     else:
         colors = draw(st.lists(st.integers(1, D), min_size=n, max_size=n))
         u, v = edges[0]
         colors[v] = colors[u]  # a conflicted start, so the chain is not empty
-        keys = [canonical_pattern(colors) if lumped else tuple(colors)]
+        start = FixedStart(Coloring(colors, D))
     if not lumped:
-        return _raw_chain(g, D, keys)[1]
-    if mode is not None:
-        keys = [(key, -1) for key in keys]
-    return oracle._build_dc_chain(g, D, keys, mode)[1]
+        return _raw_chain(g, D, [tuple(colors)])[1]
+    sched = UNIFORM_ORDER if mode is None else AdversaryOrder(AdversaryStrategy.MimicPersistent, mode=mode)
+    return oracle._build_dc_chain(g, D, start, sched)[2]
 
 
 @given(rows=small_chains())
@@ -309,11 +323,12 @@ def test_certified_solve_matches_its_rational_reference(rows):
 @pytest.fixture(scope="module")
 def permutable_chains():
     out = []
-    for g, D, keys, mode in (
-        (gen_cycle(5), 3, list(oracle._patterns(5, 3)), None),
-        (gen_clique(4), 4, [((1, 1, 1, 1), -1)], "lowest"),
+    for g, D, start, sched in (
+        (gen_cycle(5), 3, RANDOM_START, UNIFORM_ORDER),
+        (gen_clique(4), 4, FixedStart(Coloring([1, 1, 1, 1], 4)),
+         AdversaryOrder(AdversaryStrategy.MimicPersistent, mode="lowest")),
     ):
-        rows = oracle._build_dc_chain(g, D, keys, mode)[1]
+        rows = oracle._build_dc_chain(g, D, start, sched)[2]
         out.append((rows, oracle._solve_exact(rows)[0]))
     return out
 
@@ -435,8 +450,11 @@ def test_persistent_single_edge():
     assert exact_expected_recolorings_persistent(g, 2, start, [1, 0]).value == 2
 
 
-@pytest.mark.parametrize("delta,expect", [(2, frac(9, 2)), (3, frac(22, 3))])
+@pytest.mark.parametrize("delta,expect", [(2, frac(9, 2)), (3, frac(22, 3)), (4, frac(45, 4)),
+                                          (5, frac(81, 5)), (6, frac(133, 6))])
 def test_persistent_bad_bipartite_exact(delta, expect):
+    # the closed form delta (delta + 1) / 2 + (delta + 1) / delta
+    assert expect == frac(delta * (delta + 1), 2) + frac(delta + 1, delta)
     g, c = bad_bipartite_start(delta)
     got = exact_expected_recolorings_persistent(g, delta + 1, FixedStart(c), "all")
     assert got.value == expect
@@ -448,9 +466,91 @@ def test_persistent_proper_start_zero():
     assert exact_expected_recolorings_persistent(g, 3, start, "all").value == 0
 
 
-def test_persistent_size_guard():
-    with pytest.raises(ValueError, match="n <= 8"):
-        exact_expected_recolorings_persistent(gen_cycle(9), 3, RANDOM_START, "all")
+def test_persistent_size_guard(monkeypatch):
+    # a fixed start is refused when its walk passes the budget; a small one
+    # keeps this fast
+    monkeypatch.setattr(oracle, "STATE_BUDGET", 40)
+    start = FixedStart(Coloring([1] * 8, 3))
+    with pytest.raises(ValueError, match="pass the state budget of 40"):
+        exact_expected_recolorings_persistent(gen_cycle(8), 3, start, "all")
+    with pytest.raises(ValueError, match="pass the state budget of 40"):
+        exact_expected_recolorings_dc(gen_cycle(8), 3, start)
+    # C4-mono reaches 11 transient states and 3 proper ones: a walk of
+    # exactly the budget is admitted
+    mono = FixedStart(Coloring([1] * 4, 3))
+    monkeypatch.setattr(oracle, "STATE_BUDGET", 14)
+    assert exact_expected_recolorings_dc(gen_cycle(4), 3, mono).transient == 11
+    monkeypatch.setattr(oracle, "STATE_BUDGET", 13)
+    with pytest.raises(ValueError, match="pass the state budget of 13"):
+        exact_expected_recolorings_dc(gen_cycle(4), 3, mono)
+
+
+def test_persistent_vertex_without_a_free_color_is_an_error():
+    with pytest.raises(ValueError, match="vertex 0 has no free color"):
+        exact_expected_recolorings_persistent(gen_clique(3), 2, FixedStart(Coloring([1, 1, 2], 2)))
+
+
+def _raw_persistent(g, D, starts, position=None):
+    """The persistent process's expected draws by plain recursion over raw
+    color tuples, with no canonical form: the mean over the start tuples. A
+    conflicted vertex with f free colors draws D/f times and lands on each
+    free color with probability 1/f. With position, the conflicted vertex
+    earliest in it is processed; without, the mean over the conflicted
+    vertices is taken. The reference the package's walk must match."""
+    memo: dict = {}
+
+    def expect(colors):
+        if colors not in memo:
+            conflicted = [v for v in range(g.n) if any(colors[u] == colors[v] for u in g.adjacency[v])]
+            if position is not None and conflicted:
+                conflicted = [min(conflicted, key=position.__getitem__)]
+            total = Fraction(0)
+            for v in conflicted:
+                free = [x for x in range(1, D + 1) if all(colors[u] != x for u in g.adjacency[v])]
+                children = sum(expect(colors[:v] + (x,) + colors[v + 1:]) for x in free)
+                total += (Fraction(D) + children) / len(free) / len(conflicted)
+            memo[colors] = total
+        return memo[colors]
+
+    return sum(expect(tuple(s)) for s in starts) / len(starts)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_persistent_oracle_matches_a_raw_recursion(data):
+    n = data.draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    g = from_edge_list(n, edges)
+    D = g.max_degree + 1
+    order = data.draw(st.one_of(st.just("all"), st.permutations(range(n))))
+    position = None if order == "all" else FixedPermutationOrder(order).position
+    if data.draw(st.booleans()):
+        start, starts = RANDOM_START, list(itertools.product(range(1, D + 1), repeat=n))
+    else:
+        colors = data.draw(st.lists(st.integers(1, D), min_size=n, max_size=n))
+        start, starts = FixedStart(Coloring(colors, D)), [colors]
+    assert (exact_expected_recolorings_persistent(g, D, start, order).value
+            == _raw_persistent(g, D, starts, position))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_color_moves_are_the_canonical_raw_children(data):
+    n = data.draw(st.integers(1, 7))
+    D = data.draw(st.integers(1, 6))
+    state = canonical_pattern(data.draw(st.lists(st.integers(1, D), min_size=n, max_size=n)))
+    v = data.draw(st.integers(0, n - 1))
+    k = max(state)
+    skip = data.draw(st.sets(st.integers(1, k))) if data.draw(st.booleans()) else ()
+    lock = data.draw(st.sets(st.integers(1, k)))
+    moves = oracle._color_moves(state, v, D, skip, lock)
+    drawn = [x for x in range(1, k + 1) if x not in skip] + ([k + 1] if D > k else [])
+    assert len(moves) == len(drawn)
+    for (child, w, locked), x in zip(moves, drawn):
+        assert child == canonical_pattern(state[:v] + (x,) + state[v + 1:])
+        assert w == (1 if x <= k else D - k)
+        assert locked == (v if x in lock else -1)
 
 
 def test_persistent_all_orders_is_the_permutation_average():
