@@ -2,8 +2,10 @@
 
 Each criterion re-derives its target (exact oracle value, harmonic bound,
 or explicit constant), runs the pinned experiment, and reports one
-PASS/FAIL line. Monte Carlo checks use 4-standard-error tolerances so a
-correct implementation fails a criterion with probability well under 1e-4.
+PASS/FAIL line. Every instance is built by `experiments._build` from the
+specs a user would pass. Monte Carlo checks allow `SE_TOLERANCE` standard
+errors, so a correct implementation fails a criterion with probability well
+under 1e-4.
 """
 
 from __future__ import annotations
@@ -12,21 +14,15 @@ import functools
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import oracle
-from .adversary import AdversaryStrategy
-from .engine import AdversaryOrder, FixedStart, RANDOM_START, UNIFORM_ORDER
-from .experiments import (
-    DriftReport,
-    ExperimentConfig,
-    _build,
-    build_graph,
-    build_start,
-    drift_check,
-    run_trials,
-)
-from .graphs import gen_fig2_like
 from .coloring import monochromatic_component_count
+from .experiments import (DriftReport, ExperimentConfig, SummaryStats, TrialsResult, _build,
+                          drift_check, run_trials)
+from .graphs import gen_fig2_like
+
+SE_TOLERANCE = 4  # Monte Carlo tolerance, in standard errors of the mean
 
 
 @dataclass
@@ -41,8 +37,13 @@ class CriterionResult:
         return f"{self.name} {verdict} ({self.seconds:.1f}s): {self.summary}"
 
 
-def _within(mean: float, target: float, se: float, k: float = 4.0) -> bool:
-    return abs(mean - target) <= k * se
+def _simulate(graph: dict, seed: int, trials: int = 100_000, **fields) -> TrialsResult:
+    """run_trials on a graph spec, master seed, trial count and ExperimentConfig fields."""
+    return run_trials(ExperimentConfig(graph=graph, trials=trials, master_seed=seed, **fields))
+
+
+def _within(s: SummaryStats, target: float, slack: float = 0.0) -> bool:
+    return abs(s.mean - target) <= SE_TOLERANCE * s.se + slack
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +54,8 @@ def ac1_exact_cliques() -> CriterionResult:
     """One-draw oracle on K3/K4 equals the collect-all-colors closed form."""
     checks = []
     for n in (3, 4):
-        cfg = ExperimentConfig(graph={"kind": "clique", "n": n}, trials=1)
-        g, _ = build_graph(cfg.graph)
-        got = oracle.exact_expected_recolorings_dc(g, n, RANDOM_START, UNIFORM_ORDER)
+        clique = ExperimentConfig({"kind": "clique", "n": n})  # D = n, random start, uniform order
+        got = oracle.exact_expected_recolorings_dc(*_build(clique))
         want = Fraction(n) * oracle.harmonic(n).value - n
         checks.append((n, got.value, want, got.value == want))
     passed = all(ok for *_, ok in checks)
@@ -69,20 +69,13 @@ def ac1_exact_cliques() -> CriterionResult:
 
 def ac2_clique_monte_carlo() -> CriterionResult:
     """100k one-draw runs on K8 land on 8*H8 total draws within 4 SE."""
-    cfg = ExperimentConfig(
-        graph={"kind": "clique", "n": 8},
-        algorithm="dc",
-        D=8,
-        trials=100_000,
-        master_seed=20240802,
-    )
-    s = run_trials(cfg).stats["total_draws"]
+    s = _simulate({"kind": "clique", "n": 8}, 20240802, D=8).stats["total_draws"]
     target = float(8 * oracle.harmonic(8).value)
-    passed = _within(s.mean, target, s.se)
     return CriterionResult(
         "AC-2",
-        passed,
-        f"K8 mean total draws {s.mean:.4f} vs 8*H8 = {target:.4f} (4 SE = {4 * s.se:.4f})",
+        _within(s, target),
+        f"K8 mean total draws {s.mean:.4f} vs 8*H8 = {target:.4f} "
+        f"({SE_TOLERANCE} SE = {SE_TOLERANCE * s.se:.4f})",
     )
 
 
@@ -100,18 +93,11 @@ def ac3_per_vertex_bounds() -> CriterionResult:
     failures = 0
     vertices = 0
     for label, spec, D, seed in runs:
-        cfg = ExperimentConfig(
-            graph=spec,
-            algorithm="persistent",
-            D=D,
-            trials=100_000,
-            master_seed=seed,
-            counters=("step3_draws", "per_vertex"),
-        )
-        result = run_trials(cfg)
+        result = _simulate(spec, seed, algorithm="persistent", D=D,
+                           counters=("step3_draws", "per_vertex"))
         for row in result.per_vertex:
             vertices += 1
-            bound = float(oracle.harmonic(row.degree).value) + 4 * row.se
+            bound = float(oracle.harmonic(row.degree).value) + SE_TOLERANCE * row.se
             margin = bound - row.mean
             if margin < 0:
                 failures += 1
@@ -123,7 +109,7 @@ def ac3_per_vertex_bounds() -> CriterionResult:
         "AC-3",
         passed,
         f"{vertices} vertices checked, {failures} above bound; tightest: "
-        f"{label} v{v} mean {mean:.4f} vs H_deg+4SE {bound:.4f}",
+        f"{label} v{v} mean {mean:.4f} vs H_deg+{SE_TOLERANCE}SE {bound:.4f}",
     )
 
 
@@ -134,41 +120,29 @@ def ac3_per_vertex_bounds() -> CriterionResult:
 def ac4_adversarial_bipartite() -> CriterionResult:
     """Persistent on the rigged K_{d,d} start grows like d^2, not d."""
     means = {}
-    ses = {}
     for delta in (4, 8, 16, 32):
-        cfg = ExperimentConfig(
-            graph={"kind": "badbip", "delta": delta},
-            algorithm="persistent",
-            start="construction",
-            trials=10_000,
-            master_seed=20240804 + delta,
-        )
-        s = run_trials(cfg).stats["step3_draws"]
-        means[delta] = s.mean
-        ses[delta] = s.se
+        result = _simulate({"kind": "badbip", "delta": delta}, 20240804 + delta, 10_000,
+                           algorithm="persistent", start="construction")
+        means[delta] = result.stats["step3_draws"].mean
     floor_ok = all(means[d] >= d * d / 8 for d in means)
     ratios = [means[2 * d] / means[d] for d in (4, 8, 16)]
     ratio_ok = all(r >= 3 for r in ratios)
 
-    cfg3 = ExperimentConfig(
-        graph={"kind": "badbip", "delta": 3},
-        algorithm="persistent",
-        start="construction",
-        trials=10_000,
-        master_seed=20240807,
-    )
-    s3 = run_trials(cfg3).stats["step3_draws"]
-    g3, c3 = build_graph(cfg3.graph)
-    exact3 = oracle.exact_expected_recolorings_persistent(g3, 4, FixedStart(c3), "all")
-    exact_ok = _within(s3.mean, float(exact3.value), s3.se)
+    # d = 3 against the exact persistent value, on the palette its start bundles
+    result = _simulate({"kind": "badbip", "delta": 3}, 20240807, 10_000,
+                       algorithm="persistent", start="construction")
+    s3 = result.stats["step3_draws"]
+    g3, d3, start3, _ = _build(result.config)
+    exact3 = oracle.exact_expected_recolorings_persistent(g3, d3, start3, "all")
+    exact_ok = _within(s3, float(exact3.value))
 
     passed = floor_ok and ratio_ok and exact_ok
     shown = ", ".join(f"d={d}: {means[d]:.1f}" for d in (4, 8, 16, 32))
     return CriterionResult(
         "AC-4",
         passed,
-        f"means {shown}; doubling ratios {[f'{r:.2f}' for r in ratios]}; "
-        f"d=3 mean {s3.mean:.4f} vs exact {exact3.value} (4 SE = {4 * s3.se:.4f})",
+        f"means {shown}; doubling ratios {[f'{r:.2f}' for r in ratios]}; d=3 mean {s3.mean:.4f} "
+        f"vs exact {exact3.value} ({SE_TOLERANCE} SE = {SE_TOLERANCE * s3.se:.4f})",
     )
 
 
@@ -214,40 +188,24 @@ def ac7_edge_drift() -> CriterionResult:
 
 def ac6_adversarial_stopping() -> CriterionResult:
     """Worst-order one-draw runs still finish within (n-1)*D recolorings."""
+    mono = {"kind": "mono", "color": 1}
     instances = [
-        ("badbip(3)", {"kind": "badbip", "delta": 3}, "construction", None),
-        ("badbip(5)", {"kind": "badbip", "delta": 5}, "construction", None),
-        ("mono-K6", {"kind": "clique", "n": 6}, {"kind": "mono", "color": 1}, None),
-        ("mono-C12", {"kind": "cycle", "n": 12}, {"kind": "mono", "color": 1}, None),
-        (
-            "mono-G(10,0.35)",
-            {"kind": "erdos", "n": 10, "p": 0.35, "seed": 1035},
-            {"kind": "mono", "color": 1},
-            None,
-        ),
+        ("badbip(3)", {"kind": "badbip", "delta": 3}, "construction"),
+        ("badbip(5)", {"kind": "badbip", "delta": 5}, "construction"),
+        ("mono-K6", {"kind": "clique", "n": 6}, mono),
+        ("mono-C12", {"kind": "cycle", "n": 12}, mono),
+        ("mono-G(10,0.35)", {"kind": "erdos", "n": 10, "p": 0.35, "seed": 1035}, mono),
     ]
     rows = []
-    passed = True
-    for i, (label, spec, start, D) in enumerate(instances):
-        cfg = ExperimentConfig(
-            graph=spec,
-            algorithm="dc",
-            D=D,
-            start=start,
-            order="min-drift",
-            trials=10_000,
-            master_seed=20240806 + i,
-        )
-        result = run_trials(cfg)
+    for i, (label, spec, start) in enumerate(instances):
+        result = _simulate(spec, 20240806 + i, 10_000, start=start, order="min-drift")
         s = result.stats["step3_draws"]
         bound = (result.n - 1) * result.D
-        ok = s.mean <= bound + 4 * s.se
-        passed = passed and ok
-        rows.append((label, s.mean, bound, ok))
+        rows.append((label, s.mean, bound, s.mean <= bound + SE_TOLERANCE * s.se))
     shown = "; ".join(f"{l}: {m:.2f} <= {b}" for l, m, b, _ in rows)
     return CriterionResult(
         "AC-6",
-        passed,
+        all(ok for *_, ok in rows),
         f"min-drift adversary means vs (n-1)*D bounds: {shown}",
     )
 
@@ -273,8 +231,7 @@ def _ac8_family():
         ("C5", {"kind": "cycle", "n": 5}, (3, 4)),
         ("K4", {"kind": "clique", "n": 4}, (4,)),
     ]:
-        g, _ = build_graph(spec)
-        n = g.n
+        n = spec["n"]
         starts = [[1] * n, ([1, 1] + [2] * (n - 2))[:n]]
         for D in ds:
             for colors in starts:
@@ -284,16 +241,16 @@ def _ac8_family():
 
 def ac8_mimic_equivalence() -> CriterionResult:
     """Exact equality of the two oracles under both selection modes."""
-    pairs = [("uniform", "all"), ("lowest", "identity")]
     checked = 0
     mismatches = 0
     for _, spec, D, colors in _ac8_family():
-        g, _ = build_graph(spec)
-        start = build_start({"kind": "fixed", "colors": colors}, g, D, None)
-        for mode, order_name in pairs:
-            sched = AdversaryOrder(AdversaryStrategy.MimicPersistent, mode=mode)
-            via_dc = oracle.exact_expected_recolorings_dc(g, D, start, sched, method="exact")
-            order = "all" if order_name == "all" else list(range(g.n))
+        for mode in ("uniform", "lowest"):
+            g, _, start, mimic = _build(ExperimentConfig(
+                graph=spec, D=D, start={"kind": "fixed", "colors": colors},
+                order={"kind": "mimic", "mode": mode}))
+            via_dc = oracle.exact_expected_recolorings_dc(g, D, start, mimic, method="exact")
+            # mimic:lowest follows the persistent process in vertex-id order
+            order = "all" if mode == "uniform" else list(range(g.n))
             via_persistent = oracle.exact_expected_recolorings_persistent(g, D, start, order)
             checked += 1
             mismatches += via_dc.value != via_persistent.value
@@ -354,28 +311,16 @@ _AC10_INSTANCES = [
 def ac10_oracle_simulation_agreement() -> CriterionResult:
     """20 instances: 100k-trial means sit within 4 SE of the exact chain."""
     rows = []
-    passed = True
     for i, (label, spec, D, start) in enumerate(_AC10_INSTANCES):
-        cfg = ExperimentConfig(
-            graph=spec,
-            algorithm="dc",
-            D=D,
-            start=start,
-            trials=100_000,
-            master_seed=20241000 + i,
-        )
-        g, d_resolved, start_policy, order = _build(cfg)
-        exact = oracle.exact_expected_recolorings_dc(g, d_resolved, start_policy, order)
-        s = run_trials(cfg).stats["step3_draws"]
-        tol = 4 * s.se + float(exact.error_bound)
-        ok = abs(s.mean - float(exact.value)) <= tol
-        passed = passed and ok
-        rows.append((label, s.mean, float(exact.value), ok))
+        result = _simulate(spec, 20241000 + i, D=D, start=start)
+        exact = oracle.exact_expected_recolorings_dc(*_build(result.config))
+        s, value = result.stats["step3_draws"], float(exact.value)
+        rows.append((label, s.mean, value, _within(s, value, float(exact.error_bound))))
     worst = max(rows, key=lambda r: abs(r[1] - r[2]))
     return CriterionResult(
         "AC-10",
-        passed,
-        f"{len(rows)} instances compared, {sum(not r[3] for r in rows)} outside 4 SE; "
+        all(ok for *_, ok in rows),
+        f"{len(rows)} instances compared, {sum(not r[3] for r in rows)} outside {SE_TOLERANCE} SE; "
         f"largest gap {worst[0]}: mc {worst[1]:.4f} vs exact {worst[2]:.4f}",
     )
 
@@ -433,12 +378,10 @@ class AcceptanceReport:
     def exit_code(self) -> int:
         return 0 if self.passed else 1
 
-    def text(self) -> str:
-        lines = [f"acceptance suite '{self.suite}': {len(self.results)} criteria"]
-        lines += [r.line() for r in self.results]
+    @property
+    def verdict(self) -> str:
         failed = [r.name for r in self.results if not r.passed]
-        lines.append("RESULT: PASS" if not failed else f"RESULT: FAIL ({', '.join(failed)})")
-        return "\n".join(lines) + "\n"
+        return f"RESULT: FAIL ({', '.join(failed)})" if failed else "RESULT: PASS"
 
     def to_json_dict(self) -> dict:
         return {
@@ -448,8 +391,15 @@ class AcceptanceReport:
         }
 
 
-def accept(suite: str = "all") -> AcceptanceReport:
+def accept(suite: str = "all",
+           on_result: Callable[[CriterionResult], None] | None = None) -> AcceptanceReport:
+    """Run a suite's criteria in order; on_result sees each result as it finishes."""
     names = SUITES.get(suite)
     if names is None:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    return AcceptanceReport(suite, [run_criterion(n) for n in names])
+    results = []
+    for name in names:
+        results.append(run_criterion(name))
+        if on_result is not None:
+            on_result(results[-1])
+    return AcceptanceReport(suite, results)

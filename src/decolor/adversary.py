@@ -29,6 +29,12 @@ class AdversaryStrategy(enum.Enum):
     Scripted = "script"
 
 
+# read by dispatch_pick on every pick; a member read costs several times a global's
+_MIMIC, _MIN_DRIFT, _MAX_CONFLICTED, _SCRIPTED = (
+    AdversaryStrategy.MimicPersistent, AdversaryStrategy.MinPhiDrift,
+    AdversaryStrategy.MaxConflicted, AdversaryStrategy.Scripted)
+
+
 def bad_bipartite_start(delta: int) -> tuple[Graph, Coloring]:
     """Worst-case start on K_{delta,delta} with palette D = delta + 1.
 
@@ -387,13 +393,15 @@ def dispatch_pick(
     """One adversary pick from the whole conflicted set, in any order, and
     the state's same-color neighbor counts; `drift` is the min-drift
     picker's state, kept by the caller across picks."""
-    if strategy is AdversaryStrategy.MimicPersistent:
+    # the pickers are module attributes, read at call time, so a wrapper set
+    # on one (as perfbench/tracing.py sets) sees every pick
+    if strategy is _MIMIC:
         return mimic_persistent_pick(g, c, conflicted, history, draw, mode=mode, counts=counts)
-    if strategy is AdversaryStrategy.MinPhiDrift:
+    if strategy is _MIN_DRIFT:
         return min_phi_drift_pick(g, c, conflicted, counts, drift)
-    if strategy is AdversaryStrategy.MaxConflicted:
+    if strategy is _MAX_CONFLICTED:
         return max_conflicted_pick(g, c, conflicted, counts)
-    if strategy is AdversaryStrategy.Scripted:
+    if strategy is _SCRIPTED:
         if script is None:
             raise ValueError("scripted strategy needs a script")
         return scripted_pick(script, conflicted, history)

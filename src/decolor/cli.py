@@ -237,16 +237,8 @@ def _cmd_drift_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_accept(args: argparse.Namespace) -> int:
-    names = acceptance.SUITES.get(args.suite)
-    if names is None:
-        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(acceptance.SUITES)}")
-    results = []
-    for name in names:
-        r = acceptance.run_criterion(name)
-        results.append(r)
-        print(r.line(), flush=True)
-    report = acceptance.AcceptanceReport(args.suite, results)
-    print(report.text().splitlines()[-1])
+    report = acceptance.accept(args.suite, lambda r: print(r.line(), flush=True))
+    print(report.verdict)
     if args.out:
         _write_text(output_stem(args.out) + ".json", _json_dumps(report.to_json_dict()))
     return report.exit_code

@@ -65,6 +65,15 @@ def test_suite_names_cover_every_criterion():
     assert listed == set(acceptance.SUITES["all"])
 
 
+def test_accept_calls_back_once_per_criterion_in_suite_order():
+    seen = []
+    report = acceptance.accept("drift", seen.append)
+    assert [r.name for r in seen] == list(acceptance.SUITES["drift"])
+    assert len(report.results) == len(seen)
+    assert all(a is b for a, b in zip(report.results, seen))
+    assert report.suite == "drift" and report.verdict == "RESULT: PASS"
+
+
 def test_unknown_criterion_and_suite_are_errors():
     with pytest.raises(ValueError):
         acceptance.run_criterion("AC-99")

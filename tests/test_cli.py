@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decolor import acceptance
 from decolor.cli import main, parse_graph_spec, parse_order_spec, parse_spec, parse_start_spec
 from decolor.experiments import (
     OUTPUT_DIR_ENV,
@@ -447,12 +448,20 @@ def test_drift_check_exit_codes(tmp_path, capsys):
 
 def test_accept_fast_suites(tmp_path, capsys):
     assert main(["accept", "gadget", "--out", str(tmp_path / "acc")]) == 0
-    out = capsys.readouterr().out
-    assert "AC-9 PASS" in out and "RESULT: PASS" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("AC-9 PASS (") and lines[1] == "RESULT: PASS"
     doc = json.loads((tmp_path / "acc.json").read_text())
     assert doc["passed"] is True
 
     assert main(["accept", "nonsense"]) == 2
+
+
+def test_accept_failing_criterion_exits_1(monkeypatch, capsys):
+    monkeypatch.setitem(acceptance._CRITERIA, "AC-9",
+                        lambda: acceptance.CriterionResult("AC-9", False, "forced"))
+    assert main(["accept", "gadget"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("AC-9 FAIL (") and lines[1] == "RESULT: FAIL (AC-9)"
 
 
 def test_every_run_flag_lands_on_its_config_field(tmp_path):
