@@ -30,8 +30,9 @@ instances = [
 mimic = AdversaryOrder(AdversaryStrategy.MimicPersistent, mode="uniform")
 for label, g, D, colors in instances:
     start = FixedStart(Coloring(colors, D))
+    # the persistent oracle reads the mimic order as uniform order
     one_draw = exact_expected_recolorings_dc(g, D, start, mimic, method="exact")
-    persistent = exact_expected_recolorings_persistent(g, D, start, "all")
+    persistent = exact_expected_recolorings_persistent(g, D, start, mimic)
     mark = "==" if one_draw.value == persistent.value else "!="
     print(f"{label}: mimic one-draw {one_draw.value} {mark} persistent {persistent.value}")
 

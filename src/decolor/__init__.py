@@ -26,7 +26,6 @@ from .coloring import (
     monochromatic_component_count,
     random_coloring,
     read_coloring_file,
-    write_coloring_file,
 )
 from .engine import (
     AdversaryOrder,

@@ -132,8 +132,7 @@ def ac4_adversarial_bipartite() -> CriterionResult:
     result = _simulate({"kind": "badbip", "delta": 3}, 20240807, 10_000,
                        algorithm="persistent", start="construction")
     s3 = result.stats["step3_draws"]
-    g3, d3, start3, _ = _build(result.config)
-    exact3 = oracle.exact_expected_recolorings_persistent(g3, d3, start3, "all")
+    exact3 = oracle.exact_expected_recolorings_persistent(*_build(result.config))
     exact_ok = _within(s3, float(exact3.value))
 
     passed = floor_ok and ratio_ok and exact_ok
@@ -245,13 +244,12 @@ def ac8_mimic_equivalence() -> CriterionResult:
     mismatches = 0
     for _, spec, D, colors in _ac8_family():
         for mode in ("uniform", "lowest"):
-            g, _, start, mimic = _build(ExperimentConfig(
+            # mimic:lowest follows the persistent process in vertex-id order
+            built = _build(ExperimentConfig(
                 graph=spec, D=D, start={"kind": "fixed", "colors": colors},
                 order={"kind": "mimic", "mode": mode}))
-            via_dc = oracle.exact_expected_recolorings_dc(g, D, start, mimic, method="exact")
-            # mimic:lowest follows the persistent process in vertex-id order
-            order = "all" if mode == "uniform" else list(range(g.n))
-            via_persistent = oracle.exact_expected_recolorings_persistent(g, D, start, order)
+            via_dc = oracle.exact_expected_recolorings_dc(*built, method="exact")
+            via_persistent = oracle.exact_expected_recolorings_persistent(*built)
             checked += 1
             mismatches += via_dc.value != via_persistent.value
     passed = checked >= 50 and not mismatches

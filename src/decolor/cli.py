@@ -14,14 +14,7 @@ import sys
 
 from . import acceptance, oracle
 from .coloring import Coloring, coloring_to_text
-from .engine import (
-    FixedPermutationOrder,
-    FixedStart,
-    UniformRandomOrder,
-    run_decentralized,
-    run_persistent,
-    trace_to_text,
-)
+from .engine import FixedStart, run_decentralized, run_persistent, trace_to_text
 from .experiments import (
     SPEC_KINDS,
     SPEC_PARAMS,
@@ -174,19 +167,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     persistent = args.algorithm == "persistent"
+    drift = args.quantity == "drift"
+    if args.method is not None and (persistent or drift):
+        raise ValueError("--method is read only by the one-draw recolorings oracle (--algorithm dc)")
+    if args.vertex is not None and not drift:
+        raise ValueError("--vertex is read only by --quantity drift")
     if persistent and args.order == "all":
         args.order = "uniform"  # the persistent oracle's name for uniform order
     g, D, start, order = _build(_load_config(args))
 
-    if args.quantity == "recolorings":
-        if not persistent:
-            value = oracle.exact_expected_recolorings_dc(g, D, start, order, method=args.method)
-        elif isinstance(order, UniformRandomOrder):
-            value = oracle.exact_expected_recolorings_persistent(g, D, start, "all")
-        elif isinstance(order, FixedPermutationOrder):
-            value = oracle.exact_expected_recolorings_persistent(g, D, start, order.order)
+    if not drift:
+        if persistent:
+            value = oracle.exact_expected_recolorings_persistent(g, D, start, order)
         else:
-            raise ValueError("the persistent oracle supports --order all or perm:<file>")
+            value = oracle.exact_expected_recolorings_dc(g, D, start, order, method=args.method or "auto")
         print(value)
         if args.verbose:
             _print_oracle_diagnostics(value)
@@ -302,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", dest="D", type=int, metavar="D")
     p.add_argument("--start", help="random | construction | mono:<c> | file:<path>")
     p.add_argument("--start-file")
-    p.add_argument("--order", help="dc: uniform|mimic[:mode]; persistent: all|perm:<file>")
-    p.add_argument("--method", choices=("auto", "exact", "iterative"), default="auto")
+    p.add_argument("--order", help="uniform | perm:<file> | mimic[:lowest]; persistent also all")
+    p.add_argument("--method", choices=("auto", "exact", "iterative"),
+                   help="one-draw solve (default: auto)")
     p.add_argument("--quantity", choices=("recolorings", "drift"), default="recolorings")
     p.add_argument("--vertex", type=int, help="conflicted vertex for --quantity drift")
     p.add_argument("-v", "--verbose", action="store_true",

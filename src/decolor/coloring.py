@@ -158,8 +158,3 @@ def coloring_from_text(text: str) -> Coloring:
 def read_coloring_file(path: str) -> Coloring:
     with open(path, "r", encoding="ascii") as fh:
         return coloring_from_text(fh.read())
-
-
-def write_coloring_file(path: str, c: Coloring) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(coloring_to_text(c))

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, perm
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -47,6 +47,8 @@ from .engine import (
     _initial_colors,
 )
 from .graphs import Graph
+
+Order = Union[None, str, Sequence[int], SchedulerPolicy]  # what `_pick_rule` takes
 
 STATE_BUDGET = 300_000
 DEFAULT_EXACT_STATE_LIMIT = 260
@@ -250,8 +252,30 @@ def _start_mean(starts: list, total_weight: int, x: list) -> Fraction:
     return sum((w * x[r] for r, w in starts if r is not None), Fraction(0)) / total_weight
 
 
-def _build_dc_chain(g: Graph, D: int, start: StartPolicy,
-                    sched: SchedulerPolicy | None) -> tuple[list, int, list]:
+def _pick_rule(g: Graph, order: Order) -> tuple[Sequence[int] | None, bool]:
+    """The walk's (position, mimic) pick rule for an order both oracles take.
+
+    None, "all" and `UniformRandomOrder` pick every conflicted vertex; a
+    permutation, bare or as a `FixedPermutationOrder`, its earliest one; the
+    mimic adversary keeps its vertex locked, in vertex-id order for mode
+    "lowest". The persistent oracle ignores the lock, which changes nothing
+    there: each persistent move clears its vertex. Any other order is
+    refused.
+    """
+    if isinstance(order, Iterable) and not isinstance(order, str):
+        order = FixedPermutationOrder(order)
+    if order is None or order == "all" or isinstance(order, UniformRandomOrder):
+        return None, False
+    if isinstance(order, FixedPermutationOrder):
+        if len(order.position) != g.n:
+            raise ValueError("order must be a permutation of 0..n-1")
+        return order.position, False
+    if isinstance(order, AdversaryOrder) and order.strategy is AdversaryStrategy.MimicPersistent:
+        return (range(g.n) if order.mode == "lowest" else None), True
+    raise ValueError(f"the exact oracles model uniform, fixed-permutation and mimic orders, not {order!r}")
+
+
+def _build_dc_chain(g: Graph, D: int, start: StartPolicy, order: Order) -> tuple[list, int, list]:
     """The one-draw chain from the start distribution, as the rows of I - Q.
 
     Returns the walk's starts and total weight, and rows, where rows[r] =
@@ -259,15 +283,7 @@ def _build_dc_chain(g: Graph, D: int, start: StartPolicy,
     with probability num/den. Moves into absorbing states add nothing to
     I - Q and are left out.
     """
-    if sched is None or isinstance(sched, UniformRandomOrder):
-        position, mimic = None, False
-    elif isinstance(sched, AdversaryOrder) and sched.strategy is AdversaryStrategy.MimicPersistent:
-        position, mimic = (range(g.n) if sched.mode == "lowest" else None), True
-    else:
-        raise ValueError(
-            "exact one-draw expectations support only the uniform scheduler and "
-            "the mimic-persistent adversary"
-        )
+    position, mimic = _pick_rule(g, order)
 
     def moves(pattern, v):
         # the mimic adversary keeps v while its drawn color is one of its
@@ -453,7 +469,7 @@ def exact_expected_recolorings_dc(
     g: Graph,
     D: int,
     start: StartPolicy,
-    sched: SchedulerPolicy | None = None,
+    order: Order = None,
     *,
     method: str = "auto",
 ) -> ExactValue:
@@ -465,13 +481,13 @@ def exact_expected_recolorings_dc(
     "exact", go through exact fraction-free elimination; larger ones (method
     "auto"/"iterative") use a float solve certified to CERTIFIED_TOL, which
     needs D >= max_degree + 1 for its error bound and reports the certified
-    bound on the result.
+    bound on the result. `order` is any order `_pick_rule` takes.
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
     if method not in ("auto", "exact", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    starts, total_weight, rows = _build_dc_chain(g, D, start, sched)
+    starts, total_weight, rows = _build_dc_chain(g, D, start, order)
     if not rows:
         return ExactValue(Fraction(0), method="markov-exact", transient=0, nonzeros=0, fill=0)
 
@@ -505,22 +521,23 @@ def exact_expected_recolorings_persistent(
     g: Graph,
     D: int,
     start: StartPolicy,
-    order: str | Sequence[int] = "all",
+    order: Order = None,
 ) -> ExactValue:
     """Exact expected draws of the persistent process.
 
-    order="all" averages over all selection orders, which equals selecting
-    uniformly among the currently conflicted vertices: cleared vertices never
-    become conflicted again, so at each boundary the next processed vertex of
-    a uniformly random permutation is uniform over the survivors. A vertex
-    with f free colors contributes D/f expected draws and lands uniformly on
-    its free set.
+    Uniform order (None or "all") averages over all selection orders, which
+    equals selecting uniformly among the currently conflicted vertices:
+    cleared vertices never become conflicted again, so at each boundary the
+    next processed vertex of a uniformly random permutation is uniform over
+    the survivors. A vertex with f free colors contributes D/f expected
+    draws and lands uniformly on its free set.
 
-    order=<permutation> processes vertices in that fixed order instead: the
+    A permutation processes vertices in that fixed order instead: the
     engine's `FixedPermutationOrder` rule, the earliest conflicted vertex of
     the permutation. Since cleared vertices stay clear, that vertex is never
     one the order has passed, so for both orders the state is the coloring
-    pattern alone.
+    pattern alone. The mimic adversary's modes are these two orders, uniform
+    and the identity (see `_pick_rule`).
 
     Every move clears its vertex and conflicts no other, so each child has
     fewer conflicted vertices than its parent: the states form a DAG, and
@@ -529,14 +546,7 @@ def exact_expected_recolorings_persistent(
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
-    position: list[int] | None = None
-    if isinstance(order, str):
-        if order != "all":
-            raise ValueError(f"order must be 'all' or a permutation, got {order!r}")
-    else:
-        position = FixedPermutationOrder(order).position
-        if len(position) != g.n:
-            raise ValueError("order must be a permutation of 0..n-1")
+    position, _ = _pick_rule(g, order)
 
     def moves(pattern, v):
         used = {pattern[u] for u in g.adjacency[v]}

@@ -179,6 +179,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "over the state budget of 300000" in capsys.readouterr().err
     assert main(["sweep", "--graph", "clique:3", "--axis", "graph.n", "--values", "3,,4"]) == 2
     assert capsys.readouterr().err == "error: --values: '' is not a number\n"
+    # oracle flags that the chosen oracle does not read
+    assert main(["oracle", "--graph", "clique:3", "--algorithm", "persistent",
+                 "--method", "iterative", "-v"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --method is read only by the one-draw recolorings oracle (--algorithm dc)\n")
+    assert main(["oracle", "--graph", "clique:3", "--vertex", "1"]) == 2
+    assert capsys.readouterr().err == "error: --vertex is read only by --quantity drift\n"
 
 
 def test_malformed_graph_file_exits_2_with_one_error_line(tmp_path, capsys):
@@ -352,15 +359,20 @@ def test_trace_replays_trial_zero_of_the_run(tmp_path, capsys, algorithm, graph,
     assert int(total) == n + int(step3)
 
 
-def test_oracle_prints_exact_rationals(capsys):
+def test_oracle_prints_exact_rationals(tmp_path, capsys):
     assert main(["oracle", "--graph", "clique:3", "--colors", "3"]) == 0
     assert capsys.readouterr().out.strip() == "5/2 (≈ 2.5)"
 
-    assert main([
-        "oracle", "--graph", "badbip:3", "--algorithm", "persistent",
-        "--start", "construction",
-    ]) == 0
-    assert capsys.readouterr().out.strip() == "22/3 (≈ 7.33333333333)"
+    # both oracles take fixed and mimic orders; the persistent one reads
+    # mimic as uniform order
+    badbip = ["oracle", "--graph", "badbip:3", "--start", "construction"]
+    for order in ([], ["--order", "all"], ["--order", "mimic"]):
+        assert main(badbip + ["--algorithm", "persistent"] + order) == 0
+        assert capsys.readouterr().out.strip() == "22/3 (≈ 7.33333333333)"
+    perm = tmp_path / "p.txt"
+    perm.write_text("5 0 1 2 3 4\n")
+    assert main(badbip + ["--order", f"perm:{perm}"]) == 0
+    assert capsys.readouterr().out.strip() == "21/2 (≈ 10.5)"
 
     assert main([
         "oracle", "--graph", "fig2", "--quantity", "drift",
@@ -382,14 +394,18 @@ def test_oracle_drift_rejects_out_of_range_vertices(capsys, vertex):
     assert "out of range" in err and "Traceback" not in err
 
 
-def test_oracle_rejects_orders_its_chain_does_not_model(capsys):
+def test_oracle_rejects_orders_its_chain_does_not_model(tmp_path, capsys):
     assert main(["oracle", "--graph", "clique:3", "--order", "mimic:lowest"]) == 0
     assert capsys.readouterr().out.strip() == "5/2 (≈ 2.5)"
-    for order in ("min-drift", "max-conflicted"):
-        assert main(["oracle", "--graph", "clique:3", "--order", order]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "Traceback" not in err
+    script = tmp_path / "s.txt"
+    script.write_text("0 1\n")
+    for algorithm in ("dc", "persistent"):
+        for order in ("min-drift", "max-conflicted", f"script:{script}"):
+            assert main(["oracle", "--graph", "clique:3", "--algorithm", algorithm,
+                         "--order", order]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "the exact oracles model uniform, fixed-permutation and mimic orders" in err
 
 
 def test_oracle_verbose_prints_diagnostics_on_stderr_only(capsys):

@@ -19,6 +19,7 @@ from decolor.engine import (
     FixedStart,
     RANDOM_START,
     UNIFORM_ORDER,
+    run_decentralized,
     run_persistent,
 )
 from decolor.experiments import ExperimentConfig, _build, random_invalid_state
@@ -171,18 +172,21 @@ def _dense_reference(rows) -> list:
     return x
 
 
-def _raw_chain(g, D, start_keys):
+def _raw_chain(g, D, start_keys, position=None):
     """Breadth-first enumeration of the uniform-order one-draw chain over raw
     color tuples, with no lumping: each conflicted vertex, then each of the D
-    colors, weighs 1. Returns (index, rows) in the package's form: index maps
-    each state to its row, or to None when it is proper. The reference the
-    package's lumped chain must match."""
+    colors, weighs 1. With a fixed order's position, only the conflicted
+    vertex earliest in it is picked. Returns (index, rows) in the package's
+    form: index maps each state to its row, or to None when it is proper.
+    The reference the package's lumped chain must match."""
     index: dict = {}
     queue: list = []
 
     def intern(key):
         if key not in index:
             conflicted = [v for v in range(g.n) if any(key[u] == key[v] for u in g.adjacency[v])]
+            if position is not None and conflicted:
+                conflicted = [min(conflicted, key=position.__getitem__)]
             index[key] = len(queue) if conflicted else None
             if conflicted:
                 queue.append((key, conflicted))
@@ -204,21 +208,26 @@ def _raw_chain(g, D, start_keys):
 
 
 @pytest.mark.parametrize(
-    "g,D,start",
+    "g,D,start,order",
     [
-        (from_edge_list(3, [(0, 1), (1, 2)]), 3, None),
-        (gen_cycle(4), 3, [1, 1, 2, 2]),
-        (gen_clique(3), 4, [2, 2, 2]),
+        (from_edge_list(3, [(0, 1), (1, 2)]), 3, None, None),
+        (gen_cycle(4), 3, [1, 1, 2, 2], None),
+        (gen_clique(3), 4, [2, 2, 2], None),
+        (from_edge_list(3, [(0, 1), (1, 2)]), 3, None, [2, 0, 1]),
+        (gen_cycle(4), 3, [1, 1, 2, 2], [3, 1, 0, 2]),
     ],
+    ids=["path3-random", "C4-fixed", "K3-D4-mono", "path3-random-perm", "C4-fixed-perm"],
 )
-def test_lumping_matches_raw_enumeration(g, D, start):
-    """Color-relabeling quotient must not change the answer."""
+def test_lumping_matches_raw_enumeration(g, D, start, order):
+    """Color-relabeling quotient must not change the answer, under uniform
+    order or a fixed one."""
     policy = RANDOM_START if start is None else FixedStart(Coloring(start, D))
     keys = list(itertools.product(range(1, D + 1), repeat=g.n)) if start is None else [tuple(start)]
-    index, rows = _raw_chain(g, D, keys)
+    position = None if order is None else FixedPermutationOrder(order).position
+    index, rows = _raw_chain(g, D, keys, position)
     solution = _dense_reference(rows)
     raw = sum(solution[index[key]] for key in keys if index[key] is not None) / len(keys)
-    assert exact_expected_recolorings_dc(g, D, policy).value == raw
+    assert exact_expected_recolorings_dc(g, D, policy, order).value == raw
 
 
 # (scheduler mode, lumped, largest n): the bounds keep every chain small
@@ -596,6 +605,45 @@ def test_a_fixed_order_is_the_lowest_mimic_on_the_relabeled_graph(data):
     lowest = AdversaryOrder(AdversaryStrategy.MimicPersistent, mode="lowest")
     assert (exact_expected_recolorings_persistent(g, D, start, order).value
             == exact_expected_recolorings_dc(g_pi, D, start_pi, lowest, method="exact").value)
+
+
+def test_the_persistent_oracle_reads_the_mimic_modes_as_uniform_and_identity_order():
+    # every persistent move clears its vertex, so the mimic adversary's lock
+    # never holds a vertex there
+    badbip, c = bad_bipartite_start(3)
+    instances = [(badbip, 4, FixedStart(c)), (gen_complete_bipartite(2, 3), 4, RANDOM_START),
+                 (from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), 3, FixedStart(Coloring([1, 1, 2, 2], 3)))]
+    for g, D, start in instances:
+        for mode, order in (("uniform", "all"), ("lowest", list(range(g.n)))):
+            mimic = AdversaryOrder(AdversaryStrategy.MimicPersistent, mode=mode)
+            assert (exact_expected_recolorings_persistent(g, D, start, mimic)
+                    == exact_expected_recolorings_persistent(g, D, start, order))
+
+
+@pytest.mark.parametrize("oracle_fn", [exact_expected_recolorings_dc,
+                                       exact_expected_recolorings_persistent])
+def test_both_oracles_refuse_the_orders_they_do_not_model(oracle_fn):
+    g = gen_clique(3)
+    for order in (AdversaryOrder(AdversaryStrategy.MinPhiDrift),
+                  AdversaryOrder(AdversaryStrategy.MaxConflicted),
+                  AdversaryOrder(AdversaryStrategy.Scripted, script=[0]), "uniform"):
+        with pytest.raises(ValueError, match="the exact oracles model uniform, fixed-permutation "
+                                             "and mimic orders, not"):
+            oracle_fn(g, 3, RANDOM_START, order)
+    with pytest.raises(ValueError, match=r"order must be a permutation of 0\.\.n-1"):
+        oracle_fn(g, 3, RANDOM_START, [1, 0])
+
+
+def test_a_fixed_order_run_matches_the_one_draw_oracle():
+    g, c = bad_bipartite_start(3)
+    order = (5, 0, 1, 2, 3, 4)
+    exact = exact_expected_recolorings_dc(g, 4, FixedStart(c), FixedPermutationOrder(order))
+    assert exact.value == frac(21, 2)
+    sched = FixedPermutationOrder(order)
+    sample = [run_decentralized(g, 4, FixedStart(c), sched, trial_rng(37, t)).step3_draws
+              for t in range(4000)]
+    se = np.std(sample, ddof=1) / np.sqrt(len(sample))
+    assert abs(np.mean(sample) - exact.as_float()) <= 4 * se
 
 
 def test_a_fixed_order_run_matches_the_persistent_oracle():
