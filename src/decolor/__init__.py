@@ -55,7 +55,6 @@ from .graphs import (
     graph_from_text,
     graph_to_text,
     read_graph_file,
-    write_graph_file,
 )
 from .oracle import (
     ExactValue,

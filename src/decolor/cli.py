@@ -8,7 +8,6 @@ when that variable is set.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -57,11 +56,6 @@ def parse_spec(family: str, text: str) -> object:
     return {"kind": kind, **{name: SPEC_PARAMS[name][1](a) for name, a in zip(names, args)}}
 
 
-parse_graph_spec = functools.partial(parse_spec, "graph")
-parse_start_spec = functools.partial(parse_spec, "start")
-parse_order_spec = functools.partial(parse_spec, "order")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -75,7 +69,7 @@ def _write(path: str, text: str) -> str:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = parse_graph_spec(args.kind)
+    spec = parse_spec("graph", args.kind)
     g, bundled = build_graph(spec)
     if args.out:
         path = _write(args.out, graph_to_text(g))
@@ -172,6 +166,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("--method is read only by the one-draw recolorings oracle (--algorithm dc)")
     if args.vertex is not None and not drift:
         raise ValueError("--vertex is read only by --quantity drift")
+    for flag, given in (("--order", args.order is not None), ("--algorithm", args.algorithm),
+                        ("-v", args.verbose)):
+        if given and drift:
+            raise ValueError(f"{flag} is read only by --quantity recolorings")
     if persistent and args.order == "all":
         args.order = "uniform"  # the persistent oracle's name for uniform order
     g, D, start, order = _build(_load_config(args))
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="print exact expectations as p/q (≈ decimal)")
     p.add_argument("--graph", required=True)
-    p.add_argument("--algorithm", choices=("dc", "persistent"), default="dc")
+    p.add_argument("--algorithm", choices=("dc", "persistent"), help="default: dc")
     p.add_argument("--colors", dest="D", type=int, metavar="D")
     p.add_argument("--start", help="random | construction | mono:<c> | file:<path>")
     p.add_argument("--start-file")

@@ -327,36 +327,6 @@ class ConflictTracker:
             pos[v] = -1
 
 
-def _finish(
-    g: Graph,
-    D: int,
-    colors: list[int],
-    step3: int,
-    per_vertex: list[int],
-    selections: int,
-    terminated: bool,
-    trace: list[tuple[int, list[int]]] | None,
-) -> RunResult:
-    final = Coloring(colors, D)
-    return RunResult(
-        total_draws=g.n + step3,
-        step3_draws=step3,
-        per_vertex_draws=per_vertex,
-        selections=selections,
-        terminated=terminated,
-        final_coloring=final,
-        trace=trace,
-    )
-
-
-def tracker_coloring(tracker: ConflictTracker, D: int) -> Coloring:
-    """Zero-copy Coloring view of a tracker's live color list."""
-    out = object.__new__(Coloring)
-    out.colors = tracker.colors
-    out.palette_size = D
-    return out
-
-
 def _uniform_walk(
     g: Graph,
     D: int,
@@ -365,9 +335,10 @@ def _uniform_walk(
     per_vertex: list[int],
     cap: int,
     trace_list: list[tuple[int, list[int]]] | None,
-) -> RunResult:
+) -> tuple[int, int, bool]:
     """The persistent uniform-order run: one permutation walk (see
-    `run_persistent`), with no tracker."""
+    `run_persistent`), with no tracker. Returns (step3 draws, selections,
+    terminated)."""
     adjacency = g.adjacency
     step3 = 0
     selections = 0
@@ -402,7 +373,7 @@ def _uniform_walk(
         capped = draws[-1] in used
         if capped:
             break
-    return _finish(g, D, colors, step3, per_vertex, selections, not capped, trace_list)
+    return step3, selections, not capped
 
 
 def _run(
@@ -421,7 +392,8 @@ def _run(
     the one policy loop: pick with `sched.pick`, then draw one color, or
     redraw until the picked vertex is clear. A persistent run capped
     mid-redraw leaves that vertex conflicted, so `not members` is exactly
-    "terminated" for both algorithms.
+    "terminated" for both algorithms. Each path leaves its counters here,
+    and the run's one `RunResult` is built from them at the end.
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
@@ -432,9 +404,9 @@ def _run(
     colors = _initial_colors(g, D, start, draw)
     trace_list: list[tuple[int, list[int]]] | None = [] if trace else None
     per_vertex = [0] * g.n
-    if isinstance(sched, UniformRandomOrder):
-        if until_clear:
-            return _uniform_walk(g, D, colors, draw, per_vertex, cap, trace_list)
+    if isinstance(sched, UniformRandomOrder) and until_clear:
+        step3, selections, terminated = _uniform_walk(g, D, colors, draw, per_vertex, cap, trace_list)
+    elif isinstance(sched, UniformRandomOrder):
         tracker = ConflictTracker(g, colors)
         members = tracker.members
         lim = _TWO53 - _TWO53 % D  # _below, inlined: no per-step allocation
@@ -450,39 +422,43 @@ def _run(
             if trace_list is not None:
                 trace_list.append((v, [x]))
             tracker.recolor(v, x)
-        return _finish(g, D, colors, step3, per_vertex, step3, not members, trace_list)
-
-    tracker = ConflictTracker(g, colors)
-    members, counts = tracker.members, tracker.counts
-    coloring = tracker_coloring(tracker, D)
-    adjacency = g.adjacency
-    history: list[int] = []
-    lim = _TWO53 - _TWO53 % D
-    step3 = 0
-    while members and step3 < cap:
-        v = sched.pick(g, coloring, members, counts, history, draw)
-        history.append(v)
-        if not until_clear:
-            j = draw()  # _below, inlined: no per-step allocation
-            while j >= lim:
-                j = draw()
-            x = j % D + 1
-            draws = None
-            step3 += 1
-            per_vertex[v] += 1
-        elif per_vertex[v]:  # every selection draws at least once
-            raise RuntimeError(f"vertex {v} selected twice in a persistent run")
-        else:
-            draws = _redraw_until_clear(draw, D, {colors[u] for u in adjacency[v]}, cap - step3)
-            x = draws[-1]
-            step3 += len(draws)
-            per_vertex[v] += len(draws)
-        # intermediate draws never leave the loop, so one tracker update
-        # with the last drawn color is equivalent to applying each draw
-        tracker.recolor(v, x)
-        if trace_list is not None:
-            trace_list.append((v, draws or [x]))
-    return _finish(g, D, colors, step3, per_vertex, len(history), not members, trace_list)
+        selections, terminated = step3, not members
+    else:
+        tracker = ConflictTracker(g, colors)
+        members, counts = tracker.members, tracker.counts
+        coloring = object.__new__(Coloring)  # zero-copy view of the live color list
+        coloring.colors, coloring.palette_size = colors, D
+        adjacency = g.adjacency
+        history: list[int] = []
+        lim = _TWO53 - _TWO53 % D
+        step3 = 0
+        while members and step3 < cap:
+            v = sched.pick(g, coloring, members, counts, history, draw)
+            history.append(v)
+            if not until_clear:
+                j = draw()  # _below, inlined: no per-step allocation
+                while j >= lim:
+                    j = draw()
+                x = j % D + 1
+                draws = None
+                step3 += 1
+                per_vertex[v] += 1
+            elif per_vertex[v]:  # every selection draws at least once
+                raise RuntimeError(f"vertex {v} selected twice in a persistent run")
+            else:
+                draws = _redraw_until_clear(draw, D, {colors[u] for u in adjacency[v]}, cap - step3)
+                x = draws[-1]
+                step3 += len(draws)
+                per_vertex[v] += len(draws)
+            # intermediate draws never leave the loop, so one tracker update
+            # with the last drawn color is equivalent to applying each draw
+            tracker.recolor(v, x)
+            if trace_list is not None:
+                trace_list.append((v, draws or [x]))
+        selections, terminated = len(history), not members
+    return RunResult(total_draws=g.n + step3, step3_draws=step3, per_vertex_draws=per_vertex,
+                     selections=selections, terminated=terminated,
+                     final_coloring=Coloring(colors, D), trace=trace_list)
 
 
 def run_decentralized(

@@ -438,9 +438,9 @@ def trial_passes(cfg: ExperimentConfig, built: tuple[Graph, int, StartPolicy, Sc
     `lockstep.PERSISTENT_PASS_ENTRIES`), at least one. When a lockstep kernel
     takes the trials (`_in_kernel`) it runs the pass first and this one
     scalar loop runs the trials it hands back; otherwise the loop runs the
-    whole pass. Both give identical trials. Yields per pass (step3 draws,
-    selections, terminated, per-vertex draws with one row per trial, or None
-    unless cfg counts per_vertex).
+    whole pass. Both write identical trials into the pass's arrays, made
+    here. Yields per pass (step3 draws, selections, terminated, per-vertex
+    draws with one row per trial, or None unless cfg counts per_vertex).
     """
     g, D, start, order = built
     persistent = cfg.algorithm == "persistent"
@@ -452,26 +452,22 @@ def trial_passes(cfg: ExperimentConfig, built: tuple[Graph, int, StartPolicy, Sc
     per_pass = max(entries // (g.n + 1), 1)
     gen = np.random.Generator(np.random.PCG64(0))  # reseeded in place for every trial
     for a in range(lo, hi, per_pass):
-        b = min(a + per_pass, hi)
-        trials = range(a, b)
+        T = min(per_pass, hi - a)
+        step3, selections = np.zeros((2, T), dtype=np.int64)
+        terminated = np.ones(T, dtype=bool)
+        rows = np.zeros((T, g.n), dtype=np.int64) if kernel or want_vertex else None
+        trials = range(a, a + T)
         if kernel:
-            out, rerun = lockstep.run_pass(g, D, start, cfg.master_seed, a, b, cap, persistent, gen)
+            rerun = lockstep.run_pass(g, D, start, cfg.master_seed, a, cap, persistent, gen,
+                                      (step3, selections, terminated, rows))
             trials = (a + rerun).tolist()
-        step3, selections, terminated, rows = results = ([], [], [], [])
         for i in trials:
             r = runner(g, D, start, order, trial_rng(cfg.master_seed, i, gen), step_cap=cfg.step_cap)
-            step3.append(r.step3_draws)
-            selections.append(r.selections)
-            terminated.append(r.terminated)
+            k = i - a
+            step3[k], selections[k], terminated[k] = r.step3_draws, r.selections, r.terminated
             if want_vertex:
-                rows.append(r.per_vertex_draws)
-        if kernel:
-            if trials:  # the reruns overwrite their rows
-                for arr, values in zip(out, results[: 3 + want_vertex]):
-                    arr[rerun] = values
-            results = out
-        yield (*results[:3], results[3] if want_vertex else None)
-        results = out = None  # one pass at a time in memory
+                rows[k] = r.per_vertex_draws
+        yield step3, selections, terminated, rows if want_vertex else None
 
 
 def _run_range(cfg: ExperimentConfig, built: tuple[Graph, int, StartPolicy, SchedulerPolicy],
@@ -486,7 +482,6 @@ def _run_range(cfg: ExperimentConfig, built: tuple[Graph, int, StartPolicy, Sche
     for *pass_columns, rows in trial_passes(cfg, built, lo, hi):
         columns.append(pass_columns)
         if rows is not None:
-            rows = np.asarray(rows, dtype=np.int64)
             vertex_sum += rows.sum(axis=0)
             vertex_sumsq += np.einsum("ij,ij->j", rows, rows)
             del rows  # freed before the next pass runs

@@ -182,8 +182,3 @@ def read_graph_file(path: str) -> Graph:
     with open(path, "r", encoding="ascii") as fh:
         return graph_from_text(fh.read())
 
-
-def write_graph_file(path: str, g: Graph) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(graph_to_text(g))
-

@@ -4,9 +4,10 @@ Both kernels run one pass of trials together on numpy arrays and give
 every trial they finish exactly the result the scalar engine gives it
 alone. One entry point, ``run_pass``, runs either process, and `fits` says
 which graphs and palettes each kernel takes. Both follow the stream version
-2 rules (see ``decolor.engine``). A pass returns the trials it cannot
-finish, and ``decolor.experiments``, whose one loop runs every scalar trial,
-reruns them from the start in ``run_decentralized`` or ``run_persistent``.
+2 rules (see ``decolor.engine``). A pass fills its caller's arrays and
+returns the trials it cannot finish, and ``decolor.experiments``, whose one
+loop runs every scalar trial, reruns them from the start in
+``run_decentralized`` or ``run_persistent`` into the same rows.
 
 One-draw. The state per trial mirrors the scalar engine's: colors,
 same-color neighbor counts, the conflict tracker's swap-remove `members`
@@ -123,39 +124,34 @@ def fits(g: Graph, D: int, persistent: bool) -> bool:
 
 
 def run_pass(
-    g: Graph, D: int, start: StartPolicy, master_seed: int, a: int, b: int, cap: int,
+    g: Graph, D: int, start: StartPolicy, master_seed: int, a: int, cap: int,
     persistent: bool, gen: np.random.Generator,
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """Trials a..b-1 of a uniform-order run of the one-draw process, or of
-    the persistent one (which needs D <= 63), in one lockstep pass.
+    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Trials a, a + 1, ... of a uniform-order run of the one-draw process,
+    or of the persistent one (which needs D <= 63), in one lockstep pass.
 
-    Returns ((step3 draws, selections, terminated, per-vertex draws as a
-    (b - a, n) array), the offsets from a of the trials to rerun from the
-    start). Every other trial equals ``run_decentralized`` or
-    ``run_persistent`` on ``trial_rng(master_seed, i)``. For the one-draw
-    process, selections is the step3 array. `gen` is reseeded for every fill.
+    `out` holds the caller's arrays, one row per trial: step3 draws,
+    selections, terminated and per-vertex draws (n columns), set to 0, 0,
+    True and 0. The pass fills them and returns the offsets from a of the
+    trials to rerun from the start; every other row equals
+    ``run_decentralized`` or ``run_persistent`` on ``trial_rng(master_seed,
+    i)``. `gen` is reseeded for every fill.
     """
     if persistent and not 1 <= D <= MAX_PERSISTENT_D:
         raise ValueError(f"the persistent kernel needs 1 <= D <= {MAX_PERSISTENT_D}, got {D}")
-    n, T = g.n, b - a
+    n = g.n
     fixed = None if isinstance(start, RandomStart) else _initial_colors(g, D, start, None)
-    step3 = np.zeros(T, dtype=np.int64)
-    out = (
-        step3,
-        np.zeros(T, dtype=np.int64) if persistent else step3,
-        np.ones(T, dtype=bool),
-        np.zeros((T, n), dtype=np.int64),
-    )
     nbr = np.full((n, max(g.max_degree, 1)), n, dtype=np.int32)  # int32: smaller gathers
     for v, av in enumerate(g.adjacency):
         nbr[v, : len(av)] = av
-    args = (nbr, D, fixed, master_seed, a, b, cap, out)
-    return out, np.flatnonzero(_persistent_pass(*args, gen) if persistent else _pass(*args))
+    args = (nbr, D, fixed, master_seed, a, a + len(out[0]), cap, out)
+    return np.flatnonzero(_persistent_pass(*args, gen) if persistent else _pass(*args))
 
 
 def _pass(nbr, D, fixed, master_seed, a, b, cap, out) -> np.ndarray:
-    """Trials a..b-1 in one one-draw lockstep pass: writes their results into
-    `out` and returns the mask of trials to rerun from the start.
+    """Trials a..b-1 in one one-draw lockstep pass: fills `out` (see
+    `run_pass`) and returns the mask of trials to rerun from the start.
 
     Every trial still in lockstep has made the same number of selections and
     read the same number of values, so one cursor serves them all and the
@@ -275,8 +271,8 @@ def _pass(nbr, D, fixed, master_seed, a, b, cap, out) -> np.ndarray:
             apply_events(rows[lo_:hi_], bases[lo_:hi_], us[lo_:hi_], drops[lo_:hi_])
             lo_ = hi_
 
-    step3, _, terminated, per_vertex = out  # one-draw selections are step3
-    step3[:] = steps
+    step3, selections, terminated, per_vertex = out
+    step3[:] = selections[:] = steps  # one draw per selection
     terminated[:] = size == 0
     per_vertex[:] = pv[:, :n]
     return bad
@@ -316,8 +312,9 @@ def _colors(block: np.ndarray, D: int) -> np.ndarray:
 
 def _persistent_pass(nbr, D, fixed, master_seed, a, b, cap, out, gen) -> np.ndarray:
     """Trials a..b-1 in one persistent lockstep pass, with walk blocks of
-    `walk_block` values: writes their results into `out` and returns the mask
-    of trials to rerun from the start."""
+    `walk_block` values: fills `out` (see `run_pass`), whose step3 column is
+    each trial's walk cursor, and returns the mask of trials to rerun from
+    the start."""
     n, T = nbr.shape[0], b - a
     W = walk_block(T)
     S = n + 1

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decolor import acceptance
-from decolor.cli import main, parse_graph_spec, parse_order_spec, parse_spec, parse_start_spec
+from decolor.cli import main, parse_spec
 from decolor.experiments import (
     OUTPUT_DIR_ENV,
     SPEC_KINDS,
@@ -29,40 +29,40 @@ from decolor.experiments import (
 
 
 def test_parse_graph_specs():
-    assert parse_graph_spec("clique:8") == {"kind": "clique", "n": 8}
-    assert parse_graph_spec("bipartite:3,4") == {"kind": "bipartite", "a": 3, "b": 4}
-    assert parse_graph_spec("erdos:50,0.1,7") == {"kind": "erdos", "n": 50, "p": 0.1, "seed": 7}
-    assert parse_graph_spec("badbip:4") == {"kind": "badbip", "delta": 4}
-    assert parse_graph_spec("fig2") == {"kind": "fig2"}
-    assert parse_graph_spec("file:/tmp/g.txt") == {"kind": "file", "path": "/tmp/g.txt"}
+    assert parse_spec("graph", "clique:8") == {"kind": "clique", "n": 8}
+    assert parse_spec("graph", "bipartite:3,4") == {"kind": "bipartite", "a": 3, "b": 4}
+    assert parse_spec("graph", "erdos:50,0.1,7") == {"kind": "erdos", "n": 50, "p": 0.1, "seed": 7}
+    assert parse_spec("graph", "badbip:4") == {"kind": "badbip", "delta": 4}
+    assert parse_spec("graph", "fig2") == {"kind": "fig2"}
+    assert parse_spec("graph", "file:/tmp/g.txt") == {"kind": "file", "path": "/tmp/g.txt"}
     with pytest.raises(ValueError):
-        parse_graph_spec("clique")
+        parse_spec("graph", "clique")
     with pytest.raises(ValueError):
-        parse_graph_spec("hypercube:3")
+        parse_spec("graph", "hypercube:3")
 
 
 def test_parse_order_specs(tmp_path):
-    assert parse_order_spec("uniform") == "uniform"
-    assert parse_order_spec("min-drift") == "min-drift"
-    assert parse_order_spec("mimic") == "mimic"
-    assert parse_order_spec("mimic:lowest") == {"kind": "mimic", "mode": "lowest"}
+    assert parse_spec("order", "uniform") == "uniform"
+    assert parse_spec("order", "min-drift") == "min-drift"
+    assert parse_spec("order", "mimic") == "mimic"
+    assert parse_spec("order", "mimic:lowest") == {"kind": "mimic", "mode": "lowest"}
     perm = tmp_path / "perm.txt"
     perm.write_text("2 0 1\n")
-    assert parse_order_spec(f"perm:{perm}") == {"kind": "perm", "order": [2, 0, 1]}
+    assert parse_spec("order", f"perm:{perm}") == {"kind": "perm", "order": [2, 0, 1]}
     script = tmp_path / "s.txt"
     script.write_text("0\n0 1\n")
-    assert parse_order_spec(f"script:{script}") == {"kind": "script", "picks": [0, 0, 1]}
+    assert parse_spec("order", f"script:{script}") == {"kind": "script", "picks": [0, 0, 1]}
     with pytest.raises(ValueError):
-        parse_order_spec("random")
+        parse_spec("order", "random")
 
 
 def test_parse_start_specs():
-    assert parse_start_spec("random") == "random"
-    assert parse_start_spec("construction") == "construction"
-    assert parse_start_spec("mono:2") == {"kind": "mono", "color": 2}
-    assert parse_start_spec("file:c.txt") == {"kind": "file", "path": "c.txt"}
+    assert parse_spec("start", "random") == "random"
+    assert parse_spec("start", "construction") == "construction"
+    assert parse_spec("start", "mono:2") == {"kind": "mono", "color": 2}
+    assert parse_spec("start", "file:c.txt") == {"kind": "file", "path": "c.txt"}
     with pytest.raises(ValueError):
-        parse_start_spec("zeros")
+        parse_spec("start", "zeros")
 
 
 def test_the_readme_cli_table_lists_every_compact_spec(tmp_path):
@@ -186,6 +186,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         "error: --method is read only by the one-draw recolorings oracle (--algorithm dc)\n")
     assert main(["oracle", "--graph", "clique:3", "--vertex", "1"]) == 2
     assert capsys.readouterr().err == "error: --vertex is read only by --quantity drift\n"
+    drift = ["oracle", "--graph", "fig2", "--quantity", "drift", "--start", "construction", "--vertex", "0"]
+    for flags in (["--order", "min-drift", "--algorithm", "persistent", "-v"], ["--algorithm", "dc"], ["-v"]):
+        assert main(drift + flags) == 2
+        assert capsys.readouterr().err == f"error: {flags[0]} is read only by --quantity recolorings\n"
 
 
 def test_malformed_graph_file_exits_2_with_one_error_line(tmp_path, capsys):

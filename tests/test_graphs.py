@@ -17,7 +17,6 @@ from decolor.graphs import (
     graph_from_text,
     graph_to_text,
     read_graph_file,
-    write_graph_file,
 )
 from decolor.coloring import conflicted_vertices, monochromatic_component_count
 
@@ -147,7 +146,7 @@ def test_graph_text_errors_name_the_bad_line(text, message):
 def test_file_round_trip(tmp_path):
     g = gen_erdos_renyi(12, 0.3, 99)
     path = tmp_path / "g.txt"
-    write_graph_file(str(path), g)
+    path.write_text(graph_to_text(g))
     assert read_graph_file(str(path)) == g
     first = path.read_text().splitlines()[0]
     assert first == f"{g.n} {g.edge_count()}"

@@ -392,7 +392,26 @@ def test_persistent_ranges_longer_than_one_pass(monkeypatch):
 
 def test_the_persistent_kernel_rejects_palettes_above_63():
     with pytest.raises(ValueError, match="D <= 63"):
-        lockstep.run_pass(gen_clique(4), 64, RANDOM_START, 1, 0, 10, 100, True, np.random.default_rng())
+        lockstep.run_pass(gen_clique(4), 64, RANDOM_START, 1, 0, 100, True, np.random.default_rng(), None)
+
+
+def test_run_pass_fills_the_callers_arrays():
+    # with a cap of 6 on K6 some trials stop at the cap in the one-draw
+    # kernel, and some persistent ones rerun
+    g, D, a, T, cap = gen_clique(6), 6, 3, 40, 6
+    for persistent, runner in ((False, run_decentralized), (True, run_persistent)):
+        out = (np.zeros(T, dtype=np.int64), np.zeros(T, dtype=np.int64), np.ones(T, dtype=bool),
+               np.zeros((T, g.n), dtype=np.int64))
+        rerun = lockstep.run_pass(g, D, RANDOM_START, 5, a, cap, persistent, np.random.default_rng(), out)
+        kept = sorted(set(range(T)) - set(rerun.tolist()))
+        assert kept and (rerun.size > 0) == persistent
+        for k in kept:
+            r = runner(g, D, RANDOM_START, UNIFORM_ORDER, trial_rng(5, a + k), step_cap=cap)
+            assert [arr[k].tolist() for arr in out] == [
+                r.step3_draws, r.selections, r.terminated, r.per_vertex_draws]
+        if not persistent:
+            assert not out[2].all()  # capped trials finish in the kernel
+            assert (out[1] == out[0]).all() and not np.shares_memory(out[0], out[1])
 
 
 @pytest.mark.parametrize(
