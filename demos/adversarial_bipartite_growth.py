@@ -10,7 +10,6 @@ random start would finish in near-linear time.
 
 from decolor import (
     ExperimentConfig,
-    FixedStart,
     bad_bipartite_start,
     exact_expected_recolorings_persistent,
     run_trials,
@@ -20,7 +19,7 @@ from decolor import (
 
 # the exact value is available for tiny d via the recursive oracle
 g, c = bad_bipartite_start(3)
-exact = exact_expected_recolorings_persistent(g, 4, FixedStart(c), "all")
+exact = exact_expected_recolorings_persistent(g, 4, c, "all")
 print(f"d=3 exact expected post-start draws: {exact}")
 
 # Monte Carlo growth: mean/(n*max_degree) stays bounded away from zero,

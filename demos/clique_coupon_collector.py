@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from decolor import (
     ExperimentConfig,
-    RANDOM_START,
     UNIFORM_ORDER,
     exact_expected_recolorings_dc,
     gen_clique,
@@ -23,7 +22,7 @@ from decolor import (
 
 # exact chain solves for the two smallest interesting cliques
 for n in (3, 4):
-    value = exact_expected_recolorings_dc(gen_clique(n), n, RANDOM_START, UNIFORM_ORDER)
+    value = exact_expected_recolorings_dc(gen_clique(n), n, None, UNIFORM_ORDER)
     target = Fraction(n) * harmonic(n).value - n
     print(f"K{n}: exact post-start draws = {value}  (n*H_n - n = {target})")
 

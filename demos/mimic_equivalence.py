@@ -13,7 +13,6 @@ from decolor import (
     AdversaryStrategy,
     Coloring,
     ExperimentConfig,
-    FixedStart,
     exact_expected_recolorings_dc,
     exact_expected_recolorings_persistent,
     from_edge_list,
@@ -29,7 +28,7 @@ instances = [
 
 mimic = AdversaryOrder(AdversaryStrategy.MimicPersistent, mode="uniform")
 for label, g, D, colors in instances:
-    start = FixedStart(Coloring(colors, D))
+    start = Coloring(colors, D)
     # the persistent oracle reads the mimic order as uniform order
     one_draw = exact_expected_recolorings_dc(g, D, start, mimic, method="exact")
     persistent = exact_expected_recolorings_persistent(g, D, start, mimic)

@@ -31,12 +31,8 @@ from .engine import (
     AdversaryOrder,
     ConflictTracker,
     FixedPermutationOrder,
-    FixedStart,
-    RANDOM_START,
-    RandomStart,
     RunResult,
     SchedulerPolicy,
-    StartPolicy,
     UNIFORM_ORDER,
     UniformRandomOrder,
     default_step_cap,

@@ -13,7 +13,7 @@ import sys
 
 from . import acceptance, oracle
 from .coloring import Coloring, coloring_to_text
-from .engine import FixedStart, run_decentralized, run_persistent, trace_to_text
+from .engine import run_decentralized, run_persistent, trace_to_text
 from .experiments import (
     SPEC_KINDS,
     SPEC_PARAMS,
@@ -90,8 +90,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
     A config flag's dest is the name of its ExperimentConfig field, and a
     flag left out is None, so it keeps the file's value. Spec texts go
-    through `parse_spec`; --start-file is the start `file:<path>` and beats
-    --start.
+    through `parse_spec`.
     """
     data: dict = {}
     if getattr(args, "config", None):
@@ -103,8 +102,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
     given = dict(vars(args))
-    if given.get("start_file"):
-        given["start"] = f"file:{given['start_file']}"
     # an empty --counters sets nothing, like an absent one
     given["counters"] = ([c.strip() for c in given["counters"].split(",")]
                          if given.get("counters") else None)
@@ -185,10 +182,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return 0
 
     # one-step recoloring drifts at a conflicted vertex
-    if not isinstance(start, FixedStart):
+    if start is None:
         raise ValueError("drift quantities need a fixed start (--start file:/mono:/construction)")
     # under the run's palette: a bundled start keeps its own
-    c = Coloring(start.coloring.colors, D)
+    c = Coloring(start.colors, D)
     if args.vertex is None:
         raise ValueError("--vertex is required for --quantity drift")
     phi, vert, edge = oracle.exact_expected_conflict_deltas(g, c, args.vertex)
@@ -248,7 +245,6 @@ def _add_config_flags(p: argparse.ArgumentParser, out_help: str) -> None:
     p.add_argument("--colors", dest="D", type=int, metavar="D",
                    help="palette size (default: max degree + 1)")
     p.add_argument("--start", help="random | construction | mono:<c> | file:<path>")
-    p.add_argument("--start-file", help="coloring file to start from (overrides --start)")
     p.add_argument("--order",
                    help="uniform | perm:<file> | mimic[:lowest] | min-drift | "
                         "max-conflicted | script:<file>")
@@ -293,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=("dc", "persistent"), help="default: dc")
     p.add_argument("--colors", dest="D", type=int, metavar="D")
     p.add_argument("--start", help="random | construction | mono:<c> | file:<path>")
-    p.add_argument("--start-file")
     p.add_argument("--order", help="uniform | perm:<file> | mimic[:lowest]; persistent also all")
     p.add_argument("--method", choices=("auto", "exact", "iterative"),
                    help="one-draw solve (default: auto)")

@@ -1,9 +1,10 @@
 """The two recoloring algorithms as deterministic-given-seed state machines.
 
-Both algorithms start from a coloring (random or supplied), then repeatedly
-select a conflicted vertex and redraw its color uniformly from the whole
-palette {1..D}, current color included. The one-draw variant
-(`run_decentralized`) performs exactly one draw per selection; the
+Both algorithms start from a coloring, then repeatedly select a conflicted
+vertex and redraw its color uniformly from the whole palette {1..D}, current
+color included. The start is a given `Coloring` (an adversarial one, say),
+or None: every vertex draws its initial color uniformly. The one-draw
+variant (`run_decentralized`) performs exactly one draw per selection; the
 persistent variant (`run_persistent`) keeps drawing until the selected
 vertex is unconflicted, after which that vertex is never selected again.
 
@@ -21,10 +22,11 @@ in order, so block sizes never change a result. The order is: the n initial
 colors (random start only); for the persistent uniform path, the
 Fisher-Yates values of its permutation; then, per selection, the pick value
 (uniform order, or the mimic adversary's uniform choice) followed by the
-selection's color values. Colors and Fisher-Yates positions are exactly
-uniform: a value in [0, k) is j mod k, rejecting j >= 2^53 - 2^53 mod k and
-taking the next value. A pick among the conflicted list C is
-C[floor(u * |C|)], computed exactly as (j * |C|) >> 53.
+selection's color values. Colors and Fisher-Yates positions follow the
+exact-uniform rule: a value in [0, k) is j mod k, rejecting
+j >= 2^53 - 2^53 mod k and taking the next value. A pick among the
+conflicted list C is C[floor(u * |C|)], computed exactly as
+(j * |C|) >> 53.
 
 The uniform order indexes the ConflictTracker's member list, so its order
 (ascending at the start, then swap-removes and appends in the order
@@ -44,35 +46,12 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import adversary as _adv
+from . import coloring as _coloring
 from .adversary import AdversaryStrategy
 from .coloring import Coloring
 from .graphs import Graph
 
 _TWO53 = 1 << 53
-
-
-class RandomStart:
-    """Step-1 policy: every vertex draws its initial color uniformly."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "RandomStart()"
-
-
-RANDOM_START = RandomStart()
-
-
-class FixedStart:
-    """Step-1 policy: start from the given coloring (e.g. an adversarial one)."""
-
-    __slots__ = ("coloring",)
-
-    def __init__(self, coloring: Coloring):
-        self.coloring = coloring
-
-    def __repr__(self) -> str:
-        return f"FixedStart({self.coloring!r})"
 
 
 class UniformRandomOrder:
@@ -161,7 +140,6 @@ class AdversaryOrder:
         return v
 
 
-StartPolicy = Union[RandomStart, FixedStart]
 SchedulerPolicy = Union[UniformRandomOrder, FixedPermutationOrder, AdversaryOrder]
 
 
@@ -209,15 +187,6 @@ def _stream(rng: np.random.Generator, n: int) -> Callable[[], int]:
     return itertools.chain.from_iterable(blocks()).__next__
 
 
-def _below(draw: Callable[[], int], k: int) -> int:
-    """Exactly uniform integer in [0, k) from the stream (see the module doc)."""
-    lim = _TWO53 - _TWO53 % k
-    j = draw()
-    while j >= lim:
-        j = draw()
-    return j % k
-
-
 def _redraw_until_clear(draw: Callable[[], int], D: int, used: set[int], room: int) -> list[int]:
     """One persistent selection's colors: draw until one avoids `used`, at
     most `room` (>= 1) times; the run is capped iff the last one is in `used`."""
@@ -234,9 +203,9 @@ def _redraw_until_clear(draw: Callable[[], int], D: int, used: set[int], room: i
     return draws
 
 
-def _initial_colors(g: Graph, D: int, start: StartPolicy, draw: Callable[[], int]) -> list[int]:
-    if isinstance(start, RandomStart):
-        lim = _TWO53 - _TWO53 % D  # _below, inlined: one value per color
+def _initial_colors(g: Graph, D: int, start: Coloring | None, draw: Callable[[], int]) -> list[int]:
+    if start is None:
+        lim = _TWO53 - _TWO53 % D  # exact-uniform rule (module doc): one value per color
         colors = []
         for _ in range(g.n):
             j = draw()
@@ -244,14 +213,15 @@ def _initial_colors(g: Graph, D: int, start: StartPolicy, draw: Callable[[], int
                 j = draw()
             colors.append(j % D + 1)
         return colors
-    if isinstance(start, FixedStart):
-        c = start.coloring
-        if len(c.colors) != g.n:
-            raise ValueError(f"fixed start has {len(c.colors)} colors for n={g.n}")
-        if c.colors and max(c.colors) > D:
-            raise ValueError(f"fixed start uses color {max(c.colors)} > D={D}")
-        return list(c.colors)
-    raise TypeError(f"unknown start policy {start!r}")
+    # the coloring module's class: a tracer may rebind this module's
+    # `Coloring` to a subclass after the start was built
+    if not isinstance(start, _coloring.Coloring):
+        raise TypeError(f"a start is a Coloring or None, not {start!r}")
+    if len(start.colors) != g.n:
+        raise ValueError(f"fixed start has {len(start.colors)} colors for n={g.n}")
+    if start.colors and max(start.colors) > D:
+        raise ValueError(f"fixed start uses color {max(start.colors)} > D={D}")
+    return list(start.colors)
 
 
 class ConflictTracker:
@@ -345,7 +315,7 @@ def _uniform_walk(
     capped = False
     perm = list(range(g.n))
     for k in range(g.n, 1, -1):
-        lim = _TWO53 - _TWO53 % k  # _below, inlined
+        lim = _TWO53 - _TWO53 % k  # exact-uniform rule (module doc)
         j = draw()
         while j >= lim:
             j = draw()
@@ -379,7 +349,7 @@ def _uniform_walk(
 def _run(
     g: Graph,
     D: int,
-    start: StartPolicy,
+    start: Coloring | None,
     sched: SchedulerPolicy,
     rng: np.random.Generator,
     step_cap: int | None,
@@ -409,7 +379,7 @@ def _run(
     elif isinstance(sched, UniformRandomOrder):
         tracker = ConflictTracker(g, colors)
         members = tracker.members
-        lim = _TWO53 - _TWO53 % D  # _below, inlined: no per-step allocation
+        lim = _TWO53 - _TWO53 % D  # exact-uniform rule (module doc)
         step3 = 0
         while members and step3 < cap:
             v = members[draw() * len(members) >> 53]
@@ -436,7 +406,7 @@ def _run(
             v = sched.pick(g, coloring, members, counts, history, draw)
             history.append(v)
             if not until_clear:
-                j = draw()  # _below, inlined: no per-step allocation
+                j = draw()  # exact-uniform rule (module doc)
                 while j >= lim:
                     j = draw()
                 x = j % D + 1
@@ -464,7 +434,7 @@ def _run(
 def run_decentralized(
     g: Graph,
     D: int,
-    start: StartPolicy,
+    start: Coloring | None,
     sched: SchedulerPolicy,
     rng: np.random.Generator,
     step_cap: int | None = None,
@@ -481,7 +451,7 @@ def run_decentralized(
 def run_persistent(
     g: Graph,
     D: int,
-    start: StartPolicy,
+    start: Coloring | None,
     sched: SchedulerPolicy,
     rng: np.random.Generator,
     step_cap: int | None = None,

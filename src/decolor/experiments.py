@@ -32,10 +32,7 @@ from .coloring import (
 from .engine import (
     AdversaryOrder,
     FixedPermutationOrder,
-    FixedStart,
-    RANDOM_START,
     SchedulerPolicy,
-    StartPolicy,
     UNIFORM_ORDER,
     UniformRandomOrder,
     default_step_cap,
@@ -271,16 +268,16 @@ def resolve_palette(spec_d: int | None, g: Graph, bundled: Coloring | None) -> i
     return g.max_degree + 1
 
 
-def build_start(spec: Any, g: Graph, D: int, bundled: Coloring | None) -> StartPolicy:
+def build_start(spec: Any, g: Graph, D: int, bundled: Coloring | None) -> Coloring | None:
     if spec == "random":
-        return RANDOM_START
+        return None
     if spec == "construction":
         if bundled is None:
             raise ValueError("start 'construction' needs a graph kind that bundles a coloring")
-        return FixedStart(bundled)
+        return bundled
     kind, p = _spec_params("start", spec)
     if kind == "fixed":
-        return FixedStart(Coloring(p["colors"], D))
+        return Coloring(p["colors"], D)
     if kind == "file":
         c = read_coloring_file(p["path"])
         if c.palette_size != D:
@@ -288,10 +285,10 @@ def build_start(spec: Any, g: Graph, D: int, bundled: Coloring | None) -> StartP
                 f"start file has palette D={c.palette_size} but the run uses "
                 f"D={D}; pass --colors {c.palette_size} to match it"
             )
-        return FixedStart(c)
+        return c
     if not (1 <= p["color"] <= D):
         raise ValueError(f"mono start color {p['color']} outside 1..{D}")
-    return FixedStart(Coloring([p["color"]] * g.n, D))
+    return Coloring([p["color"]] * g.n, D)
 
 
 def build_order(spec: Any, g: Graph) -> SchedulerPolicy:
@@ -406,7 +403,7 @@ class TrialsResult:
 # trial execution
 
 
-def _build(cfg: ExperimentConfig) -> tuple[Graph, int, StartPolicy, SchedulerPolicy]:
+def _build(cfg: ExperimentConfig) -> tuple[Graph, int, Coloring | None, SchedulerPolicy]:
     """cfg's graph, palette, start and order, validated."""
     g, bundled = build_graph(cfg.graph)
     D = resolve_palette(cfg.D, g, bundled)
@@ -430,7 +427,7 @@ def _chunks(trials: int, workers: int, kernel: bool) -> list[tuple[int, int]]:
     return [(i, min(i + chunk, trials)) for i in range(0, trials, chunk)]
 
 
-def trial_passes(cfg: ExperimentConfig, built: tuple[Graph, int, StartPolicy, SchedulerPolicy],
+def trial_passes(cfg: ExperimentConfig, built: tuple[Graph, int, Coloring | None, SchedulerPolicy],
                  lo: int, hi: int):
     """Run trials [lo, hi) of cfg on built = `_build(cfg)`, a pass at a time.
 
@@ -470,7 +467,7 @@ def trial_passes(cfg: ExperimentConfig, built: tuple[Graph, int, StartPolicy, Sc
         yield step3, selections, terminated, rows if want_vertex else None
 
 
-def _run_range(cfg: ExperimentConfig, built: tuple[Graph, int, StartPolicy, SchedulerPolicy],
+def _run_range(cfg: ExperimentConfig, built: tuple[Graph, int, Coloring | None, SchedulerPolicy],
                lo: int, hi: int):
     """Run trials [lo, hi) of cfg on built = `_build(cfg)` (see `trial_passes`).
 

@@ -54,7 +54,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import RandomStart, StartPolicy, _initial_colors
+from .coloring import Coloring
+from .engine import _initial_colors
 from .graphs import Graph
 from .rng import stream_rows, trial_rng
 
@@ -124,7 +125,7 @@ def fits(g: Graph, D: int, persistent: bool) -> bool:
 
 
 def run_pass(
-    g: Graph, D: int, start: StartPolicy, master_seed: int, a: int, cap: int,
+    g: Graph, D: int, start: Coloring | None, master_seed: int, a: int, cap: int,
     persistent: bool, gen: np.random.Generator,
     out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
@@ -141,7 +142,7 @@ def run_pass(
     if persistent and not 1 <= D <= MAX_PERSISTENT_D:
         raise ValueError(f"the persistent kernel needs 1 <= D <= {MAX_PERSISTENT_D}, got {D}")
     n = g.n
-    fixed = None if isinstance(start, RandomStart) else _initial_colors(g, D, start, None)
+    fixed = None if start is None else _initial_colors(g, D, start, None)
     nbr = np.full((n, max(g.max_degree, 1)), n, dtype=np.int32)  # int32: smaller gathers
     for v, av in enumerate(g.adjacency):
         nbr[v, : len(av)] = av

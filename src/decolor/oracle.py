@@ -40,9 +40,7 @@ from .coloring import (
 from .engine import (
     AdversaryOrder,
     FixedPermutationOrder,
-    RandomStart,
     SchedulerPolicy,
-    StartPolicy,
     UniformRandomOrder,
     _initial_colors,
 )
@@ -183,7 +181,7 @@ def _color_moves(state: tuple[int, ...], v: int, D: int, skip: Collection[int] =
     return moves
 
 
-def _walk(g: Graph, D: int, start: StartPolicy, position: Sequence[int] | None,
+def _walk(g: Graph, D: int, start: Coloring | None, position: Sequence[int] | None,
           moves: Callable) -> tuple[list, int, Iterator]:
     """Breadth-first walk over the states reached from the start distribution.
 
@@ -194,7 +192,7 @@ def _walk(g: Graph, D: int, start: StartPolicy, position: Sequence[int] | None,
     is given, else every conflicted vertex. moves(pattern, v) lists the
     (child pattern, weight, locked vertex) triples of picking v.
 
-    A random start weighs each canonical pattern by the D!/(D-k)! raw
+    A random start (None) weighs each canonical pattern by the D!/(D-k)! raw
     colorings with its k colors; a fixed start is one state, validated by
     the engine. Each state is interned once, and every state counts against
     STATE_BUDGET, so a random start is refused before enumeration when its
@@ -205,14 +203,14 @@ def _walk(g: Graph, D: int, start: StartPolicy, position: Sequence[int] | None,
     row order each transient state's conflicted count and, per pick, its
     [(child row or None, weight)].
     """
-    if not isinstance(start, RandomStart):
-        weighted, total_weight = [(canonical_pattern(_initial_colors(g, D, start, None)), 1)], 1
-    else:
+    if start is None:
         count = _pattern_count(g.n, D)
         if count > STATE_BUDGET:
             raise ValueError(f"a random start on {g.n} vertices with D={D} has {count} colorings "
                              f"up to renaming, over the state budget of {STATE_BUDGET}")
         weighted, total_weight = [(p, perm(D, max(p))) for p in _patterns(g.n, D)], D**g.n
+    else:
+        weighted, total_weight = [(canonical_pattern(_initial_colors(g, D, start, None)), 1)], 1
     index: dict = {}
     queue: list = []
 
@@ -275,7 +273,7 @@ def _pick_rule(g: Graph, order: Order) -> tuple[Sequence[int] | None, bool]:
     raise ValueError(f"the exact oracles model uniform, fixed-permutation and mimic orders, not {order!r}")
 
 
-def _build_dc_chain(g: Graph, D: int, start: StartPolicy, order: Order) -> tuple[list, int, list]:
+def _build_dc_chain(g: Graph, D: int, start: Coloring | None, order: Order) -> tuple[list, int, list]:
     """The one-draw chain from the start distribution, as the rows of I - Q.
 
     Returns the walk's starts and total weight, and rows, where rows[r] =
@@ -468,7 +466,7 @@ def _solve_certified(rows: list, m_bound: int, tol: Fraction) -> tuple[list, Fra
 def exact_expected_recolorings_dc(
     g: Graph,
     D: int,
-    start: StartPolicy,
+    start: Coloring | None,
     order: Order = None,
     *,
     method: str = "auto",
@@ -520,7 +518,7 @@ def exact_expected_recolorings_dc(
 def exact_expected_recolorings_persistent(
     g: Graph,
     D: int,
-    start: StartPolicy,
+    start: Coloring | None,
     order: Order = None,
 ) -> ExactValue:
     """Exact expected draws of the persistent process.

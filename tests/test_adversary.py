@@ -22,9 +22,7 @@ from decolor.adversary import (
 )
 from decolor.coloring import Coloring, conflicted_vertices, is_conflicted, same_color_counts
 from decolor.engine import (
-    RANDOM_START,
     AdversaryOrder,
-    FixedStart,
     run_decentralized,
     run_persistent,
 )
@@ -186,9 +184,9 @@ def drift_runs(draw):
         construction = None
     D = draw(st.integers(max(construction or [1]), g.max_degree + 3))
     colors = draw(st.lists(st.integers(1, D), min_size=g.n, max_size=g.n))
-    starts = [RANDOM_START, FixedStart(Coloring([1] * g.n, D)), FixedStart(Coloring(colors, D))]
+    starts = [None, Coloring([1] * g.n, D), Coloring(colors, D)]
     if construction:
-        starts.append(FixedStart(Coloring(construction, D)))
+        starts.append(Coloring(construction, D))
     runs = st.tuples(st.sampled_from([run_decentralized, run_persistent]), st.sampled_from(starts),
                      st.sampled_from([0, 1, 5, None]), st.integers(0, 2**32))
     return g, D, draw(st.lists(runs, min_size=1, max_size=4))

@@ -99,6 +99,22 @@ def test_the_readme_cli_table_lists_every_compact_spec(tmp_path):
                 parse_spec(family, f"{kind}:{values['<file>']}")
 
 
+def test_the_readme_quick_start_prints_what_its_comments_say(capsys):
+    # the README's python block as a user would paste it; each print's
+    # comment gives its value, exact (5/2) or about (~21.74, within 0.5 %)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = re.findall(r"^print\(.*# (~?)([\d./]+)", block, re.M)
+    assert len(printed) == len(comments) == 3
+    for line, (about, value) in zip(printed, comments):
+        if about:
+            assert abs(float(line) - float(value)) <= 0.005 * float(value), (line, value)
+        else:
+            assert line.split()[0] == value, (line, value)
+
+
 def test_gen_stdout_and_files(tmp_path, capsys):
     assert main(["gen", "clique:3"]) == 0
     assert capsys.readouterr().out == "3 3\n0 1\n0 2\n1 2\n"
@@ -293,7 +309,7 @@ def test_a_config_file_that_is_not_json_is_named_in_the_error(tmp_path, capsys, 
 def test_a_bad_start_file_token_names_its_line(tmp_path, capsys, text, message):
     path = tmp_path / "start.txt"
     path.write_text(text)
-    args = ["run", "--graph", "clique:3", "--start-file", str(path), "--trials", "1"]
+    args = ["run", "--graph", "clique:3", "--start", f"file:{path}", "--trials", "1"]
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -494,13 +510,13 @@ def test_every_run_flag_lands_on_its_config_field(tmp_path):
         "run", "--graph", "clique:3", "--trials", "3", "--colors", "4", "--seed", "11",
         "--out", str(out), "--step-cap", "50", "--workers", "1",
         "--counters", "step3_draws, per_vertex", "--per-trial", "--exclude-cap-hits",
-        "--order", f"perm:{perm}", "--start", "mono:1", "--start-file", str(start),
+        "--order", f"perm:{perm}", "--start", f"file:{start}",
     ]) == 0
     assert json.loads((tmp_path / "r.json").read_text())["config"] == {
         "graph": {"kind": "clique", "n": 3},
         "algorithm": "dc",
         "D": 4,
-        "start": {"kind": "file", "path": str(start)},  # --start-file beats --start
+        "start": {"kind": "file", "path": str(start)},
         "order": {"kind": "perm", "order": [2, 0, 1]},
         "trials": 3,
         "master_seed": 11,

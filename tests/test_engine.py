@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -21,8 +22,6 @@ from decolor.engine import (
     AdversaryOrder,
     ConflictTracker,
     FixedPermutationOrder,
-    FixedStart,
-    RANDOM_START,
     UNIFORM_ORDER,
     default_step_cap,
     run_decentralized,
@@ -38,7 +37,7 @@ RUNNERS = [run_decentralized, run_persistent]
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_total_draws_counts_the_initial_coloring(runner):
     g = gen_clique(4)
-    for start in (RANDOM_START, FixedStart(Coloring([1, 1, 2, 3], 4))):
+    for start in (None, Coloring([1, 1, 2, 3], 4)):
         r = runner(g, 4, start, UNIFORM_ORDER, trial_rng(1, 0))
         assert r.total_draws == g.n + r.step3_draws
         assert r.terminated
@@ -48,7 +47,7 @@ def test_total_draws_counts_the_initial_coloring(runner):
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_proper_start_is_a_no_op(runner):
     g = gen_cycle(5)
-    r = runner(g, 3, FixedStart(Coloring([1, 2, 1, 2, 3], 3)), UNIFORM_ORDER, trial_rng(0, 0))
+    r = runner(g, 3, Coloring([1, 2, 1, 2, 3], 3), UNIFORM_ORDER, trial_rng(0, 0))
     assert r.step3_draws == 0
     assert r.selections == 0
     assert r.total_draws == 5
@@ -56,7 +55,7 @@ def test_proper_start_is_a_no_op(runner):
 
 def test_one_draw_selections_equal_step3():
     g = gen_clique(6)
-    r = run_decentralized(g, 6, RANDOM_START, UNIFORM_ORDER, trial_rng(3, 1))
+    r = run_decentralized(g, 6, None, UNIFORM_ORDER, trial_rng(3, 1))
     assert r.selections == r.step3_draws
     assert sum(r.per_vertex_draws) == r.step3_draws
 
@@ -64,7 +63,7 @@ def test_one_draw_selections_equal_step3():
 def test_persistent_selects_each_vertex_at_most_once():
     g = gen_erdos_renyi(12, 0.4, 5)
     for i in range(20):
-        r = run_persistent(g, g.max_degree + 1, RANDOM_START, UNIFORM_ORDER, trial_rng(9, i))
+        r = run_persistent(g, g.max_degree + 1, None, UNIFORM_ORDER, trial_rng(9, i))
         assert r.selections <= g.n
         assert r.step3_draws >= r.selections  # every selection draws at least once
         assert sum(r.per_vertex_draws) == r.step3_draws
@@ -73,7 +72,7 @@ def test_persistent_selects_each_vertex_at_most_once():
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_step_cap_reports_instead_of_raising(runner):
     g = gen_clique(3)
-    bad = FixedStart(Coloring([1, 1, 1], 3))
+    bad = Coloring([1, 1, 1], 3)
     r = runner(g, 3, bad, UNIFORM_ORDER, trial_rng(0, 0), step_cap=0)
     assert not r.terminated
     assert r.step3_draws == 0
@@ -83,7 +82,7 @@ def test_step_cap_reports_instead_of_raising(runner):
 
 def test_cap_bounds_step3_draws():
     g = gen_clique(4)
-    bad = FixedStart(Coloring([1, 1, 1, 1], 4))
+    bad = Coloring([1, 1, 1, 1], 4)
     for cap in (1, 2, 5):
         r = run_decentralized(g, 4, bad, UNIFORM_ORDER, trial_rng(2, 0), step_cap=cap)
         assert r.step3_draws <= cap
@@ -97,7 +96,7 @@ def test_default_step_cap_formula():
 
 def test_fixed_permutation_takes_first_conflicted_in_order():
     g = from_edge_list(4, [(0, 1), (2, 3)])
-    start = FixedStart(Coloring([1, 1, 2, 2], 3))
+    start = Coloring([1, 1, 2, 2], 3)
     sched = FixedPermutationOrder([2, 0, 3, 1])
     r = run_decentralized(g, 3, start, sched, trial_rng(4, 0), trace=True)
     assert r.trace[0][0] == 2  # vertex 2 precedes 0 in the permutation
@@ -109,12 +108,42 @@ def test_fixed_permutation_takes_first_conflicted_in_order():
 def test_fixed_permutation_of_the_wrong_length_is_rejected(runner, order):
     # a valid permutation of 0..len-1, but not of the graph's 0..n-1
     with pytest.raises(ValueError, match=r"order must be a permutation of 0\.\.n-1"):
-        runner(gen_cycle(5), 3, RANDOM_START, FixedPermutationOrder(order), trial_rng(1, 0))
+        runner(gen_cycle(5), 3, None, FixedPermutationOrder(order), trial_rng(1, 0))
+
+
+@pytest.mark.parametrize("bad", [[1, 1, 2], "random"])
+def test_a_start_that_is_neither_none_nor_a_coloring_is_a_type_error(bad):
+    # the colors without their palette, or a start spec instead of its build
+    from decolor import lockstep
+    from decolor.oracle import exact_expected_recolorings_dc, exact_expected_recolorings_persistent
+
+    g = gen_clique(3)
+    out = (np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), np.ones(4, dtype=bool),
+           np.zeros((4, 3), dtype=np.int64))
+    calls = [
+        lambda: run_decentralized(g, 3, bad, UNIFORM_ORDER, trial_rng(0, 0)),
+        lambda: run_persistent(g, 3, bad, UNIFORM_ORDER, trial_rng(0, 0)),
+        lambda: lockstep.run_pass(g, 3, bad, 0, 0, 100, False, np.random.default_rng(), out),
+        lambda: lockstep.run_pass(g, 3, bad, 0, 0, 100, True, np.random.default_rng(), out),
+        lambda: exact_expected_recolorings_dc(g, 3, bad),
+        lambda: exact_expected_recolorings_persistent(g, 3, bad),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=re.escape(f"a start is a Coloring or None, not {bad!r}")):
+            call()
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_a_fixed_start_is_checked_against_the_graph_and_palette(runner):
+    with pytest.raises(ValueError, match="fixed start has 2 colors for n=3"):
+        runner(gen_clique(3), 3, Coloring([1, 2], 3), UNIFORM_ORDER, trial_rng(0, 0))
+    with pytest.raises(ValueError, match="fixed start uses color 4 > D=3"):
+        runner(gen_clique(3), 3, Coloring([1, 2, 4], 4), UNIFORM_ORDER, trial_rng(0, 0))
 
 
 def test_scripted_scheduler_rejects_unconflicted_vertex():
     g = from_edge_list(3, [(0, 1)])
-    start = FixedStart(Coloring([1, 1, 2], 3))
+    start = Coloring([1, 1, 2], 3)
     sched = AdversaryOrder(AdversaryStrategy.Scripted, script=[2, 0])
     with pytest.raises(ValueError, match="not conflicted"):
         run_decentralized(g, 3, start, sched, trial_rng(0, 0))
@@ -122,21 +151,21 @@ def test_scripted_scheduler_rejects_unconflicted_vertex():
 
 def test_trace_does_not_change_draw_consumption():
     g = gen_clique(5)
-    plain = run_decentralized(g, 5, RANDOM_START, UNIFORM_ORDER, trial_rng(11, 2))
-    traced = run_decentralized(g, 5, RANDOM_START, UNIFORM_ORDER, trial_rng(11, 2), trace=True)
+    plain = run_decentralized(g, 5, None, UNIFORM_ORDER, trial_rng(11, 2))
+    traced = run_decentralized(g, 5, None, UNIFORM_ORDER, trial_rng(11, 2), trace=True)
     assert plain.step3_draws == traced.step3_draws
     assert plain.final_coloring.colors == traced.final_coloring.colors
     assert sum(len(d) for _, d in traced.trace) == traced.step3_draws
 
-    p = run_persistent(g, 5, RANDOM_START, UNIFORM_ORDER, trial_rng(11, 3))
-    t = run_persistent(g, 5, RANDOM_START, UNIFORM_ORDER, trial_rng(11, 3), trace=True)
+    p = run_persistent(g, 5, None, UNIFORM_ORDER, trial_rng(11, 3))
+    t = run_persistent(g, 5, None, UNIFORM_ORDER, trial_rng(11, 3), trace=True)
     assert p.step3_draws == t.step3_draws
     assert p.final_coloring.colors == t.final_coloring.colors
 
 
 def test_trace_text_format():
     g = from_edge_list(2, [(0, 1)])
-    r = run_persistent(g, 2, FixedStart(Coloring([1, 1], 2)), UNIFORM_ORDER,
+    r = run_persistent(g, 2, Coloring([1, 1], 2), UNIFORM_ORDER,
                        trial_rng(0, 0), trace=True)
     text = trace_to_text(r.trace)
     lines = text.strip().splitlines()
@@ -149,8 +178,8 @@ def test_trace_text_format():
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_identical_seeds_reproduce_runs(runner):
     g = gen_erdos_renyi(10, 0.3, 77)
-    a = runner(g, g.max_degree + 1, RANDOM_START, UNIFORM_ORDER, trial_rng(5, 0))
-    b = runner(g, g.max_degree + 1, RANDOM_START, UNIFORM_ORDER, trial_rng(5, 0))
+    a = runner(g, g.max_degree + 1, None, UNIFORM_ORDER, trial_rng(5, 0))
+    b = runner(g, g.max_degree + 1, None, UNIFORM_ORDER, trial_rng(5, 0))
     assert a.total_draws == b.total_draws
     assert a.final_coloring.colors == b.final_coloring.colors
 
@@ -161,16 +190,16 @@ def test_runs_terminate_proper_with_enough_colors(seed, n):
     g = gen_erdos_renyi(n, 0.5, seed)
     D = g.max_degree + 1
     rng = trial_rng(seed, 0)
-    r = run_decentralized(g, D, RANDOM_START, UNIFORM_ORDER, rng)
+    r = run_decentralized(g, D, None, UNIFORM_ORDER, rng)
     assert r.terminated and is_proper(g, r.final_coloring)
-    r = run_persistent(g, D, RANDOM_START, UNIFORM_ORDER, trial_rng(seed, 1))
+    r = run_persistent(g, D, None, UNIFORM_ORDER, trial_rng(seed, 1))
     assert r.terminated and is_proper(g, r.final_coloring)
     assert all(c <= D for c in r.final_coloring.colors)
 
 
 def test_adversary_orders_run_to_completion():
     g = gen_clique(4)
-    start = FixedStart(Coloring([1, 1, 1, 1], 4))
+    start = Coloring([1, 1, 1, 1], 4)
     for sched in (
         AdversaryOrder(AdversaryStrategy.MinPhiDrift),
         AdversaryOrder(AdversaryStrategy.MaxConflicted),
@@ -181,6 +210,16 @@ def test_adversary_orders_run_to_completion():
         assert r.terminated and is_proper(g, r.final_coloring)
 
 
+def _uniform_below(draw, k):
+    """An exactly uniform value in [0, k) from the stream, by the engine
+    module doc's rule: j mod k, rejecting j >= 2^53 - 2^53 mod k."""
+    lim = 2**53 - 2**53 % k
+    j = draw()
+    while j >= lim:
+        j = draw()
+    return j % k
+
+
 @st.composite
 def clearing_walks(draw):
     n = draw(st.integers(1, 9))
@@ -188,10 +227,10 @@ def clearing_walks(draw):
     g = from_edge_list(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
     D = draw(st.integers(g.max_degree + 1, g.max_degree + 3))
     if draw(st.booleans()):
-        start = RANDOM_START
+        start = None
     else:
         colors = draw(st.lists(st.integers(1, min(2, D)), min_size=n, max_size=n))
-        start = FixedStart(Coloring(colors, D))
+        start = Coloring(colors, D)
     return g, D, start, draw(st.integers(0, 2**64 - 1))
 
 
@@ -207,7 +246,7 @@ def test_persistent_walk_never_reconflicts_a_passed_vertex(walk):
     colors = engine._initial_colors(g, D, start, draw)
     perm = list(range(g.n))
     for k in range(g.n, 1, -1):
-        j = engine._below(draw, k)
+        j = _uniform_below(draw, k)
         perm[k - 1], perm[j] = perm[j], perm[k - 1]
     selections = iter(r.trace)
     for s, v in enumerate(perm):
@@ -255,10 +294,10 @@ def test_persistent_uniform_walk_matches_the_policy_loop_in_distribution(label):
     from decolor.oracle import exact_expected_recolorings_persistent
 
     if label == "K5-random":
-        g, D, start = gen_clique(5), 5, RANDOM_START
+        g, D, start = gen_clique(5), 5, None
     else:
         g, c = bad_bipartite_start(3)
-        D, start = c.palette_size, FixedStart(c)
+        D, start = c.palette_size, c
     trials = 10_000
     walk = [run_persistent(g, D, start, UNIFORM_ORDER, trial_rng(21, t)).step3_draws
             for t in range(trials)]
@@ -312,7 +351,7 @@ def _reference_run(g, D, start, pick, rng, persistent, cap=None):
     step, hand the sorted list to a public picker, read the same stream,
     and stop once `cap` post-start draws are made (None: no cap)."""
     draw = engine._stream(rng, g.n)
-    colors = [engine._below(draw, D) + 1 for _ in range(g.n)] if start is None else list(start)
+    colors = [_uniform_below(draw, D) + 1 for _ in range(g.n)] if start is None else list(start)
     history, trace = [], []
     per_vertex = [0] * g.n
     step3 = 0
@@ -324,9 +363,9 @@ def _reference_run(g, D, start, pick, rng, persistent, cap=None):
         v = pick(g, c, conflicted, history, draw)
         history.append(v)
         used = {colors[u] for u in g.adjacency[v]}
-        draws = [engine._below(draw, D) + 1]
+        draws = [_uniform_below(draw, D) + 1]
         while persistent and draws[-1] in used and step3 + len(draws) != cap:
-            draws.append(engine._below(draw, D) + 1)
+            draws.append(_uniform_below(draw, D) + 1)
         step3 += len(draws)
         per_vertex[v] += len(draws)
         colors[v] = draws[-1]
@@ -370,11 +409,11 @@ def test_policy_path_matches_a_recomputing_reference(run):
     cases["script"] = (AdversaryOrder(AdversaryStrategy.Scripted, script=script),
                        lambda g, c, C, h, d: scripted_pick(script, C, h))
     runner = run_persistent if persistent else run_decentralized
-    fixed = None if start is None else FixedStart(Coloring(start, D))
+    fixed = None if start is None else Coloring(start, D)
     for name, (sched, pick) in cases.items():
         want_trace, want_colors, want_terminated, want_per_vertex = _reference_run(
             g, D, start, pick, trial_rng(seed, 0), persistent, cap)
-        r = runner(g, D, fixed or RANDOM_START, sched, trial_rng(seed, 0), step_cap=cap, trace=True)
+        r = runner(g, D, fixed, sched, trial_rng(seed, 0), step_cap=cap, trace=True)
         assert r.trace == want_trace, name
         assert r.final_coloring.colors == want_colors, name
         assert r.terminated == want_terminated, name

@@ -14,8 +14,6 @@ from hypothesis import given, settings, strategies as st
 from decolor import experiments, lockstep
 from decolor.coloring import Coloring
 from decolor.engine import (
-    FixedStart,
-    RANDOM_START,
     UNIFORM_ORDER,
     default_step_cap,
     run_decentralized,
@@ -60,9 +58,9 @@ def kernel_ranges(draw):
     # palettes that may never finish, and one that rejects about half of all values
     D = draw(st.one_of(st.integers(1, g.max_degree + 2), st.just(2**52 + 1)))
     if draw(st.booleans()):
-        start = RANDOM_START
+        start = None
     else:
-        start = FixedStart(Coloring(draw(st.lists(st.integers(1, D), min_size=n, max_size=n)), D))
+        start = Coloring(draw(st.lists(st.integers(1, D), min_size=n, max_size=n)), D)
     cap = draw(st.sampled_from([0, 1, 2, 5, 12, default_step_cap(n, D)]))
     lo = draw(st.integers(0, 2**40))
     return g, D, start, cap, draw(st.integers(0, 2**64 - 1)), lo, lo + draw(st.integers(1, 40))
@@ -85,9 +83,9 @@ def _counting(monkeypatch, name, module=lockstep):
 @pytest.mark.parametrize(
     "g, D, start",
     [
-        (gen_clique(5), 5, RANDOM_START),
-        (gen_cycle(6), 3, FixedStart(Coloring([1] * 6, 3))),
-        (from_edge_list(4, [(0, 1), (0, 2), (0, 3)]), 4, FixedStart(Coloring([1] * 4, 4))),
+        (gen_clique(5), 5, None),
+        (gen_cycle(6), 3, Coloring([1] * 6, 3)),
+        (from_edge_list(4, [(0, 1), (0, 2), (0, 3)]), 4, Coloring([1] * 4, 4)),
     ],
 )
 def test_kernel_equals_the_scalar_engine_on_small_graphs(g, D, start):
@@ -110,9 +108,9 @@ def _reruns(monkeypatch, seed, T):
 def test_long_trials_finish_in_the_kernel(monkeypatch):
     g, D, T = gen_clique(16), 16, 300
     cap = default_step_cap(g.n, D)
-    want = _scalar(g, D, RANDOM_START, 19, 0, T, cap)
+    want = _scalar(g, D, None, 19, 0, T, cap)
     reruns = _reruns(monkeypatch, 19, T)
-    assert _kernel(g, D, RANDOM_START, 19, 0, T, cap) == want
+    assert _kernel(g, D, None, 19, 0, T, cap) == want
     # values a trial reads: its initial colors, then two per step
     longest = max(s for i, (s, *_) in enumerate(want) if i not in reruns)
     assert g.n + 2 * longest > 4 * g.n + 16
@@ -120,16 +118,16 @@ def test_long_trials_finish_in_the_kernel(monkeypatch):
     # with no tail rule every trial, the longest too, finishes in the kernel
     reruns.clear()
     monkeypatch.setattr(lockstep, "TAIL_SHARE", T + 1)
-    assert _kernel(g, D, RANDOM_START, 19, 0, T, cap) == want
+    assert _kernel(g, D, None, 19, 0, T, cap) == want
     assert not reruns
 
 
 def test_the_longest_trials_of_a_pass_rerun_from_the_start(monkeypatch):
     g, D, T = gen_clique(8), 8, 1000
     cap = default_step_cap(g.n, D)
-    want = [s for s, *_ in _scalar(g, D, RANDOM_START, 23, 0, T, cap)]
+    want = [s for s, *_ in _scalar(g, D, None, 23, 0, T, cap)]
     reruns = _reruns(monkeypatch, 23, T)
-    assert [s for s, *_ in _kernel(g, D, RANDOM_START, 23, 0, T, cap)] == want
+    assert [s for s, *_ in _kernel(g, D, None, 23, 0, T, cap)] == want
     assert 0 < len(reruns) <= T // lockstep.TAIL_SHARE
     assert min(want[i] for i in reruns) > max(s for i, s in enumerate(want) if i not in reruns)
 
@@ -142,7 +140,7 @@ def test_rejected_values_leave_the_kernel(monkeypatch):
     lim = 2**53 - 2**53 % D
     reruns = _reruns(monkeypatch, 5, T)
     monkeypatch.setattr(lockstep, "TAIL_SHARE", T + 1)
-    for start in (FixedStart(Coloring([1, 1], D)), RANDOM_START):
+    for start in (Coloring([1, 1], D), None):
         want = _scalar(g, D, start, 5, 0, T, cap)
         reruns.clear()
         assert _kernel(g, D, start, 5, 0, T, cap) == want
@@ -151,7 +149,7 @@ def test_rejected_values_leave_the_kernel(monkeypatch):
             # the random initial colors, then per step a pick value (never
             # rejected) and a color value; the values agree with the scalar
             # run's up to the first rejection
-            head = g.n if start is RANDOM_START else 0
+            head = g.n if start is None else 0
             values = trial_rng(5, i).random(head + 2 * steps) * 2.0**53
             if (values[:head] >= lim).any() or (values[head + 1 :: 2] >= lim).any():
                 rejected.add(i)
@@ -162,7 +160,7 @@ def test_rejected_values_leave_the_kernel(monkeypatch):
 def test_ranges_longer_than_one_lockstep_pass(monkeypatch):
     g = gen_clique(4)
     monkeypatch.setattr(lockstep, "PASS_ENTRIES", 7 * (g.n + 1))
-    assert _kernel(g, 4, RANDOM_START, 3, 5, 30, 100) == _scalar(g, 4, RANDOM_START, 3, 5, 30, 100)
+    assert _kernel(g, 4, None, 3, 5, 30, 100) == _scalar(g, 4, None, 3, 5, 30, 100)
 
 
 def _outputs(tmp_path, name, cfg):
@@ -275,11 +273,11 @@ def persistent_ranges(draw):
     D = draw(st.one_of(st.integers(g.max_degree + 1, 63), st.integers(1, g.max_degree + 1)))
     kind = draw(st.sampled_from(["random", "fixed", "mono"]))
     if kind == "random":
-        start = RANDOM_START
+        start = None
     elif kind == "mono":
-        start = FixedStart(Coloring([draw(st.integers(1, D))] * n, D))
+        start = Coloring([draw(st.integers(1, D))] * n, D)
     else:
-        start = FixedStart(Coloring(draw(st.lists(st.integers(1, D), min_size=n, max_size=n)), D))
+        start = Coloring(draw(st.lists(st.integers(1, D), min_size=n, max_size=n)), D)
     cap = draw(st.sampled_from([0, 1, 2, 5, 12, default_step_cap(n, D)]))
     block = draw(st.sampled_from([1, 2, 3, 5, 8, 40, None]))
     lo = draw(st.integers(0, 2**40))
@@ -326,7 +324,7 @@ def test_rejected_values_rerun_their_trials(monkeypatch, block):
     # them (with blocks of 3 walk values, most trials refill)
     g, D, T = gen_clique(5), 6, 200
     two53 = 2**53 - 2**45
-    want = _scalar_persistent(g, D, RANDOM_START, 9, 0, T, 10**6)
+    want = _scalar_persistent(g, D, None, 9, 0, T, 10**6)
     fills = _counting(monkeypatch, "_values")
     reruns = []
     real = experiments.run_persistent
@@ -334,7 +332,7 @@ def test_rejected_values_rerun_their_trials(monkeypatch, block):
         rng.bit_generator.state["state"]["state"]) or real(g, D, start, order, rng, **kw))
     monkeypatch.setattr(lockstep, "walk_block", lambda T: block)
     monkeypatch.setattr(lockstep, "_TWO53", two53)
-    assert _persistent_kernel(g, D, RANDOM_START, 9, 0, T, 10**6) == want
+    assert _persistent_kernel(g, D, None, 9, 0, T, 10**6) == want
     # the moduli of a stream's values: n colors, n - 1 Fisher-Yates values, then walk colors
     head = [D] * g.n + list(range(g.n, 1, -1))
     rejected = set()
@@ -352,10 +350,10 @@ def test_rejected_values_rerun_their_trials(monkeypatch, block):
 
 def test_capped_trials_rerun_in_the_scalar_engine(monkeypatch):
     g, D = gen_clique(6), 6
-    want = _scalar_persistent(g, D, RANDOM_START, 4, 0, 200, 6)
+    want = _scalar_persistent(g, D, None, 4, 0, 200, 6)
     capped = sum(not t for _, _, t, _ in want)
     reruns = _counting(monkeypatch, "run_persistent", experiments)
-    assert _persistent_kernel(g, D, RANDOM_START, 4, 0, 200, 6) == want
+    assert _persistent_kernel(g, D, None, 4, 0, 200, 6) == want
     assert 0 < capped <= len(reruns) < 200
 
 
@@ -364,17 +362,17 @@ def test_a_vertex_with_no_free_color_reruns_its_trial(monkeypatch):
     # never clear, so its trial runs into the cap in the scalar engine
     g, D = gen_clique(4), 3
     cap = default_step_cap(g.n, D)
-    want = _scalar_persistent(g, D, RANDOM_START, 8, 0, 200, cap)
+    want = _scalar_persistent(g, D, None, 8, 0, 200, cap)
     stuck = sum(not t for _, _, t, _ in want)
     reruns = _counting(monkeypatch, "run_persistent", experiments)
-    assert _persistent_kernel(g, D, RANDOM_START, 8, 0, 200, cap) == want
+    assert _persistent_kernel(g, D, None, 8, 0, 200, cap) == want
     assert stuck > 0 and len(reruns) == stuck
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 def test_trials_that_outgrow_their_first_fill_refill_their_rows(monkeypatch, block):
     g, D = gen_clique(8), 8
-    start = FixedStart(Coloring([1] * 8, D))
+    start = Coloring([1] * 8, D)
     want = _scalar_persistent(g, D, start, 12, 0, 100, 10**6)
     fills = _counting(monkeypatch, "_values")
     reruns = _counting(monkeypatch, "run_persistent", experiments)
@@ -386,13 +384,13 @@ def test_trials_that_outgrow_their_first_fill_refill_their_rows(monkeypatch, blo
 def test_persistent_ranges_longer_than_one_pass(monkeypatch):
     g = gen_clique(4)
     monkeypatch.setattr(lockstep, "PERSISTENT_PASS_ENTRIES", 7 * (g.n + 1))
-    assert _persistent_kernel(g, 5, RANDOM_START, 3, 5, 40, 100) == _scalar_persistent(
-        g, 5, RANDOM_START, 3, 5, 40, 100)
+    assert _persistent_kernel(g, 5, None, 3, 5, 40, 100) == _scalar_persistent(
+        g, 5, None, 3, 5, 40, 100)
 
 
 def test_the_persistent_kernel_rejects_palettes_above_63():
     with pytest.raises(ValueError, match="D <= 63"):
-        lockstep.run_pass(gen_clique(4), 64, RANDOM_START, 1, 0, 100, True, np.random.default_rng(), None)
+        lockstep.run_pass(gen_clique(4), 64, None, 1, 0, 100, True, np.random.default_rng(), None)
 
 
 def test_run_pass_fills_the_callers_arrays():
@@ -402,11 +400,11 @@ def test_run_pass_fills_the_callers_arrays():
     for persistent, runner in ((False, run_decentralized), (True, run_persistent)):
         out = (np.zeros(T, dtype=np.int64), np.zeros(T, dtype=np.int64), np.ones(T, dtype=bool),
                np.zeros((T, g.n), dtype=np.int64))
-        rerun = lockstep.run_pass(g, D, RANDOM_START, 5, a, cap, persistent, np.random.default_rng(), out)
+        rerun = lockstep.run_pass(g, D, None, 5, a, cap, persistent, np.random.default_rng(), out)
         kept = sorted(set(range(T)) - set(rerun.tolist()))
         assert kept and (rerun.size > 0) == persistent
         for k in kept:
-            r = runner(g, D, RANDOM_START, UNIFORM_ORDER, trial_rng(5, a + k), step_cap=cap)
+            r = runner(g, D, None, UNIFORM_ORDER, trial_rng(5, a + k), step_cap=cap)
             assert [arr[k].tolist() for arr in out] == [
                 r.step3_draws, r.selections, r.terminated, r.per_vertex_draws]
         if not persistent:

@@ -16,8 +16,6 @@ from decolor.coloring import Coloring, conflicted_edge_count, conflicted_vertice
 from decolor.engine import (
     AdversaryOrder,
     FixedPermutationOrder,
-    FixedStart,
-    RANDOM_START,
     UNIFORM_ORDER,
     run_decentralized,
     run_persistent,
@@ -89,19 +87,19 @@ def test_exact_value_formatting():
 
 def test_dc_single_edge_monochromatic():
     g = from_edge_list(2, [(0, 1)])
-    v = exact_expected_recolorings_dc(g, 2, FixedStart(Coloring([1, 1], 2)))
+    v = exact_expected_recolorings_dc(g, 2, Coloring([1, 1], 2))
     assert v.value == 2
 
 
 def test_dc_clique_collect_identity():
     for n in (3, 4):
-        got = exact_expected_recolorings_dc(gen_clique(n), n, RANDOM_START, UNIFORM_ORDER)
+        got = exact_expected_recolorings_dc(gen_clique(n), n, None, UNIFORM_ORDER)
         assert got.value == n * harmonic(n).value - n
 
 
 def test_dc_proper_start_is_zero():
     g = gen_cycle(4)
-    v = exact_expected_recolorings_dc(g, 3, FixedStart(Coloring([1, 2, 1, 2], 3)))
+    v = exact_expected_recolorings_dc(g, 3, Coloring([1, 2, 1, 2], 3))
     assert v.value == 0
 
 
@@ -110,9 +108,9 @@ def test_dc_state_guard():
     # sum over k <= 3 of S(30, k)
     message = "has 34315188682442 colorings up to renaming, over the state budget of 300000"
     with pytest.raises(ValueError, match=message):
-        exact_expected_recolorings_dc(gen_cycle(30), 3, RANDOM_START)
+        exact_expected_recolorings_dc(gen_cycle(30), 3, None)
     with pytest.raises(ValueError, match=message):
-        exact_expected_recolorings_persistent(gen_cycle(30), 3, RANDOM_START)
+        exact_expected_recolorings_persistent(gen_cycle(30), 3, None)
 
 
 def test_state_budget_admits_every_random_start_of_the_old_raw_coloring_limit():
@@ -128,12 +126,12 @@ def test_state_budget_admits_every_random_start_of_the_old_raw_coloring_limit():
 def test_dc_unreachable_absorption_is_an_error():
     # K3 has no proper 2-coloring, so the expectation diverges
     with pytest.raises(ValueError, match="infinite"):
-        exact_expected_recolorings_dc(gen_clique(3), 2, FixedStart(Coloring([1, 1, 2], 2)))
+        exact_expected_recolorings_dc(gen_clique(3), 2, Coloring([1, 1, 2], 2))
 
 
 def test_iterative_solver_agrees_within_certificate():
     g = gen_cycle(6)
-    start = FixedStart(Coloring([1] * 6, 3))
+    start = Coloring([1] * 6, 3)
     exact = exact_expected_recolorings_dc(g, 3, start, method="exact")
     approx = exact_expected_recolorings_dc(g, 3, start, method="iterative")
     assert approx.method == "markov-certified"
@@ -146,7 +144,7 @@ def test_iterative_needs_enough_colors():
     # requires a palette beating the max degree
     g = gen_cycle(4)
     with pytest.raises(ValueError, match="iterative"):
-        exact_expected_recolorings_dc(g, 2, FixedStart(Coloring([1, 1, 2, 2], 2)),
+        exact_expected_recolorings_dc(g, 2, Coloring([1, 1, 2, 2], 2),
                                       method="iterative")
 
 
@@ -221,7 +219,7 @@ def _raw_chain(g, D, start_keys, position=None):
 def test_lumping_matches_raw_enumeration(g, D, start, order):
     """Color-relabeling quotient must not change the answer, under uniform
     order or a fixed one."""
-    policy = RANDOM_START if start is None else FixedStart(Coloring(start, D))
+    policy = None if start is None else Coloring(start, D)
     keys = list(itertools.product(range(1, D + 1), repeat=g.n)) if start is None else [tuple(start)]
     position = None if order is None else FixedPermutationOrder(order).position
     index, rows = _raw_chain(g, D, keys, position)
@@ -254,12 +252,12 @@ def small_chains(draw, any_palette=False):
     g = from_edge_list(n, edges)
     D = draw(st.integers(1, g.max_degree + 1)) if any_palette else g.max_degree + 1
     if mode is None and lumped and not any_palette:
-        start = RANDOM_START
+        start = None
     else:
         colors = draw(st.lists(st.integers(1, D), min_size=n, max_size=n))
         u, v = edges[0]
         colors[v] = colors[u]  # a conflicted start, so the chain is not empty
-        start = FixedStart(Coloring(colors, D))
+        start = Coloring(colors, D)
     if not lumped:
         return _raw_chain(g, D, [tuple(colors)])[1]
     sched = UNIFORM_ORDER if mode is None else AdversaryOrder(AdversaryStrategy.MimicPersistent, mode=mode)
@@ -333,8 +331,8 @@ def test_certified_solve_matches_its_rational_reference(rows):
 def permutable_chains():
     out = []
     for g, D, start, sched in (
-        (gen_cycle(5), 3, RANDOM_START, UNIFORM_ORDER),
-        (gen_clique(4), 4, FixedStart(Coloring([1, 1, 1, 1], 4)),
+        (gen_cycle(5), 3, None, UNIFORM_ORDER),
+        (gen_clique(4), 4, Coloring([1, 1, 1, 1], 4),
          AdversaryOrder(AdversaryStrategy.MimicPersistent, mode="lowest")),
     ):
         rows = oracle._build_dc_chain(g, D, start, sched)[2]
@@ -356,22 +354,22 @@ def test_sparse_solve_does_not_depend_on_the_state_order(permutable_chains, whic
 def test_exact_method_reproduces_the_pinned_ac10_values():
     # the exact p/q of ac10/G(6,0.4) and ac10/K33 in perfbench/pinned.json
     g = gen_erdos_renyi(6, 0.4, 901)
-    got = exact_expected_recolorings_dc(g, g.max_degree + 1, RANDOM_START, method="exact")
+    got = exact_expected_recolorings_dc(g, g.max_degree + 1, None, method="exact")
     assert got.value == Fraction(
         2528840209003859334898215489293518256378450964519985151338889025085881667294692082430055252988156339135300105584925119028415234305735315898128050419551,
         680841509924335632925697713776556611148128428540735277499367247972362589405839176329919423097785704888310024106864490243019609422185890575651452436480,
     )
     assert (got.method, got.error_bound) == ("markov-exact", 0)
-    got = exact_expected_recolorings_dc(gen_complete_bipartite(3, 3), 4, RANDOM_START, method="exact")
+    got = exact_expected_recolorings_dc(gen_complete_bipartite(3, 3), 4, None, method="exact")
     assert got.value == Fraction(285089405, 53142144)
     assert (got.method, got.error_bound) == ("markov-exact", 0)
 
 
 def test_chain_diagnostics_do_not_change_the_value():
     g = gen_cycle(5)
-    exact = exact_expected_recolorings_dc(g, 3, RANDOM_START, method="exact")
+    exact = exact_expected_recolorings_dc(g, 3, None, method="exact")
     assert exact.transient == 36 and exact.nonzeros > 36 and exact.fill >= 0
-    certified = exact_expected_recolorings_dc(g, 3, RANDOM_START, method="iterative")
+    certified = exact_expected_recolorings_dc(g, 3, None, method="iterative")
     assert certified.transient == 36 and certified.fill is None
     assert ExactValue(exact.value, method="markov-exact") == exact
     assert str(ExactValue(exact.value, method="markov-exact")) == str(exact)
@@ -379,18 +377,18 @@ def test_chain_diagnostics_do_not_change_the_value():
 
 def test_every_oracle_route_returns_the_stdlib_rational():
     g = gen_cycle(5)
-    certified = exact_expected_recolorings_dc(g, 3, RANDOM_START, method="iterative")
+    certified = exact_expected_recolorings_dc(g, 3, None, method="iterative")
     g2, c2, focus = gen_fig2_like()
     results = [
         harmonic(0),
         harmonic(5),
         expected_draws_to_collect(6, 4),
-        exact_expected_recolorings_dc(g, 3, RANDOM_START, method="exact"),
+        exact_expected_recolorings_dc(g, 3, None, method="exact"),
         certified,
         # a proper start: no transient state, nothing to solve
-        exact_expected_recolorings_dc(g, 3, FixedStart(Coloring([1, 2, 1, 2, 3], 3))),
-        exact_expected_recolorings_persistent(g, 3, RANDOM_START, "all"),
-        exact_expected_recolorings_persistent(g, 3, RANDOM_START, [4, 2, 0, 3, 1]),
+        exact_expected_recolorings_dc(g, 3, Coloring([1, 2, 1, 2, 3], 3)),
+        exact_expected_recolorings_persistent(g, 3, None, "all"),
+        exact_expected_recolorings_persistent(g, 3, None, [4, 2, 0, 3, 1]),
         *exact_expected_conflict_deltas(g2, c2, focus),
     ]
     for got in results:
@@ -453,7 +451,7 @@ def test_canonical_pattern_first_occurrence_relabeling():
 
 def test_persistent_single_edge():
     g = from_edge_list(2, [(0, 1)])
-    start = FixedStart(Coloring([1, 1], 2))
+    start = Coloring([1, 1], 2)
     assert exact_expected_recolorings_persistent(g, 2, start, "all").value == 2
     assert exact_expected_recolorings_persistent(g, 2, start, [0, 1]).value == 2
     assert exact_expected_recolorings_persistent(g, 2, start, [1, 0]).value == 2
@@ -465,13 +463,13 @@ def test_persistent_bad_bipartite_exact(delta, expect):
     # the closed form delta (delta + 1) / 2 + (delta + 1) / delta
     assert expect == frac(delta * (delta + 1), 2) + frac(delta + 1, delta)
     g, c = bad_bipartite_start(delta)
-    got = exact_expected_recolorings_persistent(g, delta + 1, FixedStart(c), "all")
+    got = exact_expected_recolorings_persistent(g, delta + 1, c, "all")
     assert got.value == expect
 
 
 def test_persistent_proper_start_zero():
     g = gen_cycle(4)
-    start = FixedStart(Coloring([1, 2, 1, 2], 3))
+    start = Coloring([1, 2, 1, 2], 3)
     assert exact_expected_recolorings_persistent(g, 3, start, "all").value == 0
 
 
@@ -479,14 +477,14 @@ def test_persistent_size_guard(monkeypatch):
     # a fixed start is refused when its walk passes the budget; a small one
     # keeps this fast
     monkeypatch.setattr(oracle, "STATE_BUDGET", 40)
-    start = FixedStart(Coloring([1] * 8, 3))
+    start = Coloring([1] * 8, 3)
     with pytest.raises(ValueError, match="pass the state budget of 40"):
         exact_expected_recolorings_persistent(gen_cycle(8), 3, start, "all")
     with pytest.raises(ValueError, match="pass the state budget of 40"):
         exact_expected_recolorings_dc(gen_cycle(8), 3, start)
     # C4-mono reaches 11 transient states and 3 proper ones: a walk of
     # exactly the budget is admitted
-    mono = FixedStart(Coloring([1] * 4, 3))
+    mono = Coloring([1] * 4, 3)
     monkeypatch.setattr(oracle, "STATE_BUDGET", 14)
     assert exact_expected_recolorings_dc(gen_cycle(4), 3, mono).transient == 11
     monkeypatch.setattr(oracle, "STATE_BUDGET", 13)
@@ -496,7 +494,7 @@ def test_persistent_size_guard(monkeypatch):
 
 def test_persistent_vertex_without_a_free_color_is_an_error():
     with pytest.raises(ValueError, match="vertex 0 has no free color"):
-        exact_expected_recolorings_persistent(gen_clique(3), 2, FixedStart(Coloring([1, 1, 2], 2)))
+        exact_expected_recolorings_persistent(gen_clique(3), 2, Coloring([1, 1, 2], 2))
 
 
 def _raw_persistent(g, D, starts, position=None):
@@ -535,10 +533,10 @@ def test_persistent_oracle_matches_a_raw_recursion(data):
     order = data.draw(st.one_of(st.just("all"), st.permutations(range(n))))
     position = None if order == "all" else FixedPermutationOrder(order).position
     if data.draw(st.booleans()):
-        start, starts = RANDOM_START, list(itertools.product(range(1, D + 1), repeat=n))
+        start, starts = None, list(itertools.product(range(1, D + 1), repeat=n))
     else:
         colors = data.draw(st.lists(st.integers(1, D), min_size=n, max_size=n))
-        start, starts = FixedStart(Coloring(colors, D)), [colors]
+        start, starts = Coloring(colors, D), [colors]
     assert (exact_expected_recolorings_persistent(g, D, start, order).value
             == _raw_persistent(g, D, starts, position))
 
@@ -564,7 +562,7 @@ def test_color_moves_are_the_canonical_raw_children(data):
 
 def test_persistent_all_orders_is_the_permutation_average():
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-    start = FixedStart(Coloring([1, 1, 2, 2], 3))
+    start = Coloring([1, 1, 2, 2], 3)
     averaged = exact_expected_recolorings_persistent(g, 3, start, "all").value
     total = Fraction(0)
     perms = list(itertools.permutations(range(4)))
@@ -575,7 +573,7 @@ def test_persistent_all_orders_is_the_permutation_average():
 
 def test_mimic_adversary_reproduces_persistent():
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-    start = FixedStart(Coloring([1, 1, 2, 2], 3))
+    start = Coloring([1, 1, 2, 2], 3)
     lowest = AdversaryOrder(AdversaryStrategy.MimicPersistent, mode="lowest")
     via_dc = exact_expected_recolorings_dc(g, 3, start, lowest, method="exact")
     via_persistent = exact_expected_recolorings_persistent(g, 3, start, [0, 1, 2, 3])
@@ -597,11 +595,11 @@ def test_a_fixed_order_is_the_lowest_mimic_on_the_relabeled_graph(data):
     at = {v: i for i, v in enumerate(order)}
     g_pi = from_edge_list(n, [tuple(sorted((at[u], at[v]))) for u, v in edges])
     if data.draw(st.booleans()):
-        start = start_pi = RANDOM_START
+        start = start_pi = None
     else:
         colors = data.draw(st.lists(st.integers(1, D), min_size=n, max_size=n))
-        start = FixedStart(Coloring(colors, D))
-        start_pi = FixedStart(Coloring([colors[v] for v in order], D))
+        start = Coloring(colors, D)
+        start_pi = Coloring([colors[v] for v in order], D)
     lowest = AdversaryOrder(AdversaryStrategy.MimicPersistent, mode="lowest")
     assert (exact_expected_recolorings_persistent(g, D, start, order).value
             == exact_expected_recolorings_dc(g_pi, D, start_pi, lowest, method="exact").value)
@@ -611,8 +609,8 @@ def test_the_persistent_oracle_reads_the_mimic_modes_as_uniform_and_identity_ord
     # every persistent move clears its vertex, so the mimic adversary's lock
     # never holds a vertex there
     badbip, c = bad_bipartite_start(3)
-    instances = [(badbip, 4, FixedStart(c)), (gen_complete_bipartite(2, 3), 4, RANDOM_START),
-                 (from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), 3, FixedStart(Coloring([1, 1, 2, 2], 3)))]
+    instances = [(badbip, 4, c), (gen_complete_bipartite(2, 3), 4, None),
+                 (from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), 3, Coloring([1, 1, 2, 2], 3))]
     for g, D, start in instances:
         for mode, order in (("uniform", "all"), ("lowest", list(range(g.n)))):
             mimic = AdversaryOrder(AdversaryStrategy.MimicPersistent, mode=mode)
@@ -629,18 +627,18 @@ def test_both_oracles_refuse_the_orders_they_do_not_model(oracle_fn):
                   AdversaryOrder(AdversaryStrategy.Scripted, script=[0]), "uniform"):
         with pytest.raises(ValueError, match="the exact oracles model uniform, fixed-permutation "
                                              "and mimic orders, not"):
-            oracle_fn(g, 3, RANDOM_START, order)
+            oracle_fn(g, 3, None, order)
     with pytest.raises(ValueError, match=r"order must be a permutation of 0\.\.n-1"):
-        oracle_fn(g, 3, RANDOM_START, [1, 0])
+        oracle_fn(g, 3, None, [1, 0])
 
 
 def test_a_fixed_order_run_matches_the_one_draw_oracle():
     g, c = bad_bipartite_start(3)
     order = (5, 0, 1, 2, 3, 4)
-    exact = exact_expected_recolorings_dc(g, 4, FixedStart(c), FixedPermutationOrder(order))
+    exact = exact_expected_recolorings_dc(g, 4, c, FixedPermutationOrder(order))
     assert exact.value == frac(21, 2)
     sched = FixedPermutationOrder(order)
-    sample = [run_decentralized(g, 4, FixedStart(c), sched, trial_rng(37, t)).step3_draws
+    sample = [run_decentralized(g, 4, c, sched, trial_rng(37, t)).step3_draws
               for t in range(4000)]
     se = np.std(sample, ddof=1) / np.sqrt(len(sample))
     assert abs(np.mean(sample) - exact.as_float()) <= 4 * se
@@ -649,9 +647,9 @@ def test_a_fixed_order_run_matches_the_one_draw_oracle():
 def test_a_fixed_order_run_matches_the_persistent_oracle():
     g, c = bad_bipartite_start(3)
     order = (3, 0, 5, 1, 4, 2)
-    exact = exact_expected_recolorings_persistent(g, 4, FixedStart(c), order).as_float()
+    exact = exact_expected_recolorings_persistent(g, 4, c, order).as_float()
     sched = FixedPermutationOrder(order)
-    sample = [run_persistent(g, 4, FixedStart(c), sched, trial_rng(31, t)).step3_draws
+    sample = [run_persistent(g, 4, c, sched, trial_rng(31, t)).step3_draws
               for t in range(4000)]
     se = np.std(sample, ddof=1) / np.sqrt(len(sample))
     assert abs(np.mean(sample) - exact) <= 4 * se
@@ -758,7 +756,7 @@ def test_oracle_values_are_pinned(label, g, D, colors, random_values, fixed_valu
     scheds = [UNIFORM_ORDER] + [
         AdversaryOrder(AdversaryStrategy.MimicPersistent, mode=mode) for mode in ("uniform", "lowest")
     ]
-    for start, values in ((RANDOM_START, random_values), (FixedStart(Coloring(colors, D)), fixed_values)):
+    for start, values in ((None, random_values), (Coloring(colors, D), fixed_values)):
         got = [exact_expected_recolorings_persistent(g, D, start, order).value for order in ("all", perm)]
         got += [exact_expected_recolorings_dc(g, D, start, s, method="exact").value for s in scheds]
         assert got == [Fraction(v) for v in values]

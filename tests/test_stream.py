@@ -9,8 +9,6 @@ from decolor import engine
 from decolor.adversary import AdversaryStrategy, bad_bipartite_start
 from decolor.engine import (
     AdversaryOrder,
-    FixedStart,
-    RANDOM_START,
     UNIFORM_ORDER,
     run_decentralized,
     run_persistent,
@@ -29,10 +27,10 @@ RUNNERS = {"dc": run_decentralized, "persistent": run_persistent}
 
 def _instances():
     g = gen_erdos_renyi(12, 0.4, 5)
-    yield g, g.max_degree + 1, RANDOM_START
+    yield g, g.max_degree + 1, None
     g, c = bad_bipartite_start(5)
-    yield g, c.palette_size, FixedStart(c)
-    yield gen_clique(6), 6, RANDOM_START
+    yield g, c.palette_size, c
+    yield gen_clique(6), 6, None
 
 
 def _fingerprint(r: engine.RunResult) -> tuple:

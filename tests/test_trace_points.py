@@ -53,3 +53,34 @@ def test_tracer_patches_existing_attributes_and_restores_them():
     for mod, attrs in before.items():
         for name, value in attrs.items():
             assert after[mod].get(name) is value, f"{mod}.{name} was not restored"
+
+
+def test_a_start_built_before_the_tracer_runs_under_it():
+    # the tracer rebinds engine.Coloring to a timed subclass, so a start
+    # built before it, or by experiments' spec builder (as in every traced
+    # benchmark run), is no instance of engine's name for the class
+    from decolor import ExperimentConfig, engine, experiments
+    from decolor.coloring import Coloring
+    from decolor.graphs import gen_clique
+    from decolor.rng import trial_rng
+
+    g, start = gen_clique(4), Coloring([1, 1, 2, 2], 4)
+    # a lockstep kernel (uniform order) and the scalar engine (min-drift)
+    configs = [ExperimentConfig(graph={"kind": "clique", "n": 4}, algorithm=algorithm,
+                                start={"kind": "fixed", "colors": start.colors},
+                                order=order, trials=20, workers=1)
+               for algorithm in ("dc", "persistent") for order in ("uniform", "min-drift")]
+    want = [experiments.run_trials(cfg).step3_draws.tolist() for cfg in configs]
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert engine.Coloring is not Coloring
+        for runner in (engine.run_decentralized, engine.run_persistent):
+            r = runner(g, 4, start, engine.UNIFORM_ORDER, trial_rng(1, 0))
+            assert r.terminated and isinstance(r.final_coloring, engine.Coloring)
+        got = [experiments.run_trials(cfg).step3_draws.tolist() for cfg in configs]
+    finally:
+        tracer.uninstall()
+    assert engine.Coloring is Coloring
+    assert got == want
