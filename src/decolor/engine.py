@@ -297,6 +297,26 @@ class ConflictTracker:
             pos[v] = -1
 
 
+# the graph, start and tracker of the last fixed start `_tracker` built
+_fixed_start: list = [None, None, None]
+
+
+def _tracker(g: Graph, start: Coloring | None, colors: list[int]) -> ConflictTracker:
+    """The tracker of a run's initial colors. A fixed start's is built once
+    per graph object and start object and copied for every later run; a
+    start whose colors have changed since gets a new one."""
+    if start is None:
+        return ConflictTracker(g, colors)
+    graph, last, built = _fixed_start
+    if graph is not g or last is not start or built.colors != colors:
+        built = ConflictTracker(g, list(colors))
+        _fixed_start[:] = g, start, built
+    tracker = object.__new__(type(built))
+    tracker.adjacency, tracker.colors = built.adjacency, colors
+    tracker.counts, tracker.members, tracker.pos = built.counts[:], built.members[:], built.pos[:]
+    return tracker
+
+
 def _uniform_walk(
     g: Graph,
     D: int,
@@ -377,7 +397,7 @@ def _run(
     if isinstance(sched, UniformRandomOrder) and until_clear:
         step3, selections, terminated = _uniform_walk(g, D, colors, draw, per_vertex, cap, trace_list)
     elif isinstance(sched, UniformRandomOrder):
-        tracker = ConflictTracker(g, colors)
+        tracker = _tracker(g, start, colors)
         members = tracker.members
         lim = _TWO53 - _TWO53 % D  # exact-uniform rule (module doc)
         step3 = 0
@@ -394,7 +414,7 @@ def _run(
             tracker.recolor(v, x)
         selections, terminated = step3, not members
     else:
-        tracker = ConflictTracker(g, colors)
+        tracker = _tracker(g, start, colors)
         members, counts = tracker.members, tracker.counts
         coloring = object.__new__(Coloring)  # zero-copy view of the live color list
         coloring.colors, coloring.palette_size = colors, D

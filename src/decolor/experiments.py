@@ -412,18 +412,22 @@ def _build(cfg: ExperimentConfig) -> tuple[Graph, int, Coloring | None, Schedule
     return g, D, build_start(cfg.start, g, D, bundled), build_order(cfg.order, g)
 
 
-def _in_kernel(cfg: ExperimentConfig, g: Graph, D: int, order: SchedulerPolicy) -> bool:
-    """Whether cfg's trials run in a lockstep kernel: uniform order on a graph
-    (and palette) the algorithm's kernel fits."""
-    return isinstance(order, UniformRandomOrder) and lockstep.fits(
-        g, D, cfg.algorithm == "persistent")
+def _in_kernel(cfg: ExperimentConfig, g: Graph, D: int, order: SchedulerPolicy, trials: int) -> bool:
+    """Whether a range of `trials` of cfg's trials runs in a lockstep kernel:
+    uniform order on a graph (and palette) the algorithm's kernel fits, and
+    for one-draw trials a range of at least `lockstep.MIN_RANGE`."""
+    persistent = cfg.algorithm == "persistent"
+    return (isinstance(order, UniformRandomOrder) and lockstep.fits(g, D, persistent)
+            and (persistent or trials >= lockstep.MIN_RANGE))
 
 
 def _chunks(trials: int, workers: int, kernel: bool) -> list[tuple[int, int]]:
     """The [lo, hi) ranges a worker pool runs: about four per worker, of at
-    least 64 trials, or 512 in a kernel, which is slower than the scalar
-    engine on shorter ranges. Ranges never change a result."""
-    chunk = max(512 if kernel else 64, -(-trials // (workers * 4)))
+    least 64 trials, or twice `lockstep.MIN_RANGE` in a kernel. With 600 to
+    2000 trials on two workers, one-draw ranges of at least MIN_RANGE took
+    1.08-1.64 times as long as ranges of at least twice that, on K8, C8 from
+    a mono start and K64. Ranges never change a result."""
+    chunk = max(2 * lockstep.MIN_RANGE if kernel else 64, -(-trials // (workers * 4)))
     return [(i, min(i + chunk, trials)) for i in range(0, trials, chunk)]
 
 
@@ -441,7 +445,7 @@ def trial_passes(cfg: ExperimentConfig, built: tuple[Graph, int, Coloring | None
     """
     g, D, start, order = built
     persistent = cfg.algorithm == "persistent"
-    kernel = _in_kernel(cfg, g, D, order)
+    kernel = _in_kernel(cfg, g, D, order, hi - lo)
     want_vertex = "per_vertex" in cfg.counters
     runner = run_persistent if persistent else run_decentralized
     cap = default_step_cap(g.n, D) if cfg.step_cap is None else cfg.step_cap
@@ -501,7 +505,7 @@ def run_trials(cfg: ExperimentConfig) -> TrialsResult:
     if workers <= 1 or cfg.trials < 256:
         parts = [_run_range(cfg, built, 0, cfg.trials)]
     else:
-        bounds = _chunks(cfg.trials, workers, _in_kernel(cfg, g, D, built[3]))
+        bounds = _chunks(cfg.trials, workers, _in_kernel(cfg, g, D, built[3], cfg.trials))
         los, his = zip(*bounds)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range, [cfg] * len(bounds), [built] * len(bounds), los, his))

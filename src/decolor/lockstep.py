@@ -2,8 +2,9 @@
 
 Both kernels run one pass of trials together on numpy arrays and give
 every trial they finish exactly the result the scalar engine gives it
-alone. One entry point, ``run_pass``, runs either process, and `fits` says
-which graphs and palettes each kernel takes. Both follow the stream version
+alone. One entry point, ``run_pass``, runs either process, `fits` says
+which graphs and palettes each kernel takes, and `MIN_RANGE` how many
+trials a one-draw range needs. Both follow the stream version
 2 rules (see ``decolor.engine``). A pass fills its caller's arrays and
 returns the trials it cannot finish, and ``decolor.experiments``, whose one
 loop runs every scalar trial, reruns them from the start in
@@ -19,9 +20,10 @@ of them sit at the same position of their streams: the kernel reads the
 streams one position at a time for the range (``rng.stream_rows``), and
 drops finished trials from the stream whenever the active ones have
 halved. Per selection it takes the pick ``members[(j * |C|) >> 53]`` and
-the color ``j mod D + 1``. A recolor updates the neighbors in adjacency
-order and then the vertex itself, so the members list sees the same
-swap-removes and appends, in the same order, as
+the color ``j mod D + 1``. A recolor updates only the neighbors that hold
+the old or the new color, taken in adjacency order by one row-major
+``np.nonzero``, and then the vertex itself, so the members list sees the
+same swap-removes and appends, in the same order, as
 ``ConflictTracker.recolor``. A trial stays in the kernel until its
 conflicted set is empty or it reaches the step cap, where its state is
 the scalar engine's. Two kinds of trial run in ``run_decentralized`` from
@@ -60,8 +62,8 @@ from .graphs import Graph
 from .rng import stream_rows, trial_rng
 
 _TWO53 = 1 << 53
-# trials * (n + 1) per lockstep pass: 1024 trials at n = 32, more on smaller
-# graphs; about 264 KiB per state array
+# trials * (n + 1) per lockstep pass: 1024 trials at n = 32, 519 at n = 64,
+# more on smaller graphs; about 264 KiB per state array
 PASS_ENTRIES = 33 * 1024
 # a one-draw pass leaves its lockstep once at most 1/TAIL_SHARE of its trials
 # are left (7 of 1000), and those rerun in the scalar engine from the start:
@@ -70,6 +72,8 @@ PASS_ENTRIES = 33 * 1024
 # was 5-15 % higher on K4, K5, K8 and C4 from a mono start (medians of 9
 # runs); shares of 8, 16 and 128 measured alike within the noise.
 TAIL_SHARE = 128
+# one-draw ranges of fewer trials run in the scalar engine (see `fits`)
+MIN_RANGE = 256
 # the persistent kernel keeps 1-byte colors and 1- or 2-byte vertices per
 # entry, so its passes hold twice as many (2048 trials at n = 32, 1039 at
 # n = 64, 131 at n = 512)
@@ -91,24 +95,25 @@ MAX_PERSISTENT_D = 63  # colors 1..D are bits of a uint64 mask
 
 def fits(g: Graph, D: int, persistent: bool) -> bool:
     """Whether uniform-order trials on g with palette D run in a kernel:
-    one-draw trials when n <= 32, persistent ones when n <= 512 and D <= 63.
+    one-draw trials when n <= 64, persistent ones when n <= 512 and D <= 63.
 
     One-draw. A lockstep step costs a fixed number of numpy calls, a few
     more per tracker event, while the scalar engine pays a fixed cost per
-    trial plus a few microseconds per step. Scalar time over kernel time
-    per trial, CPU time with `run_trials` on a 2-vCPU VM, best of 3 with
-    1000 trials: 2.0 on K8, 2.9 on C8 (D = 3), 2.0 on K12, 1.9 on K16, 2.0
-    on K24 and K32, 2.0 on C32 and 2.4 on G(32, 0.15); best of 5 with 400
-    trials: 1.4 on K40, 1.5 on K48 and 1.4 on K64, but 1.0 on C64, 0.76 on
-    C128, 0.44 on C256 and 0.62 on G(256, 0.02) (D = 3 on the cycles).
-    There a pass holds only PASS_ENTRIES // (n + 1) trials (131 at
-    n = 256), which share each step's fixed cost over hundreds of steps.
-    The cut-off stays at 32: on K64 a pass holds about 3 MB of int64 state
-    and temporaries, which raised the benchmark's peak RSS from 45.96 MB to
-    49.4 MB (+7.5 %; 47.4 MB with only the persistent kernel added) for a
-    gain on one case. On short ranges the kernel loses (0.3-0.75 with 64
-    trials, 0.8-1.2 with 200), so a worker pool gives kernel runs ranges of
-    at least 512 trials.
+    trial plus a few microseconds per step. Scalar time over kernel time,
+    wall time of `run_trials` with one worker on a 2-vCPU VM, best of 5:
+
+        trials   K8    C8 mono  K32   C64   G(64, 0.15)  K64
+        1        0.14  0.12     0.05  0.04  0.11         0.06
+        128      0.58  0.70     0.85  0.58  0.78         1.02
+        256      0.95  1.19     1.29  0.94  1.59         1.52
+        400      1.70  1.64     1.68  1.22  1.51         2.15
+
+    (D = 3 on the cycles.) So a range of fewer than `MIN_RANGE` trials runs
+    in the scalar engine. Past 64 vertices, at 400 trials (best of 3), the
+    kernel lost on C128 (0.73) and was about even on G(128, 0.05) (1.12),
+    though K128 gained (2.0), so the cut-off is 64. With K64 in the
+    kernel, the benchmark's peak RSS went from 47.7 MB to 48.7 MB (+2 %,
+    medians of ten runs).
 
     Persistent. The walk visits each position once, so it has no lockstep
     tail, but a pass holds PERSISTENT_PASS_ENTRIES // (n + 1) trials, so
@@ -121,7 +126,7 @@ def fits(g: Graph, D: int, persistent: bool) -> bool:
     """
     if persistent:
         return g.n <= 512 and D <= MAX_PERSISTENT_D
-    return g.n <= 32
+    return g.n <= 64
 
 
 def run_pass(
@@ -248,25 +253,31 @@ def _pass(nbr, D, fixed, master_seed, a, b, cap, out) -> np.ndarray:
         colors_f[vi] = x
         ni = base[:, None] + nbr[v]
         cu = colors_f[ni]
-        dec = cu == old[:, None]
-        inc = cu == x[:, None]
-        before = counts_f[ni]
-        counts_f[ni] = before - dec + inc
-        own = inc.sum(axis=1)
+        # the neighbors holding the old or the new color, row-major: each
+        # row's in adjacency order
+        er, ec = np.nonzero((cu == old[:, None]) | (cu == x[:, None]))
+        ui = ni[er, ec]
+        up = cu[er, ec] == x[er]
+        before = counts_f[ui]
+        counts_f[ui] = before + 2 * up - 1  # +1 for the new color, -1 for the old
+        own = np.bincount(er[up], minlength=rows.size)
         had = counts_f[vi] > 0
         counts_f[vi] = own
-        # events in tracker order: each neighbor in adjacency order, then v
-        drop = np.column_stack((dec & (before == 1), had & (own == 0)))
-        add = np.column_stack((inc & (before == 0), (own > 0) & ~had))
-        target = np.column_stack((ni, vi)) - base[:, None]
-        er, ec = np.nonzero(drop | add)  # row-major: each row's events in order
-        if not er.size:
+        # events in tracker order: each row's neighbors, then v
+        ev = np.flatnonzero(np.where(up, before == 0, before == 1))
+        er = er[ev]
+        ev_v = np.flatnonzero(had != (own > 0))
+        if not (er.size or ev_v.size):
             continue
         # round r applies every row's r-th event; rows are independent
-        nth = np.arange(er.size) - np.searchsorted(er, er)
-        by_round = np.argsort(nth * len(rows) + er)  # keys are distinct: any sort is stable
-        er, ec = er[by_round], ec[by_round]
-        rows, bases, us, drops = rows[er], base[er], target[er, ec], drop[er, ec]
+        nth = np.concatenate((np.arange(er.size) - np.searchsorted(er, er),
+                              np.bincount(er, minlength=rows.size)[ev_v]))
+        us = np.concatenate((ui[ev] - base[er], v[ev_v]))
+        drops = np.concatenate((~up[ev], had[ev_v]))
+        er = np.concatenate((er, ev_v))
+        by_round = np.argsort(nth * rows.size + er)  # keys are distinct: any sort is stable
+        er, us, drops = er[by_round], us[by_round], drops[by_round]
+        rows, bases = rows[er], base[er]
         lo_ = 0
         for hi_ in np.cumsum(np.bincount(nth)).tolist():
             apply_events(rows[lo_:hi_], bases[lo_:hi_], us[lo_:hi_], drops[lo_:hi_])

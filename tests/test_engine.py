@@ -210,6 +210,55 @@ def test_adversary_orders_run_to_completion():
         assert r.terminated and is_proper(g, r.final_coloring)
 
 
+def _outcome(r):
+    return r.trace, r.final_coloring.colors, r.per_vertex_draws, r.terminated
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("order", ["uniform", "min-drift"])
+def test_a_changed_start_or_another_graph_runs_as_a_fresh_start(runner, order):
+    # a fixed start's tracker is built once per graph object and start object
+    # and copied for later runs; a start recolored in place, or the same start
+    # on a second graph, must not run on that copy
+    sched = UNIFORM_ORDER if order == "uniform" else AdversaryOrder(AdversaryStrategy.MinPhiDrift)
+    D = 3
+
+    def run(g, start, fresh=False):
+        start = Coloring(list(start.colors), D) if fresh else start  # a start no run has seen
+        return _outcome(runner(g, D, start, sched, trial_rng(6, 0), trace=True))
+
+    cycle, matching = gen_cycle(8), from_edge_list(8, [(v, v + 4) for v in range(4)])
+    start = Coloring([1] * 8, D)
+    first = run(cycle, start)
+    start.colors[2] = 2
+    assert run(cycle, start) == run(cycle, start, fresh=True) != first
+    on_cycle = run(cycle, start)  # the run just before, on the same start
+    assert run(matching, start) == run(matching, start, fresh=True) != on_cycle
+
+
+def test_a_fixed_starts_tracker_is_built_once_per_graph_and_start(monkeypatch):
+    builds = []
+
+    class Counting(ConflictTracker):
+        __slots__ = ()
+
+        def __init__(self, g, colors):
+            builds.append(g)
+            super().__init__(g, colors)
+
+    monkeypatch.setattr(engine, "ConflictTracker", Counting)
+    g, start = gen_cycle(8), Coloring([1] * 8, 3)
+    sched = AdversaryOrder(AdversaryStrategy.MinPhiDrift)
+    runs = [_outcome(run_decentralized(g, 3, start, order, trial_rng(2, i), trace=True))
+            for order in (UNIFORM_ORDER, sched) for i in range(4)]
+    assert len(builds) == 1
+    fresh = [_outcome(run_decentralized(g, 3, Coloring([1] * 8, 3), order, trial_rng(2, i), trace=True))
+             for order in (UNIFORM_ORDER, sched) for i in range(4)]
+    assert runs == fresh and len(builds) == 9
+    run_decentralized(g, 3, None, UNIFORM_ORDER, trial_rng(2, 0))  # a random start builds its own
+    assert len(builds) == 10
+
+
 def _uniform_below(draw, k):
     """An exactly uniform value in [0, k) from the stream, by the engine
     module doc's rule: j mod k, rejecting j >= 2^53 - 2^53 mod k."""

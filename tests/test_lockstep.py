@@ -40,12 +40,18 @@ def _scalar(g, D, start, seed, lo, hi, cap):
 
 
 def _kernel(g, D, start, seed, lo, hi, cap, persistent=False):
+    """Trials lo..hi-1 through the kernel's pass loop, with the kernel made
+    to take ranges of any length (see `lockstep.MIN_RANGE`)."""
     assert lockstep.fits(g, D, persistent)
     cfg = ExperimentConfig(graph={}, algorithm="persistent" if persistent else "dc",
                            master_seed=seed, step_cap=cap, counters=("step3_draws", "per_vertex"))
     rows = []
-    for columns in trial_passes(cfg, (g, D, start, UNIFORM_ORDER), lo, hi):
-        rows += zip(*(a.tolist() for a in columns))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lockstep, "MIN_RANGE", 1)
+        passes = _counting(mp, "run_pass")
+        for columns in trial_passes(cfg, (g, D, start, UNIFORM_ORDER), lo, hi):
+            rows += zip(*(a.tolist() for a in columns))
+    assert passes
     return rows
 
 
@@ -176,6 +182,10 @@ def _outputs(tmp_path, name, cfg):
         dict(graph={"kind": "clique", "n": 4}, D=3, step_cap=4),
         # a policy order: no kernel, scalar passes only
         dict(graph={"kind": "erdos", "n": 12, "p": 0.3, "seed": 7}, order="min-drift"),
+        # the largest graphs the one-draw kernel takes; pooled, the 188-trial
+        # range after the first 512 runs scalar
+        dict(graph={"kind": "clique", "n": 64}, D=64),
+        dict(graph={"kind": "erdos", "n": 64, "p": 0.15, "seed": 6415}),
     ],
 )
 def test_run_trials_does_not_depend_on_the_engine(monkeypatch, tmp_path, spec):
@@ -194,6 +204,18 @@ def test_run_trials_does_not_depend_on_the_engine(monkeypatch, tmp_path, spec):
     assert {k: v for k, v in pooled.items() if k != "json"} == {
         k: v for k, v in scalar.items() if k != "json"
     }
+
+
+@pytest.mark.parametrize("trials", [1, "below", "at"])
+def test_one_draw_ranges_shorter_than_the_minimum_run_scalar(monkeypatch, tmp_path, trials):
+    trials = {"below": lockstep.MIN_RANGE - 1, "at": lockstep.MIN_RANGE}.get(trials, trials)
+    routed = _counting(monkeypatch, "run_pass")
+    base = dict(graph={"kind": "clique", "n": 32}, D=32, trials=trials, master_seed=17,
+                per_trial=True, counters=("total_draws", "step3_draws", "per_vertex"), workers=1)
+    got = _outputs(tmp_path, "got", ExperimentConfig(**base))
+    assert len(routed) == (trials >= lockstep.MIN_RANGE)
+    monkeypatch.setattr(lockstep, "fits", lambda g, D, persistent: False)
+    assert got == _outputs(tmp_path, "scalar", ExperimentConfig(**base))
 
 
 def _traced_peak(cfg):
@@ -232,8 +254,10 @@ def test_a_bad_fixed_start_fails_as_in_the_scalar_engine():
         pytest.param(gen_clique(8), 8, False, True, id="dc-K8"),
         pytest.param(gen_cycle(16), 3, False, True, id="dc-C16"),
         pytest.param(gen_clique(32), 32, False, True, id="dc-K32"),
-        pytest.param(gen_cycle(33), 3, False, False, id="dc-C33"),
-        pytest.param(gen_clique(64), 64, False, False, id="dc-K64"),
+        pytest.param(gen_cycle(33), 3, False, True, id="dc-C33"),
+        pytest.param(gen_clique(64), 64, False, True, id="dc-K64"),
+        pytest.param(gen_cycle(65), 3, False, False, id="dc-C65"),
+        pytest.param(gen_clique(65), 65, False, False, id="dc-K65"),
         pytest.param(gen_cycle(1000), 3, False, False, id="dc-C1000"),
         # persistent: the graph size and the palette
         pytest.param(gen_cycle(4), 2, True, True, id="persistent-C4-D2"),
