@@ -414,11 +414,13 @@ def _build(cfg: ExperimentConfig) -> tuple[Graph, int, Coloring | None, Schedule
 
 def _in_kernel(cfg: ExperimentConfig, g: Graph, D: int, order: SchedulerPolicy, trials: int) -> bool:
     """Whether a range of `trials` of cfg's trials runs in a lockstep kernel:
-    uniform order on a graph (and palette) the algorithm's kernel fits, and
-    for one-draw trials a range of at least `lockstep.MIN_RANGE`."""
+    uniform order on a graph (and palette) the algorithm's kernel fits, in
+    a range of at least `lockstep.MIN_RANGE` one-draw trials or
+    `lockstep.PERSISTENT_MIN_RANGE` persistent ones."""
     persistent = cfg.algorithm == "persistent"
+    least = lockstep.PERSISTENT_MIN_RANGE if persistent else lockstep.MIN_RANGE
     return (isinstance(order, UniformRandomOrder) and lockstep.fits(g, D, persistent)
-            and (persistent or trials >= lockstep.MIN_RANGE))
+            and trials >= least)
 
 
 def _chunks(trials: int, workers: int, kernel: bool) -> list[tuple[int, int]]:

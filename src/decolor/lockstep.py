@@ -3,11 +3,11 @@
 Both kernels run one pass of trials together on numpy arrays and give
 every trial they finish exactly the result the scalar engine gives it
 alone. One entry point, ``run_pass``, runs either process, `fits` says
-which graphs and palettes each kernel takes, and `MIN_RANGE` how many
-trials a one-draw range needs. Both follow the stream version
-2 rules (see ``decolor.engine``). A pass fills its caller's arrays and
-returns the trials it cannot finish, and ``decolor.experiments``, whose one
-loop runs every scalar trial, reruns them from the start in
+which graphs and palettes each kernel takes, and `MIN_RANGE` and
+`PERSISTENT_MIN_RANGE` how many trials a range needs. Both follow the
+stream version 2 rules (see ``decolor.engine``). A pass fills its caller's
+arrays and returns the trials it cannot finish, and ``decolor.experiments``,
+whose one loop runs every scalar trial, reruns them from the start in
 ``run_decentralized`` or ``run_persistent`` into the same rows.
 
 One-draw. The state per trial mirrors the scalar engine's: colors,
@@ -74,6 +74,8 @@ PASS_ENTRIES = 33 * 1024
 TAIL_SHARE = 128
 # one-draw ranges of fewer trials run in the scalar engine (see `fits`)
 MIN_RANGE = 256
+# and persistent ranges of fewer trials than this
+PERSISTENT_MIN_RANGE = 64
 # the persistent kernel keeps 1-byte colors and 1- or 2-byte vertices per
 # entry, so its passes hold twice as many (2048 trials at n = 32, 1039 at
 # n = 64, 131 at n = 512)
@@ -122,7 +124,19 @@ def fits(g: Graph, D: int, persistent: bool) -> bool:
     degree + 1 (best of 3, on a Xeon VM): 2.4 on C64, 2.5 on G(64, 0.15),
     2.7 on C128 and G(128, 0.05), 2.1 on C256 and G(256, 0.02), 3.2 on
     G(256, 0.15), 1.4 on C512, 1.5 on G(512, 0.01), but 0.9-1.1 on C1000
-    and G(1000, 0.01), where a pass holds 67 trials.
+    and G(1000, 0.01), where a pass holds 67 trials. On short ranges the
+    scalar engine wins; scalar time over kernel time of `run_trials` with
+    one worker, best of 7, from a random start:
+
+        trials   C8 (D = 3)  K8    K32   G(64, 0.15)
+        1        0.32        0.36  0.26  0.28
+        16       0.47        0.52  0.60  0.40
+        32       0.62        0.67  0.89  0.57
+        64       0.74        0.81  1.23  0.87
+        128      0.83        0.96  1.67  1.21
+
+    No count up to 64 wins on all four graphs, so a range of fewer than
+    `PERSISTENT_MIN_RANGE` = 64 trials runs in the scalar engine.
     """
     if persistent:
         return g.n <= 512 and D <= MAX_PERSISTENT_D

@@ -12,11 +12,13 @@ against STATE_BUDGET and lists its children per pick, and each order's pick
 rule is written once. The one-draw chain folds those children into the rows
 of I - Q, and both its exact and its certified solve read those rows; a
 state that cannot reach a proper coloring shows as a zero pivot of the exact
-elimination. Both solves do their heavy arithmetic on Python integers: the
-exact one eliminates fraction-free on the integer rows of den * (I - Q) and
-leaves only back-substitution to `Fraction`, and the certified one holds its
-iterate over a power of two, so every residual is an exact integer. Every
-value is a `fractions.Fraction`.
+elimination. Both solves do their arithmetic on Python integers: the exact
+one eliminates fraction-free on the integer rows of den * (I - Q) and
+back-substitutes on reduced (numerator, denominator) pairs, and the certified
+one holds its iterate over a power of two, so every residual is an exact
+integer. The persistent evaluation scales every state's value by one common
+denominator, so its divisions are exact integer ones. A `fractions.Fraction`
+is built only for a value that a solve returns.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, perm
+from math import gcd, lcm, perm
 from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -315,8 +317,10 @@ def _solve_exact(rows: list) -> tuple[list, int, int]:
     that rational elimination would hold, so entries cancel to an exact zero,
     and are dropped, exactly where they would there. A self-loop that
     cancels the diagonal stays an explicit zero entry. Back-substitution, in
-    reverse pivot order, divides by the kept pivots; it is the only rational
-    arithmetic.
+    reverse pivot order, divides by the kept pivots. It holds each solved
+    value as a reduced (numerator, positive denominator) pair of integers,
+    adds a row's terms over the lcm of their denominators, and builds the
+    returned `Fraction`s once, at the end.
 
     Diagonal pivots in any symmetric order are safe when every transient
     state reaches absorption: then I - Q is a nonsingular M-matrix (Q is
@@ -394,13 +398,19 @@ def _solve_exact(rows: list) -> tuple[list, int, int]:
                     ri[j] //= g
             b[i] = bi
 
-    x: list = [None] * t
+    num, den = [0] * t, [1] * t  # x = num / den, reduced, den > 0
     for k in reversed(order):
-        acc = Fraction(b[k])
-        for j, v in a[k].items():
-            acc -= v * x[j]
-        x[k] = acc / pivots[k]
-    return x, nonzeros, fill
+        row = a[k]
+        d = lcm(*(den[j] for j in row))
+        acc = b[k] * d
+        for j, v in row.items():
+            acc -= v * num[j] * (d // den[j])
+        d *= pivots[k]
+        g = gcd(acc, d)
+        if d < 0:
+            g = -g
+        num[k], den[k] = acc // g, d // g
+    return [Fraction(p, q) for p, q in zip(num, den)], nonzeros, fill
 
 
 def _solve_certified(rows: list, m_bound: int, tol: Fraction) -> tuple[list, Fraction, int, Fraction]:
@@ -541,6 +551,24 @@ def exact_expected_recolorings_persistent(
     fewer conflicted vertices than its parent: the states form a DAG, and
     evaluating them in ascending conflicted count finds every child's value
     before its parent's.
+
+    The evaluation runs in integers over one common denominator. A state
+    with c conflicted vertices and k picks (1, or all c) has the value
+    (1/k) sum over its picks of (D + sum w * child value) / f, f the free
+    colors of the picked vertex. Let C be the
+    largest conflicted count of a state (at most n), and L the lcm of f * k
+    over 1 <= k <= C and the f a pick can have: at most D, and at least
+    D - max degree, since v's neighbors hold at most deg v colors. By
+    induction on the conflicted count c, a state's value has a denominator
+    dividing L**c. A proper state is 0. A child has at most c - 1
+    conflicted vertices, so a pick's value has a denominator dividing
+    f * L**(c - 1). The sum of the k picks then has one dividing the lcm of
+    their f times L**(c - 1), and the mean one dividing the lcm of their
+    f * k times L**(c - 1), which divides L**c. So with S = L**C every
+    value scaled by S is an integer N, and so is every pick's: both
+    (D*S + sum w * N_child) // f and the state's sum of picks // k are
+    exact divisions. (S = L**n would be as exact, but on a large graph
+    with few conflicted vertices it makes every integer far longer.)
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
@@ -554,23 +582,28 @@ def exact_expected_recolorings_persistent(
 
     starts, total_weight, states = _walk(g, D, start, position, moves)
     states = list(states)
-    value: list = [None] * len(states)
-    for r in sorted(range(len(states)), key=lambda r: states[r][0]):
+    rows = sorted(range(len(states)), key=lambda r: states[r][0])
+    C = states[rows[-1]][0] if states else 0
+    L = lcm(*(f * k for f in range(max(D - g.max_degree, 1), D + 1) for k in range(1, C + 1)))
+    S = L**C
+    DS = D * S
+    value = [0] * len(states)  # each state's value times S
+    for r in rows:
         children = states[r][1]
         total = 0
         for pick in children:
             # v draws D/f times on average, then lands uniformly on its f
             # free colors, whose weights sum to f
             f = 0
-            acc = D
+            acc = DS
             for j, w in pick:
                 f += w
-                if j is not None:  # most weigh 1, and a Fraction product is slow
-                    acc += value[j] if w == 1 else value[j] * w
-            total += Fraction(acc, f * len(children))
-        value[r] = total
-    return ExactValue(_start_mean(starts, total_weight, value), method="persistent-recursion",
-                      transient=len(states))
+                if j is not None:
+                    acc += value[j] * w
+            total += acc // f
+        value[r] = total // len(children)
+    mean = Fraction(sum(w * value[r] for r, w in starts if r is not None), total_weight * S)
+    return ExactValue(mean, method="persistent-recursion", transient=len(states))
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,15 @@ def _scalar(g, D, start, seed, lo, hi, cap):
 
 def _kernel(g, D, start, seed, lo, hi, cap, persistent=False):
     """Trials lo..hi-1 through the kernel's pass loop, with the kernel made
-    to take ranges of any length (see `lockstep.MIN_RANGE`)."""
+    to take ranges of any length (see `lockstep.MIN_RANGE` and
+    `lockstep.PERSISTENT_MIN_RANGE`)."""
     assert lockstep.fits(g, D, persistent)
     cfg = ExperimentConfig(graph={}, algorithm="persistent" if persistent else "dc",
                            master_seed=seed, step_cap=cap, counters=("step3_draws", "per_vertex"))
     rows = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lockstep, "MIN_RANGE", 1)
+        mp.setattr(lockstep, "PERSISTENT_MIN_RANGE", 1)
         passes = _counting(mp, "run_pass")
         for columns in trial_passes(cfg, (g, D, start, UNIFORM_ORDER), lo, hi):
             rows += zip(*(a.tolist() for a in columns))
@@ -218,6 +220,21 @@ def test_one_draw_ranges_shorter_than_the_minimum_run_scalar(monkeypatch, tmp_pa
     assert got == _outputs(tmp_path, "scalar", ExperimentConfig(**base))
 
 
+@pytest.mark.parametrize("trials", [1, "below", "at"])
+@pytest.mark.parametrize("spec", [dict(graph={"kind": "clique", "n": 32}, D=32),
+                                  dict(graph={"kind": "badbip", "delta": 32}, start="construction")])
+def test_persistent_ranges_shorter_than_the_minimum_run_scalar(monkeypatch, tmp_path, spec, trials):
+    least = lockstep.PERSISTENT_MIN_RANGE
+    trials = {"below": least - 1, "at": least}.get(trials, trials)
+    routed = _counting(monkeypatch, "run_pass")
+    base = dict(trials=trials, master_seed=17, per_trial=True, algorithm="persistent",
+                counters=("total_draws", "step3_draws", "per_vertex"), workers=1, **spec)
+    got = _outputs(tmp_path, "got", ExperimentConfig(**base))
+    assert len(routed) == (trials >= least)
+    monkeypatch.setattr(lockstep, "fits", lambda g, D, persistent: False)
+    assert got == _outputs(tmp_path, "scalar", ExperimentConfig(**base))
+
+
 def _traced_peak(cfg):
     tracemalloc.start()
     try:
@@ -235,7 +252,7 @@ def test_kernel_runs_hold_one_pass_in_memory():
         return ExperimentConfig(graph={"kind": "cycle", "n": 64}, algorithm="persistent", D=3,
                                 trials=trials, workers=1)
 
-    run_trials(cfg(50))
+    run_trials(cfg(lockstep.PERSISTENT_MIN_RANGE))  # warms up the kernel
     few, many = _traced_peak(cfg(1100)), _traced_peak(cfg(5100))
     assert many - few < 1_000_000
 
