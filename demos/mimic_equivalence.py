@@ -5,7 +5,9 @@ The persistent variant is one adversary away from the one-draw one
 An order adversary that keeps re-selecting the same vertex until it clears
 makes the one-draw algorithm reproduce the persistent variant exactly. Both
 exact oracles agree rational-for-rational, and Monte Carlo runs of the two
-processes land on the same mean.
+processes land on the same mean. Run under the mimic order with the same
+seeds, both algorithms make the same draws, trial for trial: the engine
+runs a one-draw mimic selection as one redraw-until-clear step.
 """
 
 from decolor import (
@@ -47,3 +49,7 @@ b = run_trials(ExperimentConfig(algorithm="persistent", order="uniform", **commo
 sa, sb = a.stats["step3_draws"], b.stats["step3_draws"]
 print(f"  one-draw + mimic adversary: {sa.mean:.4f} +- {sa.se:.4f}")
 print(f"  persistent variant:         {sb.mean:.4f} +- {sb.se:.4f}")
+c = run_trials(ExperimentConfig(algorithm="persistent", order="mimic", **common))
+same = "==" if (a.step3_draws == c.step3_draws).all() else "!="
+print(f"  one-draw + mimic {same} persistent + mimic, trial for trial "
+      f"(step3_draws of all {len(a.step3_draws)} trials)")

@@ -68,8 +68,10 @@ def mimic_persistent_pick(
     """Re-select the previous vertex while it stays conflicted.
 
     Under the one-draw-per-selection algorithm this reproduces the persistent
-    variant's redraw loop. When the previous vertex clears (or at the first
-    pick), the next vertex comes from `mode`: "uniform" takes
+    variant's redraw loop, so the engine runs a one-draw mimic run as that
+    loop: it calls this once per selected vertex, not once per draw, with
+    the same stream and outputs. When the previous vertex clears (or at the
+    first pick), the next vertex comes from `mode`: "uniform" takes
     sorted(conflicted)[(j * len(conflicted)) >> 53] for the run's next stream
     value j = draw() in [0, 2^53), "lowest" takes the smallest id. Only that
     uniform choice calls `draw`. `counts` are the state's same-color

@@ -12,7 +12,11 @@ Both run through one function, `_run`. Uniform order has a fast path per
 algorithm: a loop over the tracker's member list for one-draw and a single
 permutation walk, `_uniform_walk`, for persistent. Every other order runs
 one policy loop for both algorithms: the order object's `pick` chooses a
-conflicted vertex, which then draws one color or redraws until clear.
+conflicted vertex, which then draws one color or redraws until clear. A
+one-draw run under the mimic `AdversaryOrder` redraws until clear as well:
+the mimic re-picks its vertex, without a stream value, for as long as it is
+conflicted, so one loop step per selected vertex reads the same stream and
+gives the same outputs as one step per draw.
 
 Randomness (stream version 2, see ``decolor.rng``): every value a run uses
 is one ``rng.random()`` double u, that is one 64-bit word, taken as the
@@ -380,10 +384,16 @@ def _run(
 
     Uniform order takes its algorithm's fast path. Every other order runs
     the one policy loop: pick with `sched.pick`, then draw one color, or
-    redraw until the picked vertex is clear. A persistent run capped
-    mid-redraw leaves that vertex conflicted, so `not members` is exactly
-    "terminated" for both algorithms. Each path leaves its counters here,
-    and the run's one `RunResult` is built from them at the end.
+    redraw until the picked vertex is clear. A one-draw run under the mimic
+    order redraws until clear too, and keeps one-draw bookkeeping: one
+    selection and one trace entry per draw. That is exact: while the mimic
+    holds v, v's neighbors keep their colors, so v is conflicted exactly
+    when its draw is among theirs, and the mimic's pick reads only v's
+    count and the sorted conflicted set, never the states between draws.
+    A run capped mid-redraw leaves that vertex conflicted, so `not members`
+    is exactly "terminated" for both algorithms. Each path leaves its
+    counters here, and the run's one `RunResult` is built from them at the
+    end.
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
@@ -422,10 +432,12 @@ def _run(
         history: list[int] = []
         lim = _TWO53 - _TWO53 % D
         step3 = 0
+        redraw = until_clear or (isinstance(sched, AdversaryOrder)
+                                 and sched.strategy is AdversaryStrategy.MimicPersistent)
         while members and step3 < cap:
             v = sched.pick(g, coloring, members, counts, history, draw)
             history.append(v)
-            if not until_clear:
+            if not redraw:
                 j = draw()  # exact-uniform rule (module doc)
                 while j >= lim:
                     j = draw()
@@ -433,7 +445,7 @@ def _run(
                 draws = None
                 step3 += 1
                 per_vertex[v] += 1
-            elif per_vertex[v]:  # every selection draws at least once
+            elif until_clear and per_vertex[v]:  # every selection draws at least once
                 raise RuntimeError(f"vertex {v} selected twice in a persistent run")
             else:
                 draws = _redraw_until_clear(draw, D, {colors[u] for u in adjacency[v]}, cap - step3)
@@ -444,8 +456,11 @@ def _run(
             # with the last drawn color is equivalent to applying each draw
             tracker.recolor(v, x)
             if trace_list is not None:
-                trace_list.append((v, draws or [x]))
-        selections, terminated = len(history), not members
+                if until_clear or draws is None:
+                    trace_list.append((v, draws or [x]))
+                else:  # a one-draw trace has one entry per draw
+                    trace_list.extend((v, [y]) for y in draws)
+        selections, terminated = len(history) if until_clear else step3, not members
     return RunResult(total_draws=g.n + step3, step3_draws=step3, per_vertex_draws=per_vertex,
                      selections=selections, terminated=terminated,
                      final_coloring=Coloring(colors, D), trace=trace_list)
@@ -463,7 +478,10 @@ def run_decentralized(
     """One-draw-per-selection recoloring until proper or the cap is hit.
 
     With uniform order the run takes the member-list loop the lockstep
-    kernel reproduces; other orders run the shared policy loop.
+    kernel reproduces; other orders run the shared policy loop. Under the
+    mimic order, which re-picks a vertex until it clears, that loop redraws
+    each picked vertex until clear in one step, with the same stream and
+    the same outputs as one step per draw.
     """
     return _run(g, D, start, sched, rng, step_cap, trace, until_clear=False)
 

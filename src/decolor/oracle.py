@@ -17,8 +17,9 @@ one eliminates fraction-free on the integer rows of den * (I - Q) and
 back-substitutes on reduced (numerator, denominator) pairs, and the certified
 one holds its iterate over a power of two, so every residual is an exact
 integer. The persistent evaluation scales every state's value by one common
-denominator, so its divisions are exact integer ones. A `fractions.Fraction`
-is built only for a value that a solve returns.
+denominator, so its divisions are exact integer ones. The one-draw solves
+return their values in that integer form, and one `fractions.Fraction` is
+built, for the start distribution's mean.
 """
 
 from __future__ import annotations
@@ -247,9 +248,13 @@ def _walk(g: Graph, D: int, start: Coloring | None, position: Sequence[int] | No
     return starts, total_weight, states()
 
 
-def _start_mean(starts: list, total_weight: int, x: list) -> Fraction:
-    """The start distribution's mean of x, which is 0 on proper states."""
-    return sum((w * x[r] for r, w in starts if r is not None), Fraction(0)) / total_weight
+def _start_mean(starts: list, total_weight: int, x: tuple[list, list]) -> Fraction:
+    """The start distribution's mean of a solve's x = (numerators, positive
+    denominators), which is 0 on proper states, as one `Fraction`."""
+    num, den = x
+    d = lcm(*(den[r] for r, _ in starts if r is not None))
+    total = sum(w * num[r] * (d // den[r]) for r, w in starts if r is not None)
+    return Fraction(total, d * total_weight)
 
 
 def _pick_rule(g: Graph, order: Order) -> tuple[Sequence[int] | None, bool]:
@@ -302,7 +307,7 @@ def _build_dc_chain(g: Graph, D: int, start: Coloring | None, order: Order) -> t
     return starts, total_weight, rows
 
 
-def _solve_exact(rows: list) -> tuple[list, int, int]:
+def _solve_exact(rows: list) -> tuple[tuple[list, list], int, int]:
     """Exact solve of (I - Q) x = 1 by sparse fraction-free elimination.
 
     Row r of den * (I - Q) is an integer row: its diagonal is den less the
@@ -318,9 +323,8 @@ def _solve_exact(rows: list) -> tuple[list, int, int]:
     and are dropped, exactly where they would there. A self-loop that
     cancels the diagonal stays an explicit zero entry. Back-substitution, in
     reverse pivot order, divides by the kept pivots. It holds each solved
-    value as a reduced (numerator, positive denominator) pair of integers,
-    adds a row's terms over the lcm of their denominators, and builds the
-    returned `Fraction`s once, at the end.
+    value as a reduced (numerator, positive denominator) pair of integers
+    and adds a row's terms over the lcm of their denominators.
 
     Diagonal pivots in any symmetric order are safe when every transient
     state reaches absorption: then I - Q is a nonsingular M-matrix (Q is
@@ -332,8 +336,9 @@ def _solve_exact(rows: list) -> tuple[list, int, int]:
     multiple of its determinant, 0, so elimination meets an exact zero pivot,
     and the expected count is infinite, a ValueError.
 
-    Returns expected remaining draws per row, the nonzero count of I - Q and
-    the fill-in (entries that elimination created).
+    Returns expected remaining draws per row as (numerators, denominators),
+    two lists of integers, the nonzero count of I - Q and the fill-in
+    (entries that elimination created).
     """
     t = len(rows)
     a: list[dict[int, int]] = []
@@ -410,10 +415,12 @@ def _solve_exact(rows: list) -> tuple[list, int, int]:
         if d < 0:
             g = -g
         num[k], den[k] = acc // g, d // g
-    return [Fraction(p, q) for p, q in zip(num, den)], nonzeros, fill
+    return (num, den), nonzeros, fill
 
 
-def _solve_certified(rows: list, m_bound: int, tol: Fraction) -> tuple[list, Fraction, int, Fraction]:
+def _solve_certified(
+    rows: list, m_bound: int, tol: Fraction
+) -> tuple[tuple[list, list], Fraction, int, Fraction]:
     """Float LU solve plus iterative refinement with exact residuals.
 
     The inverse of (I - Q) has nonnegative entries whose row sums are the
@@ -428,7 +435,8 @@ def _solve_certified(rows: list, m_bound: int, tol: Fraction) -> tuple[list, Fra
     feeds the next LU solve. Only the max residual and the bound are formed
     as rationals.
 
-    Returns (x, bound, refinement rounds, max residual).
+    Returns (x, bound, refinement rounds, max residual), x as (X, [2^E] * t),
+    the integer form `_solve_exact` returns.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -468,7 +476,7 @@ def _solve_certified(rows: list, m_bound: int, tol: Fraction) -> tuple[list, Fra
         max_r = Fraction(worst, worst_den << E)
         bound = m_bound * max_r
         if bound <= tol:
-            return [Fraction(xr, 1 << E) for xr in X], bound, rounds, max_r
+            return (X, [1 << E] * t), bound, rounds, max_r
         step = lu.solve(np.array(residual))
     raise RuntimeError("iterative refinement failed to certify the requested tolerance")
 

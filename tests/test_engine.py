@@ -470,3 +470,52 @@ def test_policy_path_matches_a_recomputing_reference(run):
         assert r.selections == len(want_trace), name
         assert r.per_vertex_draws == want_per_vertex, name
         assert r.step3_draws == sum(want_per_vertex), name
+
+
+def _mimic_cases():
+    from decolor.adversary import bad_bipartite_start
+
+    bip, construction = bad_bipartite_start(16)
+    erdos = gen_erdos_renyi(12, 0.4, 5)
+    # each cap stops some trials, and some of those mid-redraw
+    return [(bip, 17, construction, 200), (erdos, erdos.max_degree + 1, None, 8)]
+
+
+@pytest.mark.parametrize("mode", ["uniform", "lowest"])
+@pytest.mark.parametrize("capped", [False, True])
+def test_one_draw_mimic_runs_equal_persistent_mimic_runs(mode, capped):
+    # a one-draw mimic run redraws until clear in one loop step; that is
+    # exact only if it equals the persistent run, trial for trial
+    sched = AdversaryOrder(AdversaryStrategy.MimicPersistent, mode=mode)
+    for g, D, start, cap in _mimic_cases():
+        cap = cap if capped else None
+        mid_redraw = 0
+        for t in range(40):
+            dc = run_decentralized(g, D, start, sched, trial_rng(28, t), step_cap=cap, trace=True)
+            p = run_persistent(g, D, start, sched, trial_rng(28, t), step_cap=cap, trace=True)
+            assert (dc.step3_draws, dc.per_vertex_draws, dc.terminated, dc.final_coloring.colors) == (
+                p.step3_draws, p.per_vertex_draws, p.terminated, p.final_coloring.colors)
+            assert dc.selections == dc.step3_draws
+            assert dc.trace == [(v, [x]) for v, draws in p.trace for x in draws]
+            if not p.terminated:  # stopped mid-redraw iff its last vertex is still conflicted
+                colors, (v, _) = p.final_coloring.colors, p.trace[-1]
+                mid_redraw += any(colors[u] == colors[v] for u in g.adjacency[v])
+        assert bool(mid_redraw) == capped
+
+
+def test_a_one_draw_mimic_run_picks_once_per_selected_vertex(monkeypatch):
+    from decolor import adversary
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return mimic_persistent_pick(*args, **kwargs)
+
+    # dispatch_pick reads the module attribute at call time
+    monkeypatch.setattr(adversary, "mimic_persistent_pick", counting)
+    g, D, start, _ = _mimic_cases()[0]
+    sched = AdversaryOrder(AdversaryStrategy.MimicPersistent)
+    r = run_decentralized(g, D, start, sched, trial_rng(5, 0), trace=True)
+    runs = sum(1 for i, (v, _) in enumerate(r.trace) if i == 0 or r.trace[i - 1][0] != v)
+    assert len(calls) == runs < r.step3_draws

@@ -47,6 +47,12 @@ CASES = {
     "erdos12-dc-mimic-cap10": [
         "--graph", "erdos:12,0.4,5", "--order", "mimic", "--step-cap", "10", "--seed", "7",
     ],
+    # a one-draw mimic run redraws until clear in one loop step; 76 of the
+    # 300 trials stop at the cap
+    "badbip16-dc-mimic-cap200": [
+        "--graph", "badbip:16", "--start", "construction", "--order", "mimic",
+        "--step-cap", "200", "--seed", "16",
+    ],
 }
 
 
