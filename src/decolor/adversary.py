@@ -1,8 +1,10 @@
-"""Adversarial starting colorings and adversarial vertex-selection strategies.
+"""Adversarial starting colorings, the policy orders and their one dispatcher.
 
-The selection strategies implement the "adversarial order" knob: they pick
-which conflicted vertex recolors next, seeing the full current state and the
-selection history but never future random bits.
+A policy order picks which conflicted vertex recolors next, seeing the full
+current state and the selection history but never future random bits. The
+orders are plain data: a `FixedPermutationOrder` or an `AdversaryOrder`
+naming one of the selection strategies. `dispatch_pick` turns an order into
+a pick; the engine's policy loop calls it once per pick.
 
 The min-drift strategy needs the monochromatic components and their
 articulation data at every pick. `DriftState` keeps them for a run and
@@ -30,9 +32,8 @@ class AdversaryStrategy(enum.Enum):
 
 
 # read by dispatch_pick on every pick; a member read costs several times a global's
-_MIMIC, _MIN_DRIFT, _MAX_CONFLICTED, _SCRIPTED = (
-    AdversaryStrategy.MimicPersistent, AdversaryStrategy.MinPhiDrift,
-    AdversaryStrategy.MaxConflicted, AdversaryStrategy.Scripted)
+_MIMIC, _MIN_DRIFT, _MAX_CONFLICTED = (
+    AdversaryStrategy.MimicPersistent, AdversaryStrategy.MinPhiDrift, AdversaryStrategy.MaxConflicted)
 
 
 def bad_bipartite_start(delta: int) -> tuple[Graph, Coloring]:
@@ -380,31 +381,86 @@ def scripted_pick(script: Sequence[int], conflicted: Sequence[int], history: Seq
     return v
 
 
+class FixedPermutationOrder:
+    """Step-2 policy: always select the conflicted vertex that appears
+    earliest in a fixed permutation of the vertices."""
+
+    __slots__ = ("order", "position")
+
+    def __init__(self, order: Sequence[int]):
+        order = tuple(int(v) for v in order)
+        if sorted(order) != list(range(len(order))):
+            raise ValueError("order must be a permutation of 0..n-1")
+        self.order = order
+        position = [0] * len(order)
+        for i, v in enumerate(order):
+            position[v] = i
+        self.position = position
+
+    def __repr__(self) -> str:
+        return f"FixedPermutationOrder({self.order})"
+
+
+class AdversaryOrder:
+    """Step-2 policy: delegate selection to an adversary strategy.
+
+    `drift` is the `DriftState` in which the min-drift picker keeps its
+    components from one pick to the next. The order creates it empty,
+    whatever the strategy, and only that picker fills it. The state checks
+    every coloring it is handed, so one order serves any number of runs; a
+    pickled order unpickles with an empty state.
+    """
+
+    __slots__ = ("strategy", "mode", "script", "drift")
+
+    def __init__(
+        self,
+        strategy: AdversaryStrategy,
+        mode: str = "uniform",
+        script: Sequence[int] | None = None,
+    ):
+        if not isinstance(strategy, AdversaryStrategy):
+            raise TypeError(f"an adversary strategy is an AdversaryStrategy, not {strategy!r}")
+        self.strategy = strategy
+        self.mode = mode
+        self.script = tuple(script) if script is not None else None
+        if strategy is AdversaryStrategy.Scripted and self.script is None:
+            raise ValueError("scripted adversary needs a script")
+        if strategy is AdversaryStrategy.MimicPersistent and mode not in ("uniform", "lowest"):
+            raise ValueError(f"unknown mimic mode {mode!r}")
+        self.drift = DriftState()
+
+    def __repr__(self) -> str:
+        return f"AdversaryOrder({self.strategy}, mode={self.mode!r})"
+
+
 def dispatch_pick(
-    strategy: AdversaryStrategy,
-    mode: str,
-    script: Sequence[int] | None,
+    order: FixedPermutationOrder | AdversaryOrder,
     g: Graph,
     c: Coloring,
     conflicted: Sequence[int],
     counts: Sequence[int],
     history: Sequence[int],
     draw: Callable[[], int],
-    drift: DriftState | None = None,
 ) -> int:
-    """One adversary pick from the whole conflicted set, in any order, and
-    the state's same-color neighbor counts; `drift` is the min-drift
-    picker's state, kept by the caller across picks."""
+    """The policy order's pick from the whole, non-empty conflicted set, in
+    any order, given the state's same-color neighbor counts, the vertices
+    picked so far and the run's next-value function. A permutation takes
+    its earliest conflicted vertex; an adversary's strategy picks, and a
+    clear vertex from it is a RuntimeError."""
+    if isinstance(order, FixedPermutationOrder):
+        return min(conflicted, key=order.position.__getitem__)
     # the pickers are module attributes, read at call time, so a wrapper set
     # on one (as perfbench/tracing.py sets) sees every pick
+    strategy = order.strategy
     if strategy is _MIMIC:
-        return mimic_persistent_pick(g, c, conflicted, history, draw, mode=mode, counts=counts)
-    if strategy is _MIN_DRIFT:
-        return min_phi_drift_pick(g, c, conflicted, counts, drift)
-    if strategy is _MAX_CONFLICTED:
-        return max_conflicted_pick(g, c, conflicted, counts)
-    if strategy is _SCRIPTED:
-        if script is None:
-            raise ValueError("scripted strategy needs a script")
-        return scripted_pick(script, conflicted, history)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        v = mimic_persistent_pick(g, c, conflicted, history, draw, mode=order.mode, counts=counts)
+    elif strategy is _MIN_DRIFT:
+        v = min_phi_drift_pick(g, c, conflicted, counts, order.drift)
+    elif strategy is _MAX_CONFLICTED:
+        v = max_conflicted_pick(g, c, conflicted, counts)
+    else:  # scripted: the order was built with its script
+        v = scripted_pick(order.script, conflicted, history)
+    if counts[v] <= 0:
+        raise RuntimeError(f"adversary returned non-conflicted vertex {v}")
+    return v

@@ -11,12 +11,13 @@ vertex is unconflicted, after which that vertex is never selected again.
 Both run through one function, `_run`. Uniform order has a fast path per
 algorithm: a loop over the tracker's member list for one-draw and a single
 permutation walk, `_uniform_walk`, for persistent. Every other order runs
-one policy loop for both algorithms: the order object's `pick` chooses a
-conflicted vertex, which then draws one color or redraws until clear. A
-one-draw run under the mimic `AdversaryOrder` redraws until clear as well:
-the mimic re-picks its vertex, without a stream value, for as long as it is
-conflicted, so one loop step per selected vertex reads the same stream and
-gives the same outputs as one step per draw.
+one policy loop for both algorithms: `adversary.dispatch_pick` chooses a
+conflicted vertex for the order, which holds only data, and the vertex then
+draws one color or redraws until clear. A one-draw run under the mimic
+`AdversaryOrder` redraws until clear as well: the mimic re-picks its vertex,
+without a stream value, for as long as it is conflicted, so one loop step
+per selected vertex reads the same stream and gives the same outputs as one
+step per draw.
 
 Randomness (stream version 2, see ``decolor.rng``): every value a run uses
 is one ``rng.random()`` double u, that is one 64-bit word, taken as the
@@ -45,13 +46,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from . import adversary as _adv
 from . import coloring as _coloring
-from .adversary import AdversaryStrategy
+from .adversary import AdversaryOrder, AdversaryStrategy, FixedPermutationOrder
 from .coloring import Coloring
 from .graphs import Graph
 
@@ -68,80 +69,6 @@ class UniformRandomOrder:
 
 
 UNIFORM_ORDER = UniformRandomOrder()
-
-
-class FixedPermutationOrder:
-    """Step-2 policy: always select the conflicted vertex that appears
-    earliest in a fixed permutation of the vertices."""
-
-    __slots__ = ("order", "position")
-
-    def __init__(self, order: Sequence[int]):
-        order = tuple(int(v) for v in order)
-        if sorted(order) != list(range(len(order))):
-            raise ValueError("order must be a permutation of 0..n-1")
-        self.order = order
-        position = [0] * len(order)
-        for i, v in enumerate(order):
-            position[v] = i
-        self.position = position
-
-    def __repr__(self) -> str:
-        return f"FixedPermutationOrder({self.order})"
-
-    def pick(self, g: Graph, c: Coloring, conflicted: Sequence[int], counts: Sequence[int],
-             history: Sequence[int], draw: Callable[[], int]) -> int:
-        """The conflicted vertex earliest in the permutation."""
-        return min(conflicted, key=self.position.__getitem__)
-
-
-class AdversaryOrder:
-    """Step-2 policy: delegate selection to an adversary strategy.
-
-    `drift` is the `adversary.DriftState` in which the min-drift picker keeps
-    its components from one pick to the next. It is made empty at the
-    order's first pick, whatever the strategy, and only that picker fills
-    it. The state checks every coloring it is handed, so one order serves
-    any number of runs.
-    """
-
-    __slots__ = ("strategy", "mode", "script", "drift")
-
-    def __init__(
-        self,
-        strategy: AdversaryStrategy,
-        mode: str = "uniform",
-        script: Sequence[int] | None = None,
-    ):
-        self.strategy = strategy
-        self.mode = mode
-        self.script = tuple(script) if script is not None else None
-        if strategy is AdversaryStrategy.Scripted and self.script is None:
-            raise ValueError("scripted adversary needs a script")
-        if strategy is AdversaryStrategy.MimicPersistent and mode not in ("uniform", "lowest"):
-            raise ValueError(f"unknown mimic mode {mode!r}")
-        self.drift = None
-
-    def __repr__(self) -> str:
-        return f"AdversaryOrder({self.strategy}, mode={self.mode!r})"
-
-    def pick(self, g: Graph, c: Coloring, conflicted: Sequence[int], counts: Sequence[int],
-             history: Sequence[int], draw: Callable[[], int]) -> int:
-        """The strategy's choice from the whole, non-empty conflicted set, in
-        any order, given the state's same-color neighbor counts, the vertices
-        picked so far and the run's next-value function (see `dispatch_pick`).
-        """
-        if self.drift is None:
-            self.drift = _adv.DriftState()
-        # read at call time, so a wrapper set on the module attribute (as
-        # perfbench/tracing.py sets one) sees every pick
-        v = _adv.dispatch_pick(
-            self.strategy, self.mode, self.script, g, c, conflicted, counts, history, draw,
-            self.drift,
-        )
-        if counts[v] <= 0:
-            raise RuntimeError(f"adversary returned non-conflicted vertex {v}")
-        return v
 
 
 SchedulerPolicy = Union[UniformRandomOrder, FixedPermutationOrder, AdversaryOrder]
@@ -383,20 +310,24 @@ def _run(
     """Either algorithm: the persistent one when `until_clear` is set.
 
     Uniform order takes its algorithm's fast path. Every other order runs
-    the one policy loop: pick with `sched.pick`, then draw one color, or
-    redraw until the picked vertex is clear. A one-draw run under the mimic
-    order redraws until clear too, and keeps one-draw bookkeeping: one
-    selection and one trace entry per draw. That is exact: while the mimic
-    holds v, v's neighbors keep their colors, so v is conflicted exactly
-    when its draw is among theirs, and the mimic's pick reads only v's
-    count and the sorted conflicted set, never the states between draws.
+    the one policy loop: `adversary.dispatch_pick` chooses for the order,
+    then the picked vertex draws one color, or redraws until it is clear.
+    A one-draw run under the mimic order redraws until clear too, and keeps
+    one-draw bookkeeping: one selection and one trace entry per draw. That
+    is exact: while the mimic holds v, v's neighbors keep their colors, so v
+    is conflicted exactly when its draw is among theirs, and the mimic's
+    pick reads only v's count and the sorted conflicted set, never the
+    states between draws.
     A run capped mid-redraw leaves that vertex conflicted, so `not members`
     is exactly "terminated" for both algorithms. Each path leaves its
     counters here, and the run's one `RunResult` is built from them at the
-    end.
+    end. An order of any other class is a TypeError before any draw.
     """
     if D < 1:
         raise ValueError(f"palette size must be >= 1, got {D}")
+    if not isinstance(sched, (UniformRandomOrder, FixedPermutationOrder, AdversaryOrder)):
+        raise TypeError(f"an order is a UniformRandomOrder, FixedPermutationOrder or "
+                        f"AdversaryOrder, not {sched!r}")
     if isinstance(sched, FixedPermutationOrder) and len(sched.order) != g.n:
         raise ValueError("order must be a permutation of 0..n-1")
     cap = default_step_cap(g.n, D) if step_cap is None else step_cap
@@ -435,7 +366,9 @@ def _run(
         redraw = until_clear or (isinstance(sched, AdversaryOrder)
                                  and sched.strategy is AdversaryStrategy.MimicPersistent)
         while members and step3 < cap:
-            v = sched.pick(g, coloring, members, counts, history, draw)
+            # read at call time, so a wrapper set on the module attribute (as
+            # perfbench/tracing.py sets one) sees every pick
+            v = _adv.dispatch_pick(sched, g, coloring, members, counts, history, draw)
             history.append(v)
             if not redraw:
                 j = draw()  # exact-uniform rule (module doc)

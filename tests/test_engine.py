@@ -133,12 +133,47 @@ def test_a_start_that_is_neither_none_nor_a_coloring_is_a_type_error(bad):
             call()
 
 
+class _NoDraws:
+    """A generator stand-in that fails on any use: a run refused up front
+    never reaches its stream."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the run used its generator ({name})")
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("bad", ["min-drift", AdversaryStrategy.MinPhiDrift, None, [2, 0, 1]])
+def test_an_order_of_no_order_class_is_a_type_error_before_any_draw(runner, bad):
+    # a spec word, a bare strategy, no order and a bare permutation
+    msg = f"an order is a UniformRandomOrder, FixedPermutationOrder or AdversaryOrder, not {bad!r}"
+    with pytest.raises(TypeError, match=re.escape(msg)):
+        runner(gen_clique(3), 3, None, bad, _NoDraws())
+
+
+@pytest.mark.parametrize("strategy", ["min-drift", "mimic", None])
+def test_an_adversary_order_refuses_a_strategy_that_is_not_an_adversary_strategy(strategy):
+    with pytest.raises(TypeError, match=re.escape(f"an adversary strategy is an AdversaryStrategy, "
+                                                  f"not {strategy!r}")):
+        AdversaryOrder(strategy, mode="bogus")
+
+
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_a_fixed_start_is_checked_against_the_graph_and_palette(runner):
     with pytest.raises(ValueError, match="fixed start has 2 colors for n=3"):
         runner(gen_clique(3), 3, Coloring([1, 2], 3), UNIFORM_ORDER, trial_rng(0, 0))
     with pytest.raises(ValueError, match="fixed start uses color 4 > D=3"):
         runner(gen_clique(3), 3, Coloring([1, 2, 4], 4), UNIFORM_ORDER, trial_rng(0, 0))
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_an_adversary_pick_of_a_clear_vertex_is_a_runtime_error(runner, monkeypatch):
+    from decolor import adversary
+
+    monkeypatch.setattr(adversary, "max_conflicted_pick", lambda g, c, conflicted, counts: 2)
+    g = from_edge_list(3, [(0, 1)])
+    sched = AdversaryOrder(AdversaryStrategy.MaxConflicted)
+    with pytest.raises(RuntimeError, match="adversary returned non-conflicted vertex 2"):
+        runner(g, 3, Coloring([1, 1, 2], 3), sched, trial_rng(0, 0))
 
 
 def test_scripted_scheduler_rejects_unconflicted_vertex():
@@ -308,14 +343,6 @@ def test_persistent_walk_never_reconflicts_a_passed_vertex(walk):
     assert r.terminated and colors == r.final_coloring.colors
 
 
-class _UniformPolicy:
-    """Uniform pick as a policy object, so `_run` sends it down the policy
-    loop instead of the persistent permutation walk."""
-
-    def pick(self, g, c, conflicted, counts, history, draw):
-        return conflicted[draw() * len(conflicted) >> 53]
-
-
 def _pooled_histograms(a, b, least=20):
     """Two histograms over the values of a and b, as (bins, 2) counts, with
     adjacent bins merged until each holds at least `least` trials in all."""
@@ -334,9 +361,10 @@ def _pooled_histograms(a, b, least=20):
 
 @pytest.mark.parametrize("label", ["K5-random", "badbip3-construction"])
 def test_persistent_uniform_walk_matches_the_policy_loop_in_distribution(label):
-    # the walk tests each position of one random permutation once; the
-    # policy loop picks uniformly among the conflicted vertices after every
-    # clear. Cleared vertices stay clear, so both give one distribution.
+    # the walk tests each position of one random permutation once; under
+    # the persistent process the mimic's uniform mode picks uniformly among
+    # the conflicted vertices after every clear, in the policy loop.
+    # Cleared vertices stay clear, so both give one distribution.
     from scipy.stats import chi2_contingency
 
     from decolor.adversary import bad_bipartite_start
@@ -350,7 +378,8 @@ def test_persistent_uniform_walk_matches_the_policy_loop_in_distribution(label):
     trials = 10_000
     walk = [run_persistent(g, D, start, UNIFORM_ORDER, trial_rng(21, t)).step3_draws
             for t in range(trials)]
-    policy = [run_persistent(g, D, start, _UniformPolicy(), trial_rng(22, t)).step3_draws
+    uniform = AdversaryOrder(AdversaryStrategy.MimicPersistent, "uniform")
+    policy = [run_persistent(g, D, start, uniform, trial_rng(22, t)).step3_draws
               for t in range(trials)]
     assert chi2_contingency(_pooled_histograms(walk, policy)).pvalue > 1e-4
     exact = exact_expected_recolorings_persistent(g, D, start).as_float()
@@ -519,3 +548,45 @@ def test_a_one_draw_mimic_run_picks_once_per_selected_vertex(monkeypatch):
     r = run_decentralized(g, D, start, sched, trial_rng(5, 0), trace=True)
     runs = sum(1 for i, (v, _) in enumerate(r.trace) if i == 0 or r.trace[i - 1][0] != v)
     assert len(calls) == runs < r.step3_draws
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_dispatch_pick_is_called_once_per_pick(runner, monkeypatch):
+    from decolor import adversary
+
+    g, D, start, _ = _mimic_cases()[1]
+    dispatch_pick = adversary.dispatch_pick
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return dispatch_pick(*args)
+
+    for seed in range(3):
+        # the script replays a max-conflicted run's picks, which read no stream value
+        reference = runner(g, D, start, AdversaryOrder(AdversaryStrategy.MaxConflicted),
+                           trial_rng(30, seed), trace=True).trace
+        orders = {
+            "perm": lambda: FixedPermutationOrder(range(g.n - 1, -1, -1)),
+            "min-drift": lambda: AdversaryOrder(AdversaryStrategy.MinPhiDrift),
+            "max-conflicted": lambda: AdversaryOrder(AdversaryStrategy.MaxConflicted),
+            "mimic-uniform": lambda: AdversaryOrder(AdversaryStrategy.MimicPersistent, "uniform"),
+            "mimic-lowest": lambda: AdversaryOrder(AdversaryStrategy.MimicPersistent, "lowest"),
+            "script": lambda: AdversaryOrder(AdversaryStrategy.Scripted, script=[v for v, _ in reference]),
+        }
+        for name, build in orders.items():
+            plain = runner(g, D, start, build(), trial_rng(30, seed), trace=True)
+            with monkeypatch.context() as mp:
+                mp.setattr(adversary, "dispatch_pick", counting)
+                calls.clear()
+                wrapped = runner(g, D, start, build(), trial_rng(30, seed), trace=True)
+            assert _outcome(wrapped) == _outcome(plain), name
+            assert (wrapped.step3_draws, wrapped.selections) == (plain.step3_draws, plain.selections)
+            if runner is run_persistent:
+                picks = wrapped.selections
+            elif name.startswith("mimic"):  # one pick per run of draws by one vertex
+                picks = sum(1 for i, (v, _) in enumerate(wrapped.trace)
+                            if i == 0 or wrapped.trace[i - 1][0] != v)
+            else:
+                picks = wrapped.step3_draws
+            assert len(calls) == picks > 0, name

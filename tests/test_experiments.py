@@ -167,6 +167,18 @@ def test_worker_pool_reduces_in_trial_order():
     par = run_trials(cfg(trials=400, master_seed=23, workers=2))
     assert (seq.total_draws == par.total_draws).all()
     assert seq.stats == par.stats
+    # policy orders go to the workers pickled, the min-drift order with its state;
+    # vertex 3 is badbip(3)'s one conflicted right vertex, and clearing it ends a run
+    orders = ["min-drift", "max-conflicted", {"kind": "mimic", "mode": "uniform"},
+              {"kind": "mimic", "mode": "lowest"}, {"kind": "perm", "order": [5, 3, 1, 0, 2, 4]},
+              {"kind": "script", "picks": [3] * 40}]
+    for algorithm in ("dc", "persistent"):
+        for order in orders:
+            spec = dict(graph={"kind": "badbip", "delta": 3}, D=None, start="construction",
+                        order=order, algorithm=algorithm, trials=300, master_seed=23)
+            one, two = run_trials(cfg(**spec, workers=1)), run_trials(cfg(**spec, workers=2))
+            assert (one.step3_draws == two.step3_draws).all(), (algorithm, order)
+            assert (one.selections == two.selections).all(), (algorithm, order)
 
 
 @pytest.mark.parametrize("trials", [256, 300, 511, 700, 2049, 5000, 100_000])
